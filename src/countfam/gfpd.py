@@ -30,7 +30,7 @@ from scipy.integrate import quad
 
 from .errors import CancellationError, ConvergenceError, DomainError, EvaluationError
 from .moments import FactorialMomentSequence, SummaryStats, skewness_from_factorial
-from .special import MAX_DPS, m_wright, prabhakar_ml, wright_phi
+from .special import MAX_DPS, _leggauss, m_wright, prabhakar_ml, wright_phi
 
 # Above this log-magnitude of the largest series term, a float64 row of the
 # pmf table is recomputed in high precision (absolute noise ~ e^6 * 1e-15).
@@ -543,6 +543,7 @@ def _mixture_pmf(alpha, mu, xs, y_power, n_panels, n_nodes):
 
 
 _MIXTURE_CACHE: dict = {}
+_MIXTURE_CACHE_MAX = 512
 
 
 def _mixture_nodes(alpha, mu, x_max, n_panels, n_nodes):
@@ -555,7 +556,7 @@ def _mixture_nodes(alpha, mu, x_max, n_panels, n_nodes):
     hit = _MIXTURE_CACHE.get(key)
     if hit is not None:
         return hit
-    gx, gw = np.polynomial.legendre.leggauss(n_nodes)
+    gx, gw = _leggauss(n_nodes)
     edges = np.concatenate([[0.0], np.geomspace(0.25, y_hi, n_panels)])
     ys, ws = [], []
     # cube-graded first panel: fractional powers y^delta in the mixing
@@ -568,10 +569,10 @@ def _mixture_nodes(alpha, mu, x_max, n_panels, n_nodes):
         ws.append(0.5 * (hi - lo) * gw)
     ys = np.concatenate(ys)
     ws = np.concatenate(ws)
-    my = np.array([m_wright(alpha, y) for y in ys])
-    out = (ys, ws * my)
-    if len(_MIXTURE_CACHE) > 512:
-        _MIXTURE_CACHE.clear()
+    out = (ys, ws * m_wright(alpha, ys))
+    if len(_MIXTURE_CACHE) >= _MIXTURE_CACHE_MAX:
+        # evict the oldest node set (dicts keep insertion order)
+        del _MIXTURE_CACHE[next(iter(_MIXTURE_CACHE))]
     _MIXTURE_CACHE[key] = out
     return out
 

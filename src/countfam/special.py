@@ -1,11 +1,14 @@
-"""Scalar special functions underpinning the count distributions.
+"""Special functions underpinning the count distributions.
 
 The Mittag-Leffler-type series here alternate violently for negative
 arguments, so every series is evaluated in log-magnitude/sign form with
 compensated summation, an explicit stopping rule, and guards that refuse to
 return a cancellation-destroyed answer.  Where the float64 series is hopeless
 but the value is still representable, an arbitrary-precision fallback re-sums
-the same series with enough guard digits.
+the same series with enough guard digits.  The M-Wright density is the
+exception: its reflection series is summed for a whole array of points in
+NumPy, and points whose sum cancellation would spoil go to a positive
+integral form instead.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 from scipy import special as sc
-from scipy.integrate import quad
 
 from .errors import CancellationError, ConvergenceError, DomainError, EvaluationError
 
@@ -78,20 +80,11 @@ def digamma(x: float) -> float:
 
 
 def trigamma(z):
-    """psi'(z) = sum_{r>=0} (z+r)^-2 for z > 0, scalar or array.
-
-    Partial sum plus an asymptotic tail correction; absolute error well below
-    1e-12 on the ranges used by the dispersion criteria.
-    """
+    """psi'(z) = sum_{r>=0} (z+r)^-2 for z > 0, scalar or array."""
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0):
         raise DomainError("trigamma requires z > 0")
-    n = 10_000
-    r = np.arange(n, dtype=float)
-    partial = np.sum((z[..., None] + r) ** -2.0, axis=-1)
-    w = z + n
-    tail = 1.0 / w + 0.5 / w**2 + 1.0 / (6.0 * w**3)
-    out = partial + tail
+    out = sc.polygamma(1, z)
     return float(out) if out.ndim == 0 else out
 
 
@@ -431,6 +424,94 @@ def _scan_wright_max_log(xi, omega, z, block=4096, max_r=2_000_000):
     raise ConvergenceError("wright_phi: magnitude scan exhausted its budget")
 
 
+# Size of the vectorised reflection series' temporaries: blocks of j grow
+# to at most _M_WRIGHT_BLOCK terms, and each (rows x j) array has at most
+# _M_WRIGHT_BLOCK_CELLS cells, so node sets whose rows run to MAX_TERMS
+# stay within a few MB.
+_M_WRIGHT_BLOCK = 4096
+_M_WRIGHT_BLOCK_CELLS = 32_768
+
+
+def _m_wright_series_rows(alpha, ys, max_terms=MAX_TERMS):
+    """Reflection series of ``_m_wright_series`` for an array of y > 0.
+
+    All rows advance together through blocks of j: each row carries its
+    running maximum log-magnitude, previous term and its signed and absolute
+    sums (in a frame shifted by its largest added term) from block to block
+    and leaves at the first term that meets the stopping rule or overflows.
+    The blocks and every per-row reduction are the same whatever the other
+    rows, so a point gets the same bits alone as in any array.
+    Returns arrays (value, cancel_ratio, max_logmag).
+    """
+    logy = np.log(ys)
+    n = len(ys)
+    max_lm = np.full(n, -math.inf)
+    prev = np.full(n, -math.inf)
+    shift = np.full(n, -math.inf)
+    acc = np.zeros(n)
+    abs_acc = np.zeros(n)
+    log_pi = math.log(math.pi)
+
+    def advance(rows, j, base, log_s, sign):
+        """Add the block's terms to ``rows``; return which rows finished."""
+        lm = (j - 1.0) * logy[rows, None] - base
+        run_max = np.maximum.accumulate(lm, axis=1)
+        np.maximum(run_max, max_lm[rows, None], out=run_max)
+        falling = np.empty(lm.shape, dtype=bool)
+        falling[:, 0] = lm[:, 0] < prev[rows]
+        np.less(lm[:, 1:], lm[:, :-1], out=falling[:, 1:])
+        over = run_max > OVERFLOW_LOG
+        event = over | ((j > 8.0) & (lm < run_max - 46.0) & falling)
+        done = event.any(axis=1)
+        last = np.where(done, event.argmax(axis=1), len(j) - 1)
+        at_last = (np.arange(len(rows)), last)
+        overflow = over[at_last]
+        max_lm[rows] = run_max[at_last]
+        prev[rows] = lm[:, -1]
+        del run_max, falling, over, event
+        # in place from here: lm becomes the shifted terms; terms past a
+        # row's stopping term are not added
+        lm += log_s
+        lm[np.arange(len(j)) > last[:, None]] = -math.inf
+        new_shift = np.maximum(shift[rows], lm.max(axis=1))
+        with np.errstate(invalid="ignore"):
+            scale = np.where(shift[rows] > -math.inf, np.exp(shift[rows] - new_shift), 0.0)
+        lm -= new_shift[:, None]
+        t = np.exp(lm, out=lm)
+        abs_acc[rows] = abs_acc[rows] * scale + t.sum(axis=1)
+        t *= sign
+        acc[rows] = acc[rows] * scale + t.sum(axis=1)
+        shift[rows] = new_shift
+        acc[rows[done & overflow]] = math.nan
+        return done
+
+    rows = np.arange(n)
+    j0, width = 1, 16
+    while rows.size and j0 < max_terms:
+        # most rows stop within a few dozen terms: blocks start narrow and
+        # widen while rows run on
+        width = min(2 * width, _M_WRIGHT_BLOCK, max_terms - j0)
+        j = np.arange(j0, j0 + width, dtype=float)
+        base = sc.gammaln(j) - sc.gammaln(alpha * j)
+        s = np.sin(math.pi * alpha * j)
+        with np.errstate(divide="ignore"):
+            log_s = np.log(np.abs(s)) - log_pi
+        sign = np.sign(s) * np.where(j % 2.0 == 1.0, 1.0, -1.0)
+        group = max(_M_WRIGHT_BLOCK_CELLS // width, 1)
+        done = np.concatenate([
+            advance(rows[g:g + group], j, base, log_s, sign)
+            for g in range(0, rows.size, group)
+        ])
+        rows = rows[~done]
+        j0 += width
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = np.where(acc != 0.0, np.sign(acc) * np.exp(shift + np.log(np.abs(acc))), 0.0)
+        floor = 5e-324 / np.maximum(np.exp(np.minimum(shift, 0.0)), 5e-324)
+        cancel = np.where(abs_acc == 0.0, 1.0, abs_acc / np.maximum(np.abs(acc), floor))
+    cancel[np.isnan(acc)] = math.inf
+    return value, cancel, max_lm
+
+
 def _m_wright_series(alpha, y, max_terms=MAX_TERMS):
     """Reflection series (1/pi) sum_{j>=1} (-y)^(j-1)/(j-1)! Gamma(alpha j) sin(pi alpha j).
 
@@ -439,68 +520,112 @@ def _m_wright_series(alpha, y, max_terms=MAX_TERMS):
     """
     if y == 0.0:
         return 1.0 / math.gamma(1.0 - alpha), 1.0, 0.0
-    logy = math.log(y)
-    acc = _SignedLogSum()
-    max_logmag = -math.inf
-    prev = -math.inf
-    for j in range(1, max_terms):
-        s = math.sin(math.pi * alpha * j)
-        logmag = (j - 1) * logy - math.lgamma(j) + math.lgamma(alpha * j)
-        max_logmag = max(max_logmag, logmag)
-        if max_logmag > OVERFLOW_LOG:
-            return math.nan, math.inf, max_logmag
-        if s != 0.0:
-            acc.add(logmag + math.log(abs(s)) - math.log(math.pi), math.copysign(1.0, s) * (-1.0) ** (j - 1))
-        if j > 8 and logmag < max_logmag - 46.0 and logmag < prev:
-            break
-        prev = logmag
-    return acc.value(), acc.cancel_ratio(), max_logmag
+    value, cancel, max_logmag = _m_wright_series_rows(alpha, np.array([float(y)]), max_terms)
+    return float(value[0]), float(cancel[0]), float(max_logmag[0])
+
+
+# Gauss-Legendre rules by node count, shared read-only by their callers
+_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+# Gauss-Legendre nodes on each side of the Kanter integrand's peak, and how
+# far below the peak (in nats) the integrand is cut.
+_KANTER_NODES = 32
+_KANTER_DEPTH = 46.0
+
+
+def _m_wright_integral_rows(alpha, ys):
+    """Positive-integrand integral form of the same density, for an array of y > 0.
+
+    Obtained from the Kanter representation of the one-sided stable law: with
+    a(u) = sin((1-a)u) sin(a u)^(a/(1-a)) / sin(u)^(1/(1-a)), increasing on
+    (0, pi) from a(0+) = (1-a) a^(a/(1-a)), and Y = y^(1/(1-a)), the density
+    is (1/pi) int a(u) Y exp(-a(u) Y) du / ((1-a) y).  No cancellation at any
+    y, so it serves as the large-argument branch.
+
+    The integrand peaks where a(u) Y = 1 (at u = 0 once a(0+) Y >= 1).  Each
+    side of the peak, down to where the integrand is e^-46 of its peak, gets
+    one Gauss-Legendre rule in s = log(pi - u), which spreads out both the
+    bell at small u and the wall that a(u) raises in front of u = pi.  The
+    peak and the cuts are found by bisection in s, for all rows at once.
+    """
+    c = 1.0 / (1.0 - alpha)
+    logy = np.log(ys)[:, None]
+    log_yc = c * logy
+    log_a0 = alpha * c * math.log(alpha) + math.log(1.0 - alpha)
+
+    def log_a(s):
+        eps = np.exp(s)
+        u = np.maximum(math.pi - eps, 1e-300)
+        # sin(u) = sin(pi - u): of u and pi - u, the smaller is the one that
+        # float64 holds to full relative precision
+        return (
+            (alpha * c) * np.log(np.sin(alpha * u))
+            + np.log(np.sin((1.0 - alpha) * u))
+            - c * np.log(np.sin(np.minimum(u, eps)))
+        )
+
+    def log_f(la):
+        # log of a Y exp(-a Y) / Y
+        return la - np.exp(np.minimum(la + log_yc, OVERFLOW_LOG))
+
+    def bisect(lo, hi, rises):
+        """Where ``rises(s)`` turns False, for each row; it must hold at lo."""
+        # 32 halvings of a bracket at most 700 wide: the cuts and the split
+        # at the peak need no more than that
+        for _ in range(32):
+            mid = 0.5 * (lo + hi)
+            up = rises(mid)
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        return 0.5 * (lo + hi)
+
+    s_min = np.full(log_yc.shape, -700.0)
+    s_max = np.full(log_yc.shape, math.log(math.pi))
+    interior = log_a0 + log_yc < 0.0
+    s_peak = np.where(interior, bisect(s_min, s_max, lambda s: log_a(s) + log_yc > 0.0), s_max)
+    log_f0 = log_f(log_a0)
+    cut = np.where(interior, -1.0 - log_yc, log_f0) - _KANTER_DEPTH
+    s_right = bisect(s_min, s_peak, lambda s: log_f(log_a(s)) < cut)
+    s_left = np.where(
+        log_f0 >= cut, s_max, bisect(s_peak, s_max, lambda s: log_f(log_a(s)) >= cut)
+    )
+    x, w = _leggauss(_KANTER_NODES)
+    total = 0.0
+    for lo, hi in ((s_right, s_peak), (s_peak, s_left)):
+        half = 0.5 * (hi - lo)
+        s = half * x + (lo + half)
+        # ds = du / (pi - u), and pi - u = e^s
+        total = total + (np.exp(log_f(log_a(s)) + log_yc + s) * (half * w)).sum(axis=1)
+    return total / (math.pi * (1.0 - alpha) * ys)
 
 
 def _m_wright_integral(alpha, y):
-    """Positive-integrand integral form of the same density, exact for y > 0.
-
-    Obtained from the Kanter representation of the one-sided stable law: with
-    a(u) = sin((1-a)u) sin(a u)^(a/(1-a)) / sin(u)^(1/(1-a)) on (0, pi),
-    the density is (1/pi) int a(u) y^(a/(1-a))/(1-a) exp(-a(u) y^(1/(1-a))) du.
-    No cancellation at any y, so it serves as the large-argument branch.
-    """
-    c = 1.0 / (1.0 - alpha)
-    lyc = c * math.log(y)
-    pref = (alpha * c) * math.log(y) - math.log(1.0 - alpha)
-
-    def integrand(u):
-        if u <= 0.0 or u >= math.pi:
-            return 0.0
-        la = (
-            (alpha * c) * math.log(math.sin(alpha * u))
-            + math.log(math.sin((1.0 - alpha) * u))
-            - c * math.log(math.sin(u))
-        )
-        ex = la + pref - math.exp(min(la + lyc, OVERFLOW_LOG))
-        return math.exp(ex) if ex > -745.0 else 0.0
-
-    v, _ = quad(integrand, 0.0, math.pi, limit=200)
-    return v / math.pi
+    """``_m_wright_integral_rows`` at one y > 0."""
+    return float(_m_wright_integral_rows(alpha, np.array([float(y)]))[0])
 
 
-def m_wright(alpha: float, y: float) -> float:
+def m_wright(alpha: float, y):
     """Density of the inverse-alpha-power of a one-sided stable variable.
 
-    Reflection series where it is numerically trustworthy; the positive
-    stable-integral representation once cancellation would eat more than
-    ~10 digits (large y), which keeps the stretched-exponential tail exact.
+    ``y`` may be a scalar or an array; an array is tabulated in one pass of
+    the reflection series over all its points.  The series value is used
+    where it is numerically trustworthy; the positive stable-integral
+    representation takes over at the points where cancellation would cost
+    more than 6 of float64's ~16 digits (large y), which keeps the
+    stretched-exponential tail exact.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError("m_wright requires alpha in (0, 1)")
-    if y < 0:
+    y = np.asarray(y, dtype=float)
+    if np.any(y < 0):
         raise DomainError("m_wright requires y >= 0")
-    if y == 0.0:
-        return 1.0 / math.gamma(1.0 - alpha)
-    value, cancel, _ = _m_wright_series(alpha, y)
-    if not math.isfinite(value) or cancel > 1e6 or value < 0.0:
-        value = _m_wright_integral(alpha, y)
-    return max(value, 0.0)
+    flat = y.ravel()
+    out = np.full(flat.shape, 1.0 / math.gamma(1.0 - alpha))
+    pos = np.flatnonzero(flat > 0.0)
+    value, cancel, _ = _m_wright_series_rows(alpha, flat[pos])
+    bad = ~np.isfinite(value) | (cancel > 1e6) | (value < 0.0)
+    value[bad] = _m_wright_integral_rows(alpha, flat[pos[bad]])
+    out[pos] = np.maximum(value, 0.0)
+    out = out.reshape(y.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def stirling2(k: int, r: int) -> int:

@@ -1,6 +1,7 @@
 """Generalized fractional Poisson family: reductions, moments, representations."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import stats
 
 from countfam import (
     CancellationError,
+    CountData,
     DomainError,
     EvaluationError,
     GfpdParams,
@@ -33,6 +35,7 @@ from countfam import (
 from countfam import gfpd
 from countfam.errors import ConvergenceError
 from countfam.gfpd import _mp_plan, _rows_mp
+from countfam.inference import _fpd_grid
 
 
 def small_grid():
@@ -214,6 +217,37 @@ class TestQuadratureRoutes:
         table = gfpd_pmf_table(p)
         for x in (0, 2, 6):
             assert gfpd_pmf(p, x) == pytest.approx(float(table[x]), rel=1e-7)
+
+
+class TestMixtureNodes:
+    def test_cold_build_memory(self, monkeypatch):
+        # at alpha = 0.99 some rows' series run to tens of thousands of
+        # terms; the cutoff is the largest fit_grid("fpd") reaches on
+        # criterion 12's first sample (its smallest grid mu)
+        data = CountData.from_values(sample_fpd(0.85, 3.6, 5000, RngStream(1000)).values)
+        mu = min(m for a, m in _fpd_grid(data) if a == 0.99)
+        monkeypatch.setattr(gfpd, "_MIXTURE_CACHE", {})
+        tracemalloc.start()
+        try:
+            ys, _ = gfpd._mixture_nodes(0.99, mu, data.max_value, 4, 80)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ys) == 320
+        assert peak < 4e6
+
+    def test_cache_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(gfpd, "_MIXTURE_CACHE", {})
+        monkeypatch.setattr(gfpd, "_MIXTURE_CACHE_MAX", 2)
+        first = gfpd._mixture_nodes(0.3, 2.0, 10, 4, 80)
+        gfpd._mixture_nodes(0.5, 2.0, 10, 4, 80)
+        gfpd._mixture_nodes(0.7, 2.0, 10, 4, 80)
+        assert [k[0] for k in gfpd._MIXTURE_CACHE] == [0.5, 0.7]
+        rebuilt = gfpd._mixture_nodes(0.3, 2.0, 10, 4, 80)
+        assert rebuilt is not first
+        assert np.array_equal(rebuilt[0], first[0])
+        assert np.array_equal(rebuilt[1], first[1])
+        assert [k[0] for k in gfpd._MIXTURE_CACHE] == [0.7, 0.3]
 
 
 class TestMonteCarlo:

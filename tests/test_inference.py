@@ -21,6 +21,16 @@ from countfam import (
 )
 from countfam.inference import _pooled_cells
 
+# grid points and log-likelihoods of criterion 12's first five replicates,
+# recorded with the mixture nodes tabulated one node at a time
+_FPD_FITS = [
+    (0.84, 3.5210342221425233, -11284.884029765914),
+    (0.85, 3.616206260812572, -11306.436645351167),
+    (0.85, 3.6071283935190728, -11290.996480835129),
+    (0.85, 3.545096300346826, -11268.513561918287),
+    (0.85, 3.640035662458008, -11339.046100886499),
+]
+
 
 class TestCountData:
     def test_from_values(self):
@@ -105,6 +115,14 @@ class TestFitGrid:
         r1 = fit_grid("fpd", d)
         r2 = fit_grid("fpd", d)
         assert r1 == r2
+
+    @pytest.mark.parametrize("i", range(len(_FPD_FITS)))
+    def test_criterion_12_replicates(self, i):
+        alpha, mu, ll = _FPD_FITS[i]
+        d = CountData.from_values(sample_fpd(0.85, 3.6, 5000, RngStream(1000 + i)).values)
+        res = fit_grid("fpd", d)
+        assert res.params == {"alpha": alpha, "mu": mu}
+        assert res.loglik == pytest.approx(ll, abs=1e-6)
 
 
 class TestFitSimplex:

@@ -3,14 +3,20 @@
 import math
 from itertools import combinations
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special as sc
 from scipy.integrate import quad
 
 from countfam import (
     CancellationError,
+    CountData,
     DomainError,
     EvaluationError,
+    RngStream,
     bell_partial,
     chi2_sf,
     digamma,
@@ -18,11 +24,58 @@ from countfam import (
     m_wright,
     prabhakar_ml,
     reciprocal_gamma,
+    sample_fpd,
     stirling2,
     trigamma,
     wright_phi,
 )
-from countfam.special import _m_wright_integral, _m_wright_series
+from countfam import gfpd
+from countfam.inference import _fpd_grid
+from countfam.special import _m_wright_integral, _m_wright_series, _m_wright_series_rows
+
+
+def _fit_nodes(alpha):
+    """Mixture nodes at alpha with the largest cutoff that fit_grid("fpd")
+    reaches there on criterion 12's first sample: its smallest grid mu."""
+    data = CountData.from_values(sample_fpd(0.85, 3.6, 5000, RngStream(1000)).values)
+    mu = min(m for a, m in _fpd_grid(data) if a == alpha)
+    ys, _ = gfpd._mixture_nodes(alpha, mu, data.max_value, 4, 80)
+    return ys
+
+
+def _reflection_log_terms(alpha, y):
+    """log |y^(j-1) Gamma(alpha j) / (j-1)!| for j = 1..20000 (float scan)."""
+    j = np.arange(1.0, 20_001.0)
+    return (j - 1.0) * math.log(y) - sc.gammaln(j) + sc.gammaln(alpha * j)
+
+
+def _m_wright_mp(alpha, y, floor=1e-100):
+    """Reflection series (1/pi) sum_j (-y)^(j-1)/(j-1)! Gamma(alpha j)
+    sin(pi alpha j), re-summed in mpmath.
+
+    The precision covers the largest term plus the digits of ``floor``, so
+    the sum keeps ~25 digits wherever it exceeds ``floor``.  The loop stops
+    past the largest term, once the magnitude y^(j-1) Gamma(alpha j)/(j-1)!
+    -- without the sine, so a term where sin(pi alpha j) = 0 cannot end it
+    early -- is 25 digits below the sum or below floor * 1e-25; past the
+    largest term the magnitudes fall faster than geometrically.
+    """
+    lm = _reflection_log_terms(alpha, y)
+    j_peak = int(np.argmax(lm)) + 1
+    dps = int(max(lm.max(), 0.0) / math.log(10.0) - math.log10(floor)) + 30
+    with mp.workdps(dps):
+        a, yy = mp.mpf(alpha), mp.mpf(y)
+        small = mp.mpf(floor) * mp.mpf(10) ** -25
+        total = mp.mpf(0)
+        power = mp.mpf(1)  # y^(j-1) / (j-1)!
+        j = 1
+        while True:
+            mag = power * mp.gamma(a * j)
+            total += (-1) ** (j - 1) * mag * mp.sinpi(a * j)
+            if j > j_peak and mag < mp.mpf(10) ** -25 * max(abs(total) / mp.pi, small):
+                return float(total / mp.pi)
+            power = power * yy / j
+            j += 1
 
 
 class TestLogGamma:
@@ -191,6 +244,47 @@ class TestMWright:
         for alpha in (0.2, 0.5, 0.9):
             for y in np.linspace(0, 12, 25):
                 assert m_wright(alpha, float(y)) >= 0.0
+
+    def test_array_matches_scalar(self):
+        # a node set crosses both branches; 0 and the shape are kept
+        for alpha in (0.3, 0.9):
+            ys = _fit_nodes(alpha)[::2]
+            got = m_wright(alpha, ys)
+            assert np.array_equal(got, [m_wright(alpha, float(y)) for y in ys])
+            # the series too, also where its value is not used
+            rows = np.stack(_m_wright_series_rows(alpha, ys), axis=1)
+            want = [_m_wright_series(alpha, float(y)) for y in ys]
+            assert np.array_equal(rows, want, equal_nan=True)
+        grid = np.array([[0.0, 0.5], [3.0, 12.0]])
+        got = m_wright(0.5, grid)
+        assert got.shape == (2, 2)
+        assert got[0, 0] == m_wright(0.5, 0.0)
+        with pytest.raises(DomainError):
+            m_wright(0.5, np.array([1.0, -1.0]))
+
+    def test_node_set_half_closed_form(self):
+        ys = _fit_nodes(0.5)
+        exact = np.exp(-ys * ys / 4.0) / math.sqrt(math.pi)
+        got = m_wright(0.5, ys)
+        keep = exact > 1e-200
+        assert keep.sum() > 200
+        np.testing.assert_allclose(got[keep], exact[keep], rtol=1e-8, atol=0.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        alpha=st.floats(0.05, 0.95),
+        y=st.floats(0.0, 4.0, exclude_min=True),
+    )
+    def test_matches_mpmath_reflection_series(self, alpha, y):
+        # the oracle's cost follows its largest term; where that exceeds
+        # e^250 the density is below 1e-100 (the largest term and the
+        # density's decay are both exp((1-a) (a^a y)^(1/(1-a)))), so it is
+        # not asked
+        if _reflection_log_terms(alpha, y).max() > 250.0:
+            return
+        ref = _m_wright_mp(alpha, y)
+        if ref > 1e-100:
+            assert m_wright(alpha, y) == pytest.approx(ref, rel=1e-8, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
