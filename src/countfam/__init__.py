@@ -22,7 +22,6 @@ from .gfpd import (
     GfpdParams,
     aa1_pmf_quadrature,
     fpd_cdf,
-    fpd_cdf_series,
     fpd_pmf,
     fpd_pmf_quadrature,
     fpd_skewness,

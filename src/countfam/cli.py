@@ -9,19 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .baselines import GenPoissonParams, NegBinomParams, genpoisson_pmf, negbinom_pmf
 from .errors import DomainError, EvaluationError
-from .gfpd import GfpdParams, gfpd_pmf_table, gfpd_summary
-from .inference import MODELS, CountData, fit, fit_grid, fit_simplex, gof_chisq, compare, loglik
-from .moments import SummaryStats
-from .sampling import RngStream, sample_fpd, sample_wpd
-from .wpd import SpecialCase, make_special_case, wpd_pmf_table, wpd_summary
+from .gfpd import gfpd_pmf_table  # noqa: F401  (perfbench/layers.py wraps cli.gfpd_pmf_table)
+from .inference import LAWS, MODELS, CountData, fit, fit_grid, fit_simplex, gof_chisq, compare, loglik
+from .sampling import RngStream
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -31,8 +25,6 @@ EXIT_EVAL = 5
 
 DEFAULT_SEED = 12345
 DEFAULT_MC_N = 500_000
-
-_WPD_TAGS = {t.value for t in SpecialCase}
 
 
 class CliError(Exception):
@@ -93,101 +85,15 @@ def _int_token(s: str) -> int:
     return int(s)
 
 
-# ---------------------------------------------------------------------------
-# model construction from flags
-# ---------------------------------------------------------------------------
-
-def _require(args, *names):
-    vals = []
-    for n in names:
-        v = getattr(args, n.replace("-", "_"), None)
+def _theta(args, spec):
+    """The law's parameters from their flags, in the registry's order."""
+    theta = []
+    for name in spec.param_names:
+        v = getattr(args, name)
         if v is None:
-            raise CliError(EXIT_USAGE, f"--{n} is required for model {args.model!r}")
-        vals.append(v)
-    return vals
-
-
-def _model_pmf_table(args, x_max):
-    """pmf array on 0..x_max for the model named on the command line."""
-    m = args.model
-    if m == "fpd":
-        alpha, mu = _require(args, "alpha", "mu")
-        return gfpd_pmf_table(GfpdParams.fpd(alpha, mu), x_max=x_max)
-    if m == "gfpd":
-        alpha, beta, delta, mu = _require(args, "alpha", "beta", "delta", "mu")
-        return gfpd_pmf_table(GfpdParams(alpha, beta, delta, mu), x_max=x_max)
-    if m == "gfpd_aa1":
-        alpha, mu = _require(args, "alpha", "mu")
-        return gfpd_pmf_table(GfpdParams.aa1(alpha, mu), x_max=x_max)
-    if m == "negbinom":
-        r, p = _require(args, "r", "p")
-        pp = NegBinomParams(r, p)
-        xs = range(int(x_max) + 1) if x_max is not None else None
-        if xs is None:
-            return _adaptive_table(lambda x: negbinom_pmf(pp, x))
-        return np.array([negbinom_pmf(pp, x) for x in xs])
-    if m == "genpoisson":
-        l1, l2 = _require(args, "lambda1", "lambda2")
-        pp = GenPoissonParams(l1, l2)
-        if x_max is None:
-            return _adaptive_table(lambda x: genpoisson_pmf(pp, x))
-        return np.array([genpoisson_pmf(pp, x) for x in range(int(x_max) + 1)])
-    if m in _WPD_TAGS:
-        p = _wpd_params(args)
-        return wpd_pmf_table(p, x_max=x_max)
-    raise CliError(EXIT_USAGE, f"unknown model {m!r}")
-
-
-def _adaptive_table(pmf):
-    out = []
-    x = 0
-    cum = 0.0
-    while cum < 1.0 - 1e-10 and x < 100_000:
-        v = pmf(x)
-        out.append(v)
-        cum += v
-        x += 1
-    return np.asarray(out)
-
-
-def _wpd_params(args):
-    tag = SpecialCase(args.model)
-    free = {
-        SpecialCase.POISSON: ("lam",),
-        SpecialCase.COM_POISSON: ("lam", "nu"),
-        SpecialCase.HYPER_POISSON: ("lam", "beta"),
-        SpecialCase.ALT_MITTAG_LEFFLER: ("lam", "alpha", "beta"),
-        SpecialCase.FRACTIONAL_COM_POISSON: ("lam", "alpha", "beta", "nu"),
-        SpecialCase.ALT_GENERALIZED_ML: ("lam", "alpha", "beta", "gamma"),
-        SpecialCase.MODEL_I: ("lam", "beta", "nu"),
-        SpecialCase.MODEL_I_2PARAM: ("lam", "beta"),
-        SpecialCase.MODEL_II: ("lam", "beta", "gamma"),
-        SpecialCase.MODEL_II_2PARAM: ("beta", "gamma"),
-    }[tag]
-    vals = _require(args, *free)
-    return make_special_case(tag, **dict(zip(free, vals)))
-
-
-def _model_summary(args) -> SummaryStats:
-    m = args.model
-    if m == "fpd":
-        alpha, mu = _require(args, "alpha", "mu")
-        return gfpd_summary(GfpdParams.fpd(alpha, mu))
-    if m == "gfpd":
-        alpha, beta, delta, mu = _require(args, "alpha", "beta", "delta", "mu")
-        return gfpd_summary(GfpdParams(alpha, beta, delta, mu))
-    if m == "gfpd_aa1":
-        alpha, mu = _require(args, "alpha", "mu")
-        return gfpd_summary(GfpdParams.aa1(alpha, mu))
-    if m == "negbinom":
-        r, p = _require(args, "r", "p")
-        pp = NegBinomParams(r, p)
-        from .baselines import negbinom_skewness
-
-        return SummaryStats(pp.mean, pp.variance, negbinom_skewness(pp), 1.0 / pp.p)
-    if m in _WPD_TAGS:
-        return wpd_summary(_wpd_params(args))
-    raise CliError(EXIT_USAGE, f"moments not available for model {m!r}")
+            raise CliError(EXIT_USAGE, f"--{name} is required for model {args.model!r}")
+        theta.append(v)
+    return tuple(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +131,8 @@ def _cell(v):
 # ---------------------------------------------------------------------------
 
 def _cmd_pmf(args, out):
-    table = _model_pmf_table(args, args.x_max)
+    spec = LAWS[args.model]
+    table = spec.pmf(_theta(args, spec), args.x_max)
     rows = [{"x": i, "probability": float(p)} for i, p in enumerate(table)]
     _emit_rows(rows, ["x", "probability"], args.output_format, out)
     return EXIT_OK
@@ -233,14 +140,10 @@ def _cmd_pmf(args, out):
 
 def _cmd_sample(args, out):
     rng = RngStream(args.seed)
-    m = args.model
-    if m == "fpd":
-        alpha, mu = _require(args, "alpha", "mu")
-        batch = sample_fpd(alpha, mu, args.n, rng)
-    elif m in _WPD_TAGS:
-        batch = sample_wpd(_wpd_params(args), args.n, rng)
-    else:
-        raise CliError(EXIT_USAGE, f"sampling not available for model {m!r}")
+    spec = LAWS[args.model]
+    if spec.sample is None:
+        raise CliError(EXIT_USAGE, f"sampling not available for model {args.model!r}")
+    batch = spec.sample(_theta(args, spec), args.n, rng)
     for v in batch.values:
         out.write(f"{int(v)}\n")
     print(f"seed: {batch.seed}", file=sys.stderr)
@@ -248,8 +151,6 @@ def _cmd_sample(args, out):
 
 
 def _fit_one(args, data):
-    if args.model not in MODELS:
-        raise CliError(EXIT_USAGE, f"model {args.model!r} is not fittable; choose from {sorted(MODELS)}")
     if args.method == "grid":
         return fit_grid(args.model, data, pool=not args.no_pool)
     if args.method == "simplex":
@@ -268,17 +169,10 @@ def _cmd_fit(args, out):
 
 def _cmd_gof(args, out):
     data = ingest(args.input, args.format)
-    spec = MODELS.get(args.model)
-    if spec is None:
-        raise CliError(EXIT_USAGE, f"model {args.model!r} is not testable; choose from {sorted(MODELS)}")
-    theta = []
-    for name in spec.param_names:
-        v = getattr(args, name.replace("-", "_"), None)
-        if v is None:
-            raise CliError(EXIT_USAGE, f"--{name} is required for model {args.model!r}")
-        theta.append(v)
-    chi2, df, p = gof_chisq(args.model, tuple(theta), data, pool=not args.no_pool)
-    ll = loglik(args.model, tuple(theta), data)
+    spec = MODELS[args.model]
+    theta = _theta(args, spec)
+    chi2, df, p = gof_chisq(args.model, theta, data, pool=not args.no_pool)
+    ll = loglik(args.model, theta, data)
     row = {"model": args.model, "params": dict(zip(spec.param_names, theta)),
            "loglik": ll, "chi2": chi2, "df": df, "p_value": p, "converged": True}
     _emit_rows([row], ["model", "params", "loglik", "chi2", "df", "p_value"],
@@ -296,17 +190,19 @@ def _cmd_compare(args, out):
 
 
 def _cmd_moments(args, out):
-    s = _model_summary(args)
+    spec = LAWS[args.model]
+    if spec.summary is None:
+        raise CliError(EXIT_USAGE, f"moments not available for model {args.model!r}")
+    s = spec.summary(_theta(args, spec))
     row = {"mean": s.mean, "variance": s.variance, "skewness": s.skewness,
            "fisher_index": s.fisher_index}
     _emit_rows([row], ["mean", "variance", "skewness", "fisher_index"], args.output_format, out)
     return EXIT_OK
 
 
-def _add_model_flags(p):
-    p.add_argument("--model", required=True)
-    for flag in ("alpha", "beta", "delta", "mu", "lam", "nu", "gamma",
-                 "r", "p", "lambda1", "lambda2"):
+def _add_model_flags(p, models):
+    p.add_argument("--model", required=True, choices=sorted(models))
+    for flag in dict.fromkeys(n for spec in LAWS.values() for n in spec.param_names):
         p.add_argument(f"--{flag}", type=float, default=None)
 
 
@@ -320,20 +216,20 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pmf", help="tabulate a pmf as (x, probability) rows")
-    _add_model_flags(p)
+    _add_model_flags(p, LAWS)
     p.add_argument("--x-max", type=int, default=None)
     p.add_argument("--output-format", choices=("table", "json", "csv"), default="csv")
     p.set_defaults(func=_cmd_pmf)
 
     p = sub.add_parser("sample", help="simulate counts, one per line")
-    _add_model_flags(p)
+    _add_model_flags(p, LAWS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_sample)
 
     for name, fn in (("fit", _cmd_fit), ("gof", _cmd_gof)):
         p = sub.add_parser(name)
-        _add_model_flags(p)
+        _add_model_flags(p, MODELS)
         p.add_argument("--input", required=True)
         p.add_argument("--format", choices=("raw", "histogram"), default="raw")
         p.add_argument("--no-pool", action="store_true",
@@ -352,7 +248,7 @@ def build_parser():
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("moments", help="mean/variance/skewness/Fisher index of a model")
-    _add_model_flags(p)
+    _add_model_flags(p, LAWS)
     p.add_argument("--output-format", choices=("table", "json", "csv"), default="table")
     p.set_defaults(func=_cmd_moments)
     return ap

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special as sc
 from scipy.integrate import quad
 
-from .errors import CancellationError, ConvergenceError, DomainError, EvaluationError
+from .errors import CancellationError, DomainError, EvaluationError
 from .moments import FactorialMomentSequence, SummaryStats, skewness_from_factorial
 from .special import MAX_DPS, _leggauss, m_wright, prabhakar_ml, wright_phi
 
@@ -134,7 +134,7 @@ _GUARD_BITS = 32
 # bits each was computed to.  A value is recomputed only when a row needs
 # more bits than it holds, so rows at lower precision reuse it; each holds
 # _GUARD_BITS beyond what its use rounds to, so the cache's history does not
-# change results.  Cleared when it exceeds _MP_GAMMA_CACHE_MAX pairs.
+# change results.  Holds at most _MP_GAMMA_CACHE_MAX pairs, evicting the oldest.
 _MP_GAMMA_CACHE: dict = {}
 _MP_GAMMA_CACHE_MAX = 32
 
@@ -144,7 +144,7 @@ def _mp_rgamma(alpha: float, beta: float, bits) -> list:
     ent = _MP_GAMMA_CACHE.get((alpha, beta))
     if ent is None:
         if len(_MP_GAMMA_CACHE) >= _MP_GAMMA_CACHE_MAX:
-            _MP_GAMMA_CACHE.clear()
+            del _MP_GAMMA_CACHE[next(iter(_MP_GAMMA_CACHE))]
         ent = _MP_GAMMA_CACHE[(alpha, beta)] = ([], [])
     vals, have = ent
     vals.extend([None] * (len(bits) - len(vals)))
@@ -308,6 +308,7 @@ def gfpd_pmf(p: GfpdParams, x: int, method: str = "auto") -> float:
 
 
 _TABLE_CACHE: dict = {}
+_TABLE_CACHE_MAX = 1024
 
 
 def gfpd_pmf_table(
@@ -328,8 +329,9 @@ def gfpd_pmf_table(
         return hit
     table = _build_pmf_table(p, x_max, method, tail_tol, tail_run)
     table.setflags(write=False)
-    if len(_TABLE_CACHE) > 1024:
-        _TABLE_CACHE.clear()
+    if len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
+        # evict the oldest table (dicts keep insertion order)
+        del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
     _TABLE_CACHE[key] = table
     return table
 
@@ -390,43 +392,6 @@ def fpd_cdf(alpha: float, mu: float, x: int) -> float:
     p = GfpdParams.fpd(alpha, mu)
     table = gfpd_pmf_table(p, x_max=int(x))
     return float(min(table.sum(), 1.0))
-
-
-def fpd_cdf_series(alpha: float, mu: float, x: int, max_terms: int = 500) -> float:
-    """Inverse-power-of-mu series representation of the fractional CDF.
-
-    This is an asymptotic-type expansion summed to its smallest term.  It is
-    a secondary representation only: it is known to disagree with pmf
-    summation outside a poorly characterised regime, so callers must
-    cross-validate against :func:`fpd_cdf` before trusting it.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("fpd_cdf_series requires alpha in (0, 1)")
-    if x < 0:
-        raise DomainError("x must be >= 0")
-    if x == 0:
-        # the indicator in the series form excludes x = 0
-        return fpd_pmf(alpha, mu, 0)
-    terms = []
-    best = math.inf
-    logmu = math.log(mu)
-    for r in range(max_terms):
-        rg = float(sc.rgamma(1.0 - alpha * (r + 1)))
-        c = math.comb(x + r - 1, x) if r >= 1 else 0
-        t = c * (-1.0) ** r * math.exp(-(r + 1) * logmu) * rg
-        mag = abs(t)
-        if r >= 2 and mag > best and best < math.inf:
-            break
-        terms.append(t)
-        if mag > 0:
-            best = min(best, mag)
-    total = math.fsum(terms)
-    if not (best <= 1e-6 * max(abs(total), 1e-12)):
-        raise ConvergenceError(
-            "inverse-mu CDF series did not reach a small enough term; "
-            "use pmf summation (fpd_cdf) instead"
-        )
-    return total
 
 
 # ---------------------------------------------------------------------------

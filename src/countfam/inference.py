@@ -15,11 +15,27 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .baselines import GenPoissonParams, NegBinomParams, negbinom_logpmf, genpoisson_pmf
+from . import gfpd
+from .baselines import (
+    GenPoissonParams,
+    NegBinomParams,
+    genpoisson_pmf,
+    negbinom_logpmf,
+    negbinom_skewness,
+)
 from .errors import DomainError, EvaluationError
-from .gfpd import aa1_pmf_quadrature, fpd_pmf_quadrature
+from .gfpd import GfpdParams, aa1_pmf_quadrature, fpd_pmf_quadrature, gfpd_summary
+from .moments import SummaryStats
+from .sampling import sample_fpd, sample_wpd
 from .special import chi2_sf
-from .wpd import SpecialCase, make_special_case, wpd_pmf_recursive
+from .wpd import (
+    SLICE_PARAMS,
+    SpecialCase,
+    make_special_case,
+    wpd_pmf_recursive,
+    wpd_pmf_table,
+    wpd_summary,
+)
 
 _SIMPLEX_DIAM_TOL = 1e-6
 _SIMPLEX_MAX_EVALS = 10_000
@@ -105,12 +121,21 @@ class FitResult:
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """One count law: how to tabulate, summarise and sample it, and how to fit it.
+
+    ``pmf`` is the tabulation route (the CLI's); ``table`` is the fitting
+    route, and only laws with a ``table`` can be fitted.  A law with a
+    ``grid`` is fitted by grid search, any other by the simplex.
+    """
+
     name: str
     param_names: tuple
-    bounds: tuple
-    default_method: str
-    table: Callable  # (theta, x_max) -> pmf array on 0..x_max
-    init: Callable  # CountData -> theta
+    pmf: Callable  # (theta, x_max | None) -> pmf array; None extends the support adaptively
+    summary: Callable | None = None  # theta -> SummaryStats
+    sample: Callable | None = None  # (theta, n, rng) -> SampleBatch
+    table: Callable | None = None  # (theta, x_max) -> pmf array on 0..x_max
+    bounds: tuple | None = None
+    init: Callable | None = None  # CountData -> theta
     grid: Callable | None = None  # CountData -> iterable of theta
 
 
@@ -148,36 +173,6 @@ def _aa1_table(theta, x_max):
     if alpha <= 0.0:
         raise DomainError("alpha must lie in (0, 1]")
     return aa1_pmf_quadrature(alpha, mu, np.arange(x_max + 1))
-
-
-def _negbinom_table(theta, x_max):
-    p = NegBinomParams(*theta)
-    return np.array([math.exp(negbinom_logpmf(p, x)) for x in range(x_max + 1)])
-
-
-def _genpoisson_table(theta, x_max):
-    p = GenPoissonParams(*theta)
-    return np.array([genpoisson_pmf(p, x) for x in range(x_max + 1)])
-
-
-def _wpd_table(tag):
-    def build(theta, x_max):
-        names = _WPD_FREE[tag]
-        p = make_special_case(tag, **dict(zip(names, theta)))
-        return wpd_pmf_recursive(p, x_max)
-
-    return build
-
-
-_WPD_FREE = {
-    SpecialCase.POISSON: ("lam",),
-    SpecialCase.COM_POISSON: ("lam", "nu"),
-    SpecialCase.HYPER_POISSON: ("lam", "beta"),
-    SpecialCase.MODEL_I: ("lam", "beta", "nu"),
-    SpecialCase.MODEL_I_2PARAM: ("lam", "beta"),
-    SpecialCase.MODEL_II: ("lam", "beta", "gamma"),
-    SpecialCase.MODEL_II_2PARAM: ("beta", "gamma"),
-}
 
 
 def _fpd_grid(data: CountData):
@@ -252,53 +247,97 @@ def _init_model_ii2(data):
     return (min(max(var / mean, 0.05), 50.0), 1.0)
 
 
+def _pointwise_pmf(law, pmf):
+    """pmf table of a law evaluated one count at a time; without x_max the
+    support runs until the mass reaches 1 - 1e-10 (or 100,000 counts)."""
+
+    def build(theta, x_max):
+        p = law(*theta)
+        if x_max is not None:
+            return np.array([pmf(p, x) for x in range(int(x_max) + 1)])
+        out = []
+        cum = 0.0
+        while cum < 1.0 - 1e-10 and len(out) < 100_000:
+            out.append(pmf(p, len(out)))
+            cum += out[-1]
+        return np.asarray(out)
+
+    return build
+
+
+def _gfpd_routes(law):
+    # gfpd_pmf_table is looked up on the module at call time, so a wrapper
+    # installed on countfam.gfpd (the benchmark's tracer) sees CLI pmf calls
+    return {
+        "pmf": lambda theta, x_max: gfpd.gfpd_pmf_table(law(*theta), x_max=x_max),
+        "summary": lambda theta: gfpd_summary(law(*theta)),
+    }
+
+
+# late-bound, because the benchmark's tracer wraps these two pmfs in this module
+_negbinom_pmf = _pointwise_pmf(NegBinomParams, lambda p, x: math.exp(negbinom_logpmf(p, x)))
+_genpoisson_pmf = _pointwise_pmf(GenPoissonParams, lambda p, x: genpoisson_pmf(p, x))
+
+
+def _negbinom_summary(theta):
+    p = NegBinomParams(*theta)
+    return SummaryStats(p.mean, p.variance, negbinom_skewness(p), 1.0 / p.p)
+
+
+def _slice(tag, bounds=None, init=None, table=None):
+    """A weighted-Poisson slice; with ``bounds`` and ``init`` it is fitted
+    through the tag's pmf recursion unless another ``table`` is given."""
+    names = SLICE_PARAMS[tag]
+    law = lambda theta: make_special_case(tag, **dict(zip(names, theta)))
+    if bounds is not None and table is None:
+        table = lambda theta, x_max: wpd_pmf_recursive(law(theta), x_max)
+    return ModelSpec(
+        tag.value, names,
+        pmf=lambda theta, x_max: wpd_pmf_table(law(theta), x_max=x_max),
+        summary=lambda theta: wpd_summary(law(theta)),
+        sample=lambda theta, n, rng: sample_wpd(law(theta), n, rng),
+        table=table, bounds=bounds, init=init,
+    )
+
+
 _POS = (1e-12, math.inf)
 
-MODELS = {
-    "poisson": ModelSpec(
-        "poisson", ("lam",), (_POS,), "simplex", _poisson_table, lambda d: (d.mean(),)
+# every law the command line accepts
+LAWS = {s.name: s for s in (
+    ModelSpec(
+        "fpd", ("alpha", "mu"), **_gfpd_routes(GfpdParams.fpd),
+        sample=lambda theta, n, rng: sample_fpd(*theta, n, rng),
+        table=_fpd_table, bounds=((0.0, 1.0), _POS), init=lambda d: (0.9, d.mean()),
+        grid=_fpd_grid,
     ),
-    "fpd": ModelSpec(
-        "fpd", ("alpha", "mu"), ((0.0, 1.0), _POS), "grid", _fpd_table,
-        lambda d: (0.9, d.mean()), _fpd_grid,
+    ModelSpec("gfpd", ("alpha", "beta", "delta", "mu"), **_gfpd_routes(GfpdParams)),
+    ModelSpec(
+        "gfpd_aa1", ("alpha", "mu"), **_gfpd_routes(GfpdParams.aa1),
+        table=_aa1_table, bounds=((1e-6, 1.0), _POS), init=lambda d: (0.9, d.mean()),
+        grid=_aa1_grid,
     ),
-    "gfpd_aa1": ModelSpec(
-        "gfpd_aa1", ("alpha", "mu"), ((1e-6, 1.0), _POS), "grid", _aa1_table,
-        lambda d: (0.9, d.mean()), _aa1_grid,
+    ModelSpec(
+        "negbinom", ("r", "p"), _negbinom_pmf, summary=_negbinom_summary,
+        table=_negbinom_pmf, bounds=(_POS, (1e-9, 1.0 - 1e-9)), init=_init_negbinom,
     ),
-    "negbinom": ModelSpec(
-        "negbinom", ("r", "p"), (_POS, (1e-9, 1.0 - 1e-9)), "simplex",
-        _negbinom_table, _init_negbinom,
+    ModelSpec(
+        "genpoisson", ("lambda1", "lambda2"), _genpoisson_pmf, table=_genpoisson_pmf,
+        bounds=(_POS, (-1.0 + 1e-9, 1.0 - 1e-9)), init=_init_genpoisson,
     ),
-    "genpoisson": ModelSpec(
-        "genpoisson", ("lambda1", "lambda2"), (_POS, (-1.0 + 1e-9, 1.0 - 1e-9)),
-        "simplex", _genpoisson_table, _init_genpoisson,
-    ),
-    "com_poisson": ModelSpec(
-        "com_poisson", ("lam", "nu"), (_POS, (0.0, math.inf)), "simplex",
-        _wpd_table(SpecialCase.COM_POISSON), _init_com_poisson,
-    ),
-    "hyper_poisson": ModelSpec(
-        "hyper_poisson", ("lam", "beta"), (_POS, _POS), "simplex",
-        _wpd_table(SpecialCase.HYPER_POISSON), _init_hyper_poisson,
-    ),
-    "model_i": ModelSpec(
-        "model_i", ("lam", "beta", "nu"), (_POS, _POS, (0.0, math.inf)), "simplex",
-        _wpd_table(SpecialCase.MODEL_I), _init_model_i,
-    ),
-    "model_i_2param": ModelSpec(
-        "model_i_2param", ("lam", "beta"), (_POS, _POS), "simplex",
-        _wpd_table(SpecialCase.MODEL_I_2PARAM), _init_model_i2,
-    ),
-    "model_ii": ModelSpec(
-        "model_ii", ("lam", "beta", "gamma"), (_POS, _POS, _POS), "simplex",
-        _wpd_table(SpecialCase.MODEL_II), _init_model_ii,
-    ),
-    "model_ii_2param": ModelSpec(
-        "model_ii_2param", ("beta", "gamma"), (_POS, _POS), "simplex",
-        _wpd_table(SpecialCase.MODEL_II_2PARAM), _init_model_ii2,
-    ),
-}
+    _slice(SpecialCase.POISSON, (_POS,), lambda d: (d.mean(),), table=_poisson_table),
+    _slice(SpecialCase.COM_POISSON, (_POS, (0.0, math.inf)), _init_com_poisson),
+    _slice(SpecialCase.HYPER_POISSON, (_POS, _POS), _init_hyper_poisson),
+    _slice(SpecialCase.ALT_MITTAG_LEFFLER),
+    _slice(SpecialCase.FRACTIONAL_COM_POISSON),
+    _slice(SpecialCase.ALT_GENERALIZED_ML),
+    _slice(SpecialCase.MODEL_I, (_POS, _POS, (0.0, math.inf)), _init_model_i),
+    _slice(SpecialCase.MODEL_I_2PARAM, (_POS, _POS), _init_model_i2),
+    _slice(SpecialCase.MODEL_II, (_POS, _POS, _POS), _init_model_ii),
+    _slice(SpecialCase.MODEL_II_2PARAM, (_POS, _POS), _init_model_ii2),
+)}
+
+# the laws that can be fitted
+MODELS = {name: s for name, s in LAWS.items() if s.table is not None}
 
 
 def _theta_vector(spec: ModelSpec, params) -> tuple:
@@ -340,16 +379,11 @@ def loglik(model: str, params, data: CountData) -> float:
 
 
 def _safe_loglik(spec: ModelSpec, theta, data: CountData) -> float:
+    """loglik with every failure (and a non-finite value) mapped to _NEG_INF."""
     try:
-        table = spec.table(tuple(theta), data.max_value)
-    except (DomainError, EvaluationError, OverflowError):
+        total = loglik(spec.name, theta, data)
+    except (EvaluationError, OverflowError):
         return _NEG_INF
-    total = 0.0
-    for v, f in data.histogram.items():
-        p = table[v]
-        if not p > 0.0:
-            return _NEG_INF
-        total += f * math.log(p)
     return total if math.isfinite(total) else _NEG_INF
 
 
@@ -495,8 +529,7 @@ def fit_simplex(model: str, data: CountData, init=None, pool: bool = True) -> Fi
 
 def fit(model: str, data: CountData, pool: bool = True) -> FitResult:
     """Fit with the model's default method (grid for the fractional laws)."""
-    spec = MODELS[model]
-    if spec.default_method == "grid":
+    if MODELS[model].grid is not None:
         return fit_grid(model, data, pool=pool)
     return fit_simplex(model, data, pool=pool)
 

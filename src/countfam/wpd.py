@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, EvaluationError
-from .moments import FactorialMomentSequence, SummaryStats, skewness_from_factorial
+from .moments import FactorialMomentSequence, SummaryStats, summary_from_factorial
 from .special import _SignedLogSum, trigamma
 
 _ETA_EPS = 0.9       # multiplier certificate threshold
@@ -79,21 +79,25 @@ class WpdParams:
         return self.alpha == 1.0 and self.gamma == self.beta
 
 
+# the free parameters of each named slice, in the order they are passed
+SLICE_PARAMS = {
+    SpecialCase.POISSON: ("lam",),
+    SpecialCase.COM_POISSON: ("lam", "nu"),
+    SpecialCase.HYPER_POISSON: ("lam", "beta"),
+    SpecialCase.ALT_MITTAG_LEFFLER: ("lam", "alpha", "beta"),
+    SpecialCase.FRACTIONAL_COM_POISSON: ("lam", "alpha", "beta", "nu"),
+    SpecialCase.ALT_GENERALIZED_ML: ("lam", "alpha", "beta", "gamma"),
+    SpecialCase.MODEL_I: ("lam", "beta", "nu"),
+    SpecialCase.MODEL_I_2PARAM: ("lam", "beta"),
+    SpecialCase.MODEL_II: ("lam", "beta", "gamma"),
+    SpecialCase.MODEL_II_2PARAM: ("beta", "gamma"),
+}
+
+
 def make_special_case(tag: SpecialCase | str, **free) -> WpdParams:
     """Instantiate a named member of the family from its free parameters."""
     tag = SpecialCase(tag)
-    need = {
-        SpecialCase.POISSON: ("lam",),
-        SpecialCase.COM_POISSON: ("lam", "nu"),
-        SpecialCase.HYPER_POISSON: ("lam", "beta"),
-        SpecialCase.ALT_MITTAG_LEFFLER: ("lam", "alpha", "beta"),
-        SpecialCase.FRACTIONAL_COM_POISSON: ("lam", "alpha", "beta", "nu"),
-        SpecialCase.ALT_GENERALIZED_ML: ("lam", "alpha", "beta", "gamma"),
-        SpecialCase.MODEL_I: ("lam", "beta", "nu"),
-        SpecialCase.MODEL_I_2PARAM: ("lam", "beta"),
-        SpecialCase.MODEL_II: ("lam", "beta", "gamma"),
-        SpecialCase.MODEL_II_2PARAM: ("beta", "gamma"),
-    }[tag]
+    need = SLICE_PARAMS[tag]
     missing = set(need) - set(free)
     extra = set(free) - set(need)
     if missing or extra:
@@ -306,10 +310,7 @@ def wpd_factorial_moments(p: WpdParams, R: int) -> FactorialMomentSequence:
 
 
 def wpd_summary(p: WpdParams) -> SummaryStats:
-    fm = wpd_factorial_moments(p, 3)
-    mean = fm[1]
-    var = fm[1] + fm[2] - fm[1] ** 2
-    return SummaryStats(mean, var, skewness_from_factorial(fm[1], fm[2], fm[3]), var / mean)
+    return summary_from_factorial(wpd_factorial_moments(p, 3))
 
 
 def wpd_factorial_moments_faa(p: WpdParams, R: int, max_j: int = 400) -> FactorialMomentSequence:

@@ -6,8 +6,25 @@ import math
 import numpy as np
 import pytest
 
-from countfam import GfpdParams, gfpd_pmf_table
+from countfam import (
+    GenPoissonParams,
+    GfpdParams,
+    NegBinomParams,
+    RngStream,
+    SummaryStats,
+    genpoisson_pmf,
+    gfpd_pmf_table,
+    gfpd_summary,
+    make_special_case,
+    negbinom_pmf,
+    negbinom_skewness,
+    sample_fpd,
+    sample_wpd,
+    wpd_pmf_table,
+    wpd_summary,
+)
 from countfam.cli import CliError, ingest, main
+from countfam.inference import LAWS
 
 
 def run_cli(argv, capsys):
@@ -209,3 +226,113 @@ class TestExitCodes:
         f.write_text("1\n2\n")
         code, _, _ = run_cli(["fit", "--model", "wat", "--input", str(f)], capsys)
         assert code == 2
+
+
+# one parameter set per law the CLI accepts, as command-line flags
+LAW_FLAGS = {
+    "fpd": {"alpha": 0.7, "mu": 2.0},
+    "gfpd": {"alpha": 0.6, "beta": 0.9, "delta": 1.0, "mu": 2.0},
+    "gfpd_aa1": {"alpha": 0.8, "mu": 1.0},
+    "negbinom": {"r": 3.0, "p": 0.4},
+    "genpoisson": {"lambda1": 2.0, "lambda2": 0.3},
+    "poisson": {"lam": 2.5},
+    "com_poisson": {"lam": 2.0, "nu": 1.5},
+    "hyper_poisson": {"lam": 2.0, "beta": 0.7},
+    "alt_mittag_leffler": {"lam": 1.5, "alpha": 0.8, "beta": 1.2},
+    "fractional_com_poisson": {"lam": 1.5, "alpha": 0.8, "beta": 1.0, "nu": 1.2},
+    "alt_generalized_ml": {"lam": 1.5, "alpha": 0.8, "beta": 1.0, "gamma": 1.5},
+    "model_i": {"lam": 2.0, "beta": 0.5, "nu": 1.5},
+    "model_i_2param": {"lam": 2.0, "beta": 1.5},
+    "model_ii": {"lam": 2.0, "beta": 2.0, "gamma": 1.0},
+    "model_ii_2param": {"beta": 2.0, "gamma": 1.0},
+}
+GFPD_LAWS = {
+    "fpd": lambda f: GfpdParams.fpd(f["alpha"], f["mu"]),
+    "gfpd": lambda f: GfpdParams(f["alpha"], f["beta"], f["delta"], f["mu"]),
+    "gfpd_aa1": lambda f: GfpdParams.aa1(f["alpha"], f["mu"]),
+}
+
+
+def _flags(model):
+    argv = ["--model", model]
+    for name, v in LAW_FLAGS[model].items():
+        argv += [f"--{name}", repr(v)]
+    return argv
+
+
+def _library_pmf(model, x_max):
+    f = LAW_FLAGS[model]
+    if model in GFPD_LAWS:
+        return list(gfpd_pmf_table(GFPD_LAWS[model](f), x_max=x_max))
+    if model == "negbinom":
+        return [negbinom_pmf(NegBinomParams(f["r"], f["p"]), x) for x in range(x_max + 1)]
+    if model == "genpoisson":
+        p = GenPoissonParams(f["lambda1"], f["lambda2"])
+        return [genpoisson_pmf(p, x) for x in range(x_max + 1)]
+    return list(wpd_pmf_table(make_special_case(model, **f), x_max=x_max))
+
+
+def _library_summary(model):
+    f = LAW_FLAGS[model]
+    if model in GFPD_LAWS:
+        return gfpd_summary(GFPD_LAWS[model](f))
+    if model == "negbinom":
+        p = NegBinomParams(f["r"], f["p"])
+        return SummaryStats(p.mean, p.variance, negbinom_skewness(p), 1.0 / p.p)
+    return wpd_summary(make_special_case(model, **f))
+
+
+def _library_sample(model, n, seed):
+    f = LAW_FLAGS[model]
+    if model == "fpd":
+        return sample_fpd(f["alpha"], f["mu"], n, RngStream(seed)).values.tolist()
+    return sample_wpd(make_special_case(model, **f), n, RngStream(seed)).values.tolist()
+
+
+NO_MOMENTS = {"genpoisson"}
+NO_SAMPLER = {"gfpd", "gfpd_aa1", "negbinom", "genpoisson"}
+
+
+class TestLawContract:
+    """Every law the CLI accepts, against the library route it stands for."""
+
+    def test_laws_are_the_registry(self):
+        assert set(LAW_FLAGS) == set(LAWS)
+
+    @pytest.mark.parametrize("model", sorted(LAWS))
+    def test_pmf_fixed_support(self, model, capsys):
+        code, out, _ = run_cli(["pmf", *_flags(model), "--x-max", "12",
+                                "--output-format", "json"], capsys)
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["x"] for r in rows] == list(range(13))
+        assert [r["probability"] for r in rows] == _library_pmf(model, 12)
+
+    @pytest.mark.parametrize("model", sorted(LAWS))
+    def test_pmf_adaptive_support(self, model, capsys):
+        code, out, _ = run_cli(["pmf", *_flags(model), "--output-format", "json"], capsys)
+        assert code == 0
+        assert math.fsum(r["probability"] for r in json.loads(out)) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("model", sorted(LAWS))
+    def test_moments(self, model, capsys):
+        code, out, err = run_cli(["moments", *_flags(model), "--output-format", "json"], capsys)
+        if model in NO_MOMENTS:
+            assert code == 2
+            assert "error[2]" in err
+            return
+        assert code == 0
+        s = _library_summary(model)
+        assert json.loads(out) == [{"mean": s.mean, "variance": s.variance,
+                                    "skewness": s.skewness, "fisher_index": s.fisher_index}]
+
+    @pytest.mark.parametrize("model", sorted(LAWS))
+    def test_sample(self, model, capsys):
+        code, out, err = run_cli(["sample", *_flags(model), "--n", "50", "--seed", "7"], capsys)
+        if model in NO_SAMPLER:
+            assert code == 2
+            assert "error[2]" in err
+            return
+        assert code == 0
+        assert [int(v) for v in out.split()] == _library_sample(model, 50, 7)
+        assert "seed: 7" in err

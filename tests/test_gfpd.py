@@ -17,7 +17,6 @@ from countfam import (
     RngStream,
     aa1_pmf_quadrature,
     fpd_cdf,
-    fpd_cdf_series,
     fpd_pmf,
     fpd_pmf_quadrature,
     fpd_skewness,
@@ -33,7 +32,6 @@ from countfam import (
     sample_fpd,
 )
 from countfam import gfpd
-from countfam.errors import ConvergenceError
 from countfam.gfpd import _mp_plan, _rows_mp
 from countfam.inference import _fpd_grid
 
@@ -160,6 +158,19 @@ class TestSeriesEngine:
         assert warm is not cold
         assert np.array_equal(cold, warm)
 
+    def test_table_cache_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(gfpd, "_TABLE_CACHE", {})
+        monkeypatch.setattr(gfpd, "_TABLE_CACHE_MAX", 2)
+        laws = [GfpdParams.fpd(0.5, 2.0), GfpdParams(0.6, 0.9, 1.0, 2.0), GfpdParams.fpd(0.7, 2.0)]
+        first = gfpd_pmf_table(laws[0])
+        for p in laws[1:]:
+            gfpd_pmf_table(p)
+        assert [k[0] for k in gfpd._TABLE_CACHE] == laws[1:]
+        rebuilt = gfpd_pmf_table(laws[0])
+        assert rebuilt is not first
+        assert np.array_equal(rebuilt, first)
+        assert [k[0] for k in gfpd._TABLE_CACHE] == [laws[2], laws[0]]
+
     def test_gamma_cache_bounded(self, monkeypatch):
         monkeypatch.setattr(gfpd, "_MP_GAMMA_CACHE", {})
         for k in range(gfpd._MP_GAMMA_CACHE_MAX + 5):
@@ -169,6 +180,13 @@ class TestSeriesEngine:
         vals = gfpd._mp_rgamma(0.5, 0.5, [256] * 3)
         first = vals[2]
         assert gfpd._mp_rgamma(0.5, 0.5, [128] * 3)[2] is first
+
+    def test_gamma_cache_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(gfpd, "_MP_GAMMA_CACHE", {})
+        monkeypatch.setattr(gfpd, "_MP_GAMMA_CACHE_MAX", 2)
+        for beta in (0.1, 0.2, 0.3):
+            gfpd._mp_rgamma(0.5, beta, [128] * 3)
+        assert list(gfpd._MP_GAMMA_CACHE) == [(0.5, 0.2), (0.5, 0.3)]
 
     def test_table_cached_readonly(self):
         p = GfpdParams(0.9, 0.9, 1.0, 2.0)
@@ -314,19 +332,6 @@ class TestCdf:
         val = fpd_cdf(0.995, 10.0, 10)
         assert val == pytest.approx(float(stats.poisson.cdf(10, 10.0)), abs=2e-2)
         assert fpd_cdf(1.0, 10.0, 10) == pytest.approx(float(stats.poisson.cdf(10, 10.0)), abs=1e-12)
-
-    def test_x_zero_is_pmf(self):
-        assert fpd_cdf_series(0.5, 10.0, 0) == pytest.approx(fpd_pmf(0.5, 10.0, 0), rel=1e-12)
-
-    def test_series_representation_flagged(self):
-        # The inverse-mu series is retained as a secondary representation but
-        # disagrees with pmf summation in this regime, which is exactly why
-        # pmf summation is the default CDF path.
-        try:
-            v = fpd_cdf_series(0.5, 10.0, 5)
-        except ConvergenceError:
-            return
-        assert abs(v - fpd_cdf(0.5, 10.0, 5)) > 1e-4
 
     def test_monotone(self):
         vals = [fpd_cdf(0.7, 3.0, x) for x in range(15)]
