@@ -24,7 +24,6 @@ EXIT_DOMAIN = 4
 EXIT_EVAL = 5
 
 DEFAULT_SEED = 12345
-DEFAULT_MC_N = 500_000
 
 
 class CliError(Exception):

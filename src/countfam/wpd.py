@@ -16,6 +16,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+from scipy import special as sc
 
 from .errors import ConvergenceError, DomainError, EvaluationError
 from .moments import FactorialMomentSequence, SummaryStats, summary_from_factorial
@@ -24,6 +25,8 @@ from .special import _SignedLogSum, trigamma
 _ETA_EPS = 0.9       # multiplier certificate threshold
 _ETA_BUDGET = 100_000
 _DEC_RUN = 3         # consecutive ratio decreases required by the certificate
+_ETA_FIRST = 32      # terms in the first block of the eta sum
+_ETA_BLOCK = 4096    # most terms in any later block
 
 
 class SpecialCase(str, Enum):
@@ -166,6 +169,50 @@ def _log_term(p: WpdParams, k: int) -> float:
     return k * math.log(p.lam) - math.lgamma(k + 1) + log_weight(p, k)
 
 
+@lru_cache(maxsize=4)
+def _block_grid(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """k = s .. e and log k! for one block of the eta sum (read-only).
+
+    The blocks always cover the same ranges of k, so the first few are kept.
+    """
+    k = np.arange(s, e + 1, dtype=float)
+    log_fact = sc.gammaln(k + 1.0)
+    k.flags.writeable = log_fact.flags.writeable = False
+    return k, log_fact
+
+
+def _log_terms(p: WpdParams, k: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+    """log(lam^k w(k) / k!) over an array of k, the array form of ``_log_term``.
+
+    ``log_fact`` holds log k!; a Gamma factor whose argument is k + 1 (gamma = 1,
+    or alpha = beta = 1) is read from it instead of evaluated again.
+    """
+    lt = k * math.log(p.lam) - log_fact
+    if p.beta == 0.0:
+        # model-I limit; gammaln(0) = inf makes the zero cell -inf for nu > 1,
+        # and at nu = 1 every weight is 1
+        if p.nu != 1.0:
+            lt += (1.0 - p.nu) * sc.gammaln(k)
+        return lt
+    num = log_fact if p.gamma == 1.0 else sc.gammaln(k + p.gamma)
+    if p.alpha == 1.0:
+        den = log_fact if p.beta == 1.0 else sc.gammaln(k + p.beta)
+    else:
+        den = sc.gammaln(p.alpha * k + p.beta)
+    lt += num - (den if p.nu == 1.0 else p.nu * den)
+    return lt
+
+
+def _fold(shift: float, total: float, lt: np.ndarray, frame: float) -> float:
+    """total * exp(shift) + sum(exp(lt)), summed with math.fsum and returned
+    as a multiple of exp(frame).
+
+    ``frame`` is the log of the sum to within rounding, so every addend is
+    at most about 1 and the result is about 1.
+    """
+    return math.fsum([total * math.exp(shift - frame), *np.exp(lt - frame).tolist()])
+
+
 @lru_cache(maxsize=4096)
 def eta(p: WpdParams) -> EtaValue:
     """Normalizing constant of the weighted law, with a certified truncation bound.
@@ -175,45 +222,69 @@ def eta(p: WpdParams) -> EtaValue:
     the partial sum.  Raises ConvergenceError when the certificate cannot be
     reached within budget (which happens when lam^(1/nu) is astronomically
     large) and EvaluationError when the value itself overflows float64.
+
+    Step k looks at term k + 1.  The steps run in blocks, ``_ETA_FIRST``
+    wide and then doubling up to ``_ETA_BLOCK``; each block evaluates its
+    log terms with gammaln and finds its first stopping step with array
+    operations.  From block to block it carries the partial sum (a total
+    in the frame exp(shift)), the previous ratio, the run of non-increasing
+    ratios and the certificate.  Most sums stop inside the first block.
     """
-    acc = _SignedLogSum()
-    prev_ratio = math.inf
-    dec_run = 0
-    certified = False
-    k = 0
-    lt = _log_term(p, 0)
-    if lt == -math.inf:
-        k = 1
-        lt = _log_term(p, 1)
-    acc.add(lt, 1.0)
-    while k < _ETA_BUDGET:
-        next_lt = _log_term(p, k + 1)
-        ratio = math.exp(min(next_lt - lt, 700.0))
+    log_tol = math.log(1e-15)
+    s, width = 0, _ETA_FIRST
+    shift, total = -math.inf, 0.0
+    prev_ratio, dec_run, certified = math.inf, 0, False
+    while s < _ETA_BUDGET:
+        k, log_fact = _block_grid(s, min(s + width, _ETA_BUDGET))
+        lt = _log_terms(p, k, log_fact)
+        if s == 0:
+            if lt[0] == -math.inf:  # vanishing zero cell (beta = 0, nu > 1)
+                k, lt, s = k[1:], lt[1:], 1
+            shift, total = float(lt[0]), 1.0
+        # the block's steps are s .. s + n - 1; lt[i] is term s + i
+        n = len(lt) - 1
+        steps = k[:-1]
+        ratio = np.exp(np.minimum(lt[1:] - lt[:-1], 700.0))
+        before = np.empty(n)
+        before[0] = prev_ratio
+        before[1:] = ratio[:-1]
         # non-increasing within roundoff keeps the geometric bound valid
         # (constant-ratio tails are genuinely geometric)
-        if ratio <= prev_ratio * (1.0 + 1e-12):
-            dec_run += 1
-        else:
-            dec_run = 0
-            certified = False
-        if dec_run >= _DEC_RUN and ratio < _ETA_EPS:
-            certified = True
-        if certified:
-            # geometric tail bound with epsilon = current (decreasing) ratio
-            log_bound = next_lt - math.log1p(-ratio)
-            if log_bound < math.log(1e-15) + acc.shift + math.log(max(acc.total_scaled, 1e-300)):
-                log_sum = acc.shift + math.log(acc.total_scaled)
-                if log_sum > 709.0:
-                    raise EvaluationError(
-                        "eta overflows float64 (log eta = %.1f)" % log_sum
-                    )
-                bound = math.exp(log_bound) if log_bound > -745.0 else 5e-324
-                value = math.exp(log_sum) + bound
-                return EtaValue(value, k, bound, log_sum)
-        k += 1
-        acc.add(next_lt, 1.0)
-        prev_ratio = ratio
-        lt = next_lt
+        steady = ratio <= before * (1.0 + 1e-12)
+        # latest increase at or before each step (the carried run counts as
+        # an increase just before the block) and latest ratio below 0.9; a
+        # step is certified once such a ratio has come at least _DEC_RUN
+        # steps into the current run (a carried certificate counts as one)
+        reset = steps.copy()
+        reset[steady] = s - 1.0 - dec_run
+        np.maximum.accumulate(reset, out=reset)
+        low = steps.copy()
+        low[ratio >= _ETA_EPS] = s - 1.0 if certified else s - 1.0 - dec_run
+        np.maximum.accumulate(low, out=low)
+        cert = low >= reset + _DEC_RUN
+        # log of the partial sum through term s + i
+        log_part = lt.copy()
+        log_part[0] = shift + math.log(total)
+        np.logaddexp.accumulate(log_part, out=log_part)
+        # geometric tail bound with epsilon = current (decreasing) ratio; a
+        # certified ratio stays below 0.9 (1 + 1e-12)^budget < 0.99, so the
+        # clamp only keeps log1p finite on the steps that are not certified
+        log_bound = lt[1:] - np.log1p(-np.minimum(ratio, 0.99))
+        stop = cert & (log_bound < log_part[:-1] + log_tol)
+        i = int(stop.argmax())
+        if stop[i]:
+            frame = float(log_part[i])
+            log_sum = frame + math.log(_fold(shift, total, lt[1:i + 1], frame))
+            if log_sum > 709.0:
+                raise EvaluationError("eta overflows float64 (log eta = %.1f)" % log_sum)
+            lb = float(log_bound[i])
+            bound = math.exp(lb) if lb > -745.0 else 5e-324
+            return EtaValue(math.exp(log_sum) + bound, s + i, bound, log_sum)
+        frame = float(log_part[-1])
+        shift, total = frame, _fold(shift, total, lt[1:], frame)
+        prev_ratio, dec_run, certified = float(ratio[-1]), s + n - 1 - int(reset[-1]), bool(cert[-1])
+        s += n
+        width = min(2 * width, _ETA_BLOCK)
     raise ConvergenceError(
         "eta: term multiplier not certified decreasing below "
         f"{_ETA_EPS} within {_ETA_BUDGET} terms"
@@ -243,8 +314,12 @@ _RECURSIVE_TAGS = {
 }
 
 
-def pmf_multiplier(p: WpdParams, x: int) -> float:
-    """One-step pmf ratio P(x+1)/P(x) for the tags that admit one."""
+def pmf_multiplier(p: WpdParams, x):
+    """One-step pmf ratio P(x+1)/P(x) for the tags that admit one.
+
+    ``x`` is an integer or a float array of them; both go through the same
+    expression.
+    """
     tag = p.tag
     if tag in (SpecialCase.MODEL_I, SpecialCase.MODEL_I_2PARAM):
         return p.lam / ((x + 1.0) * (x + p.beta) ** (p.nu - 1.0))
@@ -263,11 +338,13 @@ def wpd_pmf_recursive(p: WpdParams, x_max: int) -> np.ndarray:
     """pmf on 0..x_max built from P(0) = w(0)/eta and the tag's multiplier."""
     if p.tag not in _RECURSIVE_TAGS:
         raise DomainError(f"no pmf recursion for tag {p.tag!r}")
+    if p.beta == 0.0 and p.nu != 1.0:
+        raise DomainError("no pmf recursion from a vanishing zero cell (beta = 0, nu > 1)")
     out = np.empty(x_max + 1)
     out[0] = math.exp(log_weight(p, 0) - log_eta(p))
-    for x in range(x_max):
-        out[x + 1] = out[x] * pmf_multiplier(p, x)
-    return out
+    out[1:] = pmf_multiplier(p, np.arange(float(x_max)))
+    # the running product multiplies in the order of the step P(x+1) = P(x) m(x)
+    return np.multiply.accumulate(out, out=out)
 
 
 def wpd_pmf_table(p: WpdParams, x_max: int | None = None, cum_target: float = 1.0 - 1e-12) -> np.ndarray:

@@ -290,7 +290,7 @@ def test_criterion_11_eta_truncation_bound():
     # lam^(1/nu) ~ 5e6..1e10 makes these six cells unreachable in float64:
     # the certified refusal is the documented behaviour there
     expected_refusals = {(b, 0.1, lam) for b in (0.1, 0.5, 2.0) for lam in (5.0, 10.0)}
-    ok = ok and set(refused) == expected_refusals
+    ok = ok and set(refused) == expected_refusals and len(refused) == 6 and n_ok == 21
     _report(11, "eta remainder bound dominates true remainder", ok,
             time.time() - t0, 10.0,
             f"{n_ok} cells verified, {len(refused)} documented refusals")

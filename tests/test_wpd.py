@@ -1,10 +1,15 @@
 """Gamma-ratio weighted Poisson family: normalizer, recursions, dispersion."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from countfam import wpd
 from countfam import (
     ConvergenceError,
     DomainError,
@@ -26,6 +31,8 @@ from countfam import (
     wpd_pmf_table,
     wpd_summary,
 )
+from countfam.special import _SignedLogSum
+from countfam.wpd import pmf_multiplier
 
 
 def brute_eta(p, kmax=400):
@@ -34,6 +41,98 @@ def brute_eta(p, kmax=400):
         for k in range(kmax)
         if log_weight(p, k) > -math.inf
     )
+
+
+def loop_eta(p):
+    """The per-term loop that summed eta before the blocked sum: the oracle
+    for its truncation point, its refusals and its value."""
+    acc = _SignedLogSum()
+    prev_ratio = math.inf
+    dec_run = 0
+    certified = False
+    k = 0
+    lt = wpd._log_term(p, 0)
+    if lt == -math.inf:
+        k = 1
+        lt = wpd._log_term(p, 1)
+    acc.add(lt, 1.0)
+    while k < wpd._ETA_BUDGET:
+        next_lt = wpd._log_term(p, k + 1)
+        ratio = math.exp(min(next_lt - lt, 700.0))
+        if ratio <= prev_ratio * (1.0 + 1e-12):
+            dec_run += 1
+        else:
+            dec_run = 0
+            certified = False
+        if dec_run >= wpd._DEC_RUN and ratio < wpd._ETA_EPS:
+            certified = True
+        if certified:
+            log_bound = next_lt - math.log1p(-ratio)
+            if log_bound < math.log(1e-15) + acc.shift + math.log(max(acc.total_scaled, 1e-300)):
+                log_sum = acc.shift + math.log(acc.total_scaled)
+                if log_sum > 709.0:
+                    raise EvaluationError("eta overflows float64")
+                bound = math.exp(log_bound) if log_bound > -745.0 else 5e-324
+                return wpd.EtaValue(math.exp(log_sum) + bound, k, bound, log_sum)
+        k += 1
+        acc.add(next_lt, 1.0)
+        prev_ratio = ratio
+        lt = next_lt
+    raise ConvergenceError("eta budget")
+
+
+def _outcome(f, p):
+    try:
+        return f(p)
+    except (ConvergenceError, EvaluationError) as exc:
+        return type(exc)
+
+
+def assert_same_eta(p, f=eta):
+    """eta(p) stops where the loop stops, refuses as it refuses, and agrees
+    with its log value within 1e-12, or within the rounding of the log terms
+    where that is larger."""
+    want, got = _outcome(loop_eta, p), _outcome(f, p)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got == want, p
+        return
+    assert got.k_trunc == want.k_trunc, p
+    # a log term is the difference of parts as large as k |log lam| and
+    # log k!, each rounded on its own: past some thousand terms one ulp of
+    # them exceeds 1e-12 (alt_generalized_ml, alpha = 0.11, gamma = 1.77,
+    # lam = 2 sums 13,545 terms to log eta = 574; there the loop is 3.1e-12
+    # and the blocked sum 1.5e-12 off a 40-digit mpmath sum)
+    k = got.k_trunc
+    tol = max(1e-12, 2.0**-52 * (k * abs(math.log(p.lam)) + math.lgamma(k + 1)))
+    assert abs(got.log_value - want.log_value) <= tol, p
+    assert math.isclose(got.value, want.value, rel_tol=2 * tol)
+    assert math.isclose(got.remainder_bound, want.remainder_bound, rel_tol=1e-9)
+
+
+_BOX = {
+    "lam": st.floats(0.05, 60.0),
+    "nu": st.floats(0.05, 5.0),
+    "beta": st.floats(0.05, 5.0),
+    "gamma": st.floats(0.05, 5.0),
+    "alpha": st.floats(0.1, 1.0),
+}
+
+
+@st.composite
+def slice_params(draw):
+    tag = draw(st.sampled_from(list(SpecialCase)))
+    free = {name: draw(_BOX[name]) for name in wpd.SLICE_PARAMS[tag]}
+    if tag is SpecialCase.MODEL_I and draw(st.booleans()):
+        # the beta = 0 limit, admitted for nu >= 1
+        free["beta"], free["nu"] = 0.0, draw(st.floats(1.0, 5.0))
+    return make_special_case(tag, **free)
+
+
+# COM-Poisson near nu = 0.055, lam = 1.59 needs about 31k terms, the longest
+# sum a compare of the benchmark's data asks for
+LONG_SUM = make_special_case("com_poisson", lam=1.59, nu=0.055)
+# lam^(1/nu) astronomically large: certificate unreachable within budget
+BUDGET_REFUSAL = make_special_case("model_i", lam=10.0, beta=0.5, nu=0.1)
 
 
 CATALOG = [
@@ -126,10 +225,43 @@ class TestEta:
         assert abs(e.value - extended) <= e.remainder_bound + 1e-13 * extended
 
     def test_budget_refusal(self):
-        # lam^(1/nu) astronomically large: certificate unreachable
-        p = make_special_case("model_i", lam=10.0, beta=0.5, nu=0.1)
-        with pytest.raises((ConvergenceError, EvaluationError)):
-            eta(p)
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceError):
+            eta(BUDGET_REFUSAL)
+        assert time.perf_counter() - t0 < 1.0
+
+
+class TestEtaMatchesLoop:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p=slice_params())
+    def test_box(self, p):
+        assert_same_eta(p)
+
+    @pytest.mark.parametrize("p", [LONG_SUM, BUDGET_REFUSAL], ids=["long_sum", "budget"])
+    def test_across_blocks(self, p):
+        assert_same_eta(p)
+        if p is LONG_SUM:
+            assert eta(p).k_trunc > 4 * wpd._ETA_BLOCK
+
+    @pytest.mark.parametrize("first,block", [(2, 2), (5, 7)])
+    def test_narrow_blocks(self, monkeypatch, first, block):
+        # every few steps carry the sum, ratio, run and certificate across a
+        # block boundary
+        monkeypatch.setattr(wpd, "_ETA_FIRST", first)
+        monkeypatch.setattr(wpd, "_ETA_BLOCK", block)
+        for p in CATALOG + [make_special_case("model_i", lam=2.0, beta=0.0, nu=1.5),
+                            make_special_case("model_i", lam=3.0, beta=0.0, nu=1.0),
+                            make_special_case("com_poisson", lam=1.5, nu=0.2)]:
+            assert_same_eta(p, eta.__wrapped__)
+
+    def test_memory_bounded(self):
+        tracemalloc.start()
+        try:
+            eta.__wrapped__(LONG_SUM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestPmf:
@@ -198,6 +330,36 @@ class TestRecursion:
         p = make_special_case("fractional_com_poisson", lam=1.0, alpha=0.5, beta=1.0, nu=2.0)
         with pytest.raises(DomainError):
             wpd_pmf_recursive(p, 5)
+
+    def test_vanishing_zero_cell(self):
+        # P(0) = 0 when beta = 0 and nu > 1, so no multiplier reaches P(1)
+        with pytest.raises(DomainError):
+            wpd_pmf_recursive(make_special_case("model_i", lam=2.0, beta=0.0, nu=1.5), 5)
+
+    @pytest.mark.parametrize("p", [
+        make_special_case("poisson", lam=3.0),
+        make_special_case("com_poisson", lam=5.0, nu=2.0),
+        make_special_case("com_poisson", lam=2.0, nu=0.3),
+        make_special_case("hyper_poisson", lam=2.0, beta=0.7),
+        make_special_case("model_i", lam=2.0, beta=0.4, nu=1.7),
+        make_special_case("model_i", lam=2.0, beta=0.0, nu=1.0),
+        make_special_case("model_i_2param", lam=2.0, beta=0.6),
+        make_special_case("model_ii", lam=2.0, beta=2.0, gamma=1.0),
+        make_special_case("model_ii_2param", beta=0.5, gamma=3.0),
+    ], ids=lambda p: f"{p.tag.value}-{p.beta}")
+    def test_table_matches_step_loop(self, p):
+        x_max = 60
+        step = np.empty(x_max + 1)
+        step[0] = math.exp(log_weight(p, 0) - eta(p).log_value)
+        for x in range(x_max):
+            step[x + 1] = step[x] * pmf_multiplier(p, x)
+        table = wpd_pmf_recursive(p, x_max)
+        if p.tag in (SpecialCase.COM_POISSON, SpecialCase.MODEL_I, SpecialCase.MODEL_I_2PARAM):
+            # NumPy's and Python's fractional powers may differ in the last bit
+            np.testing.assert_allclose(table, step, rtol=1e-13, atol=0.0)
+        else:
+            assert np.array_equal(table, step)
+        assert np.array_equal(wpd_pmf_recursive(p, 0), step[:1])
 
 
 class TestFactorialMoments:
