@@ -472,18 +472,19 @@ def gfpd_aa1_pmf(
     return float(math.exp(lpref) * v.mean())
 
 
-def fpd_pmf_quadrature(alpha: float, mu: float, xs, n_panels: int = 4, n_nodes: int = 80) -> np.ndarray:
+def fpd_pmf_quadrature(alpha: float, mu, xs, n_panels: int = 4, n_nodes: int = 80) -> np.ndarray:
     """Classical fractional pmf on an array of x values by mixture quadrature.
 
     Positive integrand (Poisson kernel times the inverse-stable density), so
     there is no cancellation at any parameter point; used as the workhorse of
-    grid fitting and as an independent cross-check on the series.
+    grid fitting and as an independent cross-check on the series.  ``mu`` is
+    a scalar (one pmf row) or a 1-D array (one row per value).
     """
     return _mixture_pmf(alpha, mu, xs, y_power=0, n_panels=n_panels, n_nodes=n_nodes)
 
 
-def aa1_pmf_quadrature(alpha: float, mu: float, xs, n_panels: int = 4, n_nodes: int = 80) -> np.ndarray:
-    """(alpha, alpha, 1) pmf by mixture quadrature.
+def aa1_pmf_quadrature(alpha: float, mu, xs, n_panels: int = 4, n_nodes: int = 80) -> np.ndarray:
+    """(alpha, alpha, 1) pmf by mixture quadrature, one row per ``mu`` as above.
 
     The mixing density is Gamma(alpha + 1) y times the inverse-stable
     density, which integrates to one.
@@ -493,30 +494,90 @@ def aa1_pmf_quadrature(alpha: float, mu: float, xs, n_panels: int = 4, n_nodes: 
     )
 
 
+# Rows that share a node set are evaluated about a reference mu0 through
+#   exp(x log(mu y) - mu y) = exp(x log(mu0 y) - mu0 y) exp(-(mu - mu0) y) (mu/mu0)^x,
+# one (mu x nodes) @ (nodes x x) product per set.  The middle factor reaches
+# exp(|mu - mu0| y) at the largest node, so a set's rows are split into chunks
+# where that exponent stays below _SPREAD_MAX: no factor overflows, and a
+# term that is exp(-700) below its column's largest moves a row by at most
+# exp(2 _SPREAD_MAX - 700) relative, whether it is dropped or kept.
+_SPREAD_MAX = 300.0
+
+
 def _mixture_pmf(alpha, mu, xs, y_power, n_panels, n_nodes):
+    """sum_j w_j y_j^y_power Poisson(x; mu y_j) over the mixing nodes; one row per mu."""
     if not (0.0 < alpha < 1.0):
         raise DomainError("mixture quadrature requires alpha in (0, 1)")
     xs = np.asarray(xs, dtype=int)
-    ys, wm = _mixture_nodes(alpha, mu, int(xs.max()), n_panels, n_nodes)
-    logk = (
-        xs[:, None] * np.log(mu * ys)[None, :]
-        - mu * ys[None, :]
-        - sc.gammaln(xs + 1.0)[:, None]
-    )
-    w = wm * ys**y_power if y_power else wm
-    return np.exp(logk) @ w
+    x_max = int(xs.max())
+    mu = np.asarray(mu, dtype=float)
+    if not np.all(mu > 0.0):
+        raise DomainError("mixture quadrature requires mu > 0")
+    flat = mu.ravel()
+    mus = np.sort(flat)
+    # equal mu values read the very same row
+    inverse = np.searchsorted(mus, flat)
+    xf = xs.astype(float)
+    # log Poisson(x; lam) = x (log lam - log x + 1) - lam + c_x, with
+    # c_x = x log x - x - log x!: centred on the peak lam = x, the part that
+    # depends on mu0 stays small and so does its rounding at large x
+    log_x1 = np.log(np.maximum(xf, 1.0)) - 1.0
+    c_x = xf * log_x1 - sc.gammaln(xf + 1.0)
+    out = np.empty((len(mus), len(xs)))
+    # the cutoff falls as mu grows, so each node set serves a run of mus
+    steps = _cutoff_step(alpha, mus, x_max).tolist()
+    lo = 0
+    while lo < len(mus):
+        hi = lo + steps.count(steps[lo])
+        ys, wm = _mixture_nodes(alpha, steps[lo], n_panels, n_nodes)
+        with np.errstate(divide="ignore"):  # m_wright underflows to 0 far out
+            log_w = np.log(wm * ys**y_power if y_power else wm)
+        # chunks of mus at most 2 _SPREAD_MAX / y_max wide
+        ends = np.searchsorted(mus, mus[lo:hi] + 2.0 * _SPREAD_MAX / ys[-1], "right").tolist()
+        start = lo
+        while start < hi:
+            stop = min(ends[start - lo], hi)
+            mu0 = 0.5 * (mus[start] + mus[stop - 1])
+            # (x, node) log of mu0's kernel times the weight, less c_x and
+            # normalised per x
+            lam = mu0 * ys
+            log_b = np.log(lam) - log_x1[:, None]
+            log_b *= xf[:, None]
+            log_b -= lam - log_w
+            shift = log_b.max(axis=1)
+            log_b -= shift[:, None]
+            # exp is many times slower where its result underflows; a term
+            # held at exp(-700) instead is below 1e-40 of any row
+            np.maximum(log_b, -700.0, out=log_b)
+            b = np.exp(log_b, out=log_b)
+            a = np.exp(np.multiply.outer(mu0 - mus[start:stop], ys))
+            log_rows = np.log(a @ b.T)
+            log_rows += shift + c_x
+            log_rows += np.multiply.outer(np.log(mus[start:stop] / mu0), xf)
+            np.exp(log_rows, out=out[start:stop])
+            start = stop
+        lo = hi
+    rows = out[inverse]
+    return rows[0] if mu.ndim == 0 else rows
+
+
+def _cutoff_step(alpha, mu, x_max):
+    """The mixing variable is cut at 1.3 ** step, with step rounded up from
+    the largest of the density's tail point and 3 (x_max + 10) / mu; nearby
+    (mu, x_max) requests round to one step and share its node set."""
+    c = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
+    y_hi = np.maximum(max((46.0 / c) ** (1.0 - alpha), 4.0), 3.0 * (x_max + 10) / mu)
+    return np.ceil(np.log(y_hi) / math.log(1.3)).astype(int)
 
 
 _MIXTURE_CACHE: dict = {}
 _MIXTURE_CACHE_MAX = 512
 
 
-def _mixture_nodes(alpha, mu, x_max, n_panels, n_nodes):
-    """Gauss-Legendre panels on the mixing variable with cached density values."""
-    c = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
-    y_hi = max((46.0 / c) ** (1.0 - alpha), 3.0 * (x_max + 10) / mu, 4.0)
-    # quantize the cut-off so nearby (mu, x_max) requests share one node set
-    y_hi = 1.3 ** math.ceil(math.log(y_hi) / math.log(1.3))
+def _mixture_nodes(alpha, step, n_panels, n_nodes):
+    """Gauss-Legendre panels on the mixing variable up to 1.3 ** step, with
+    cached density values."""
+    y_hi = 1.3**step
     key = (round(alpha, 12), round(y_hi, 6), n_panels, n_nodes)
     hit = _MIXTURE_CACHE.get(key)
     if hit is not None:

@@ -9,11 +9,13 @@ degrees of freedom.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import gfpd
 from .baselines import (
@@ -44,10 +46,16 @@ _NEG_INF = -1e300
 
 @dataclass(frozen=True)
 class CountData:
-    """Observed counts as a value -> frequency histogram."""
+    """Observed counts as a value -> frequency histogram.
+
+    ``values`` (ascending) and ``freqs`` hold the same histogram as arrays,
+    so a log likelihood is one dot product.
+    """
 
     histogram: dict
     n_total: int
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+    freqs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = {}
@@ -61,16 +69,25 @@ class CountData:
         if sum(h.values()) != self.n_total:
             raise DomainError("n_total must equal the sum of frequencies")
         object.__setattr__(self, "histogram", h)
+        values = sorted(h)
+        object.__setattr__(self, "values", np.array(values, dtype=int))
+        object.__setattr__(self, "freqs", np.array([h[v] for v in values], dtype=float))
 
     @classmethod
     def from_values(cls, values) -> "CountData":
-        vals = [int(v) for v in values]
-        if not vals:
+        vals = np.asarray(values)
+        if vals.size == 0:
             raise DomainError("empty data")
-        h = {}
-        for v in vals:
-            h[v] = h.get(v, 0) + 1
-        return cls(h, len(vals))
+        if vals.dtype.kind not in "iu":
+            as_float = vals.astype(float)
+            bad = ~(np.isfinite(as_float) & (as_float == np.floor(as_float)))
+            if bad.any():
+                raise DomainError(
+                    f"count values must be non-negative integers, got {vals[bad][0].item()!r}"
+                )
+            vals = as_float.astype(np.int64)
+        uniq, counts = np.unique(vals, return_counts=True)
+        return cls(dict(zip(uniq.tolist(), counts.tolist())), int(vals.size))
 
     @property
     def max_value(self) -> int:
@@ -85,8 +102,7 @@ class CountData:
 
     def observed_vector(self) -> np.ndarray:
         out = np.zeros(self.max_value + 1)
-        for v, f in self.histogram.items():
-            out[v] = f
+        out[self.values] = self.freqs
         return out
 
 
@@ -125,7 +141,9 @@ class ModelSpec:
 
     ``pmf`` is the tabulation route (the CLI's); ``table`` is the fitting
     route, and only laws with a ``table`` can be fitted.  A law with a
-    ``grid`` is fitted by grid search, any other by the simplex.
+    ``grid`` is fitted by grid search, any other by the simplex; a grid
+    law's ``table`` also takes its last parameter as a 1-D array and then
+    returns one pmf row per value.
     """
 
     name: str
@@ -140,22 +158,20 @@ class ModelSpec:
 
 
 def _poisson_table(theta, x_max):
-    (lam,) = theta
+    lam = np.asarray(theta[0], dtype=float)[..., None]
     xs = np.arange(x_max + 1)
-    from scipy.special import gammaln
-
-    return np.exp(xs * math.log(lam) - lam - gammaln(xs + 1.0))
+    return np.exp(xs * np.log(lam) - lam - gammaln(xs + 1.0))
 
 
 def _geometric_table(mu, x_max):
-    q = mu / (1.0 + mu)
+    q = np.asarray(mu / (1.0 + mu))[..., None]
     xs = np.arange(x_max + 1)
     return (1.0 - q) * q**xs
 
 
 def _fpd_table(theta, x_max):
     alpha, mu = theta
-    if mu <= 0:
+    if not np.all(np.asarray(mu) > 0):
         raise DomainError("mu must be > 0")
     if alpha <= 0.0:
         return _geometric_table(mu, x_max)
@@ -166,7 +182,7 @@ def _fpd_table(theta, x_max):
 
 def _aa1_table(theta, x_max):
     alpha, mu = theta
-    if mu <= 0:
+    if not np.all(np.asarray(mu) > 0):
         raise DomainError("mu must be > 0")
     if alpha >= 1.0:
         return _poisson_table((mu,), x_max)
@@ -369,13 +385,10 @@ def loglik(model: str, params, data: CountData) -> float:
         raise EvaluationError(
             f"pmf evaluation failed for {model} at values 0..{data.max_value}: {exc}"
         ) from exc
-    total = 0.0
-    for v, f in data.histogram.items():
-        p = table[v]
-        if not p > 0.0:
-            return -math.inf
-        total += f * math.log(p)
-    return total
+    cells = table[data.values]
+    if not np.all(cells > 0.0):
+        return -math.inf
+    return float(data.freqs @ np.log(cells))
 
 
 def _safe_loglik(spec: ModelSpec, theta, data: CountData) -> float:
@@ -387,14 +400,40 @@ def _safe_loglik(spec: ModelSpec, theta, data: CountData) -> float:
     return total if math.isfinite(total) else _NEG_INF
 
 
+def _run_logliks(spec: ModelSpec, run: list, data: CountData) -> np.ndarray:
+    """_safe_loglik at each point of a run that shares all but the last parameter.
+
+    A grid law's table takes the run's last parameters as one array, so the
+    run costs one table call; if that call raises, the points are scored one
+    at a time, so only the points that raise fail.
+    """
+    if spec.grid is not None:
+        last = np.array([theta[-1] for theta in run])
+        try:
+            table = spec.table((*run[0][:-1], last), data.max_value)
+        except (DomainError, EvaluationError, OverflowError):
+            pass
+        else:
+            # a cell that is 0, negative, NaN or inf makes its row's sum non-finite
+            with np.errstate(divide="ignore", invalid="ignore"):
+                total = np.log(table[:, data.values]) @ data.freqs
+            return np.where(np.isfinite(total), total, _NEG_INF)
+    return np.array([_safe_loglik(spec, theta, data) for theta in run])
+
+
 def fit_grid(model: str, data: CountData, grid=None, pool: bool = True) -> FitResult:
     """Exhaustive maximum likelihood over a parameter grid.
 
     ``grid`` may be an iterable of parameter tuples or a dict mapping
     parameter names to axes (crossed in declaration order of the model's
-    parameters); by default the model's own grid is used.  Ties keep the
-    first point in scan order, so the default scans resolve ties toward the
-    smaller leading parameter.
+    parameters); by default the model's own grid is used.  A point fails
+    when its table raises or its pmf at an observed count is not a finite
+    positive number.  For a law with a default grid, each run of consecutive
+    points that share all but the last parameter is scored with one table
+    call (see ``_run_logliks``).  Ties keep the first point in scan order,
+    so the default scans resolve ties toward the smaller leading parameter.
+    ``evaluations`` counts grid points, and the reported ``loglik`` is
+    ``loglik`` at the chosen point.
     """
     spec = MODELS[model]
     if grid is None:
@@ -410,18 +449,21 @@ def fit_grid(model: str, data: CountData, grid=None, pool: bool = True) -> FitRe
         points = zip(*(m.ravel() for m in mesh))
     else:
         points = grid
+    points = (tuple(float(t) for t in theta) for theta in points)
     best_theta = None
     best_ll = -math.inf
     n_eval = 0
-    for theta in points:
-        theta = tuple(float(t) for t in theta)
-        n_eval += 1
-        ll = _safe_loglik(spec, theta, data)
-        if ll > best_ll:
-            best_ll = ll
-            best_theta = theta
+    for _, run in itertools.groupby(points, key=lambda theta: theta[:-1]):
+        run = list(run)
+        n_eval += len(run)
+        lls = _run_logliks(spec, run, data)
+        i = int(np.argmax(lls))  # the first of equal maxima
+        if lls[i] > best_ll:
+            best_ll = lls[i]
+            best_theta = run[i]
     if best_theta is None or best_ll <= _NEG_INF:
         raise EvaluationError(f"all {n_eval} grid points failed for {model}")
+    best_ll = loglik(model, best_theta, data)
     chi2, df, p_value = gof_chisq(model, best_theta, data, pool=pool)
     return FitResult(
         model, _params_dict(spec, best_theta), best_ll, chi2, df, p_value, True, n_eval

@@ -334,12 +334,16 @@ def pmf_multiplier(p: WpdParams, x):
     raise DomainError(f"no pmf recursion for tag {tag!r}")
 
 
+def _check_zero_cell(p: WpdParams):
+    if p.beta == 0.0 and p.nu != 1.0:
+        raise DomainError("no pmf recursion from a vanishing zero cell (beta = 0, nu > 1)")
+
+
 def wpd_pmf_recursive(p: WpdParams, x_max: int) -> np.ndarray:
     """pmf on 0..x_max built from P(0) = w(0)/eta and the tag's multiplier."""
     if p.tag not in _RECURSIVE_TAGS:
         raise DomainError(f"no pmf recursion for tag {p.tag!r}")
-    if p.beta == 0.0 and p.nu != 1.0:
-        raise DomainError("no pmf recursion from a vanishing zero cell (beta = 0, nu > 1)")
+    _check_zero_cell(p)
     out = np.empty(x_max + 1)
     out[0] = math.exp(log_weight(p, 0) - log_eta(p))
     out[1:] = pmf_multiplier(p, np.arange(float(x_max)))
@@ -356,6 +360,8 @@ def wpd_pmf_table(p: WpdParams, x_max: int | None = None, cum_target: float = 1.
         if p.tag in _RECURSIVE_TAGS:
             return wpd_pmf_recursive(p, x_max)
         return np.array([wpd_pmf(p, x) for x in range(x_max + 1)])
+    if p.tag in _RECURSIVE_TAGS:
+        _check_zero_cell(p)
     le = log_eta(p)
     out = [math.exp(log_weight(p, 0) - le)]
     cum = out[0]

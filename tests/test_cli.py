@@ -217,6 +217,17 @@ class TestExitCodes:
              "--x-max", "3"], capsys)
         assert code == 4
 
+    @pytest.mark.parametrize("support", [[], ["--x-max", "5"]])
+    def test_vanishing_zero_cell(self, support, capsys):
+        # model I at beta = 0, nu > 1 has P(0) = 0, so no recursion reaches P(1);
+        # the adaptive and the fixed support refuse it alike
+        code, out, err = run_cli(
+            ["pmf", "--model", "model_i", "--lam", "2", "--beta", "0", "--nu", "1.5",
+             *support], capsys)
+        assert code == 4
+        assert "vanishing zero cell" in err
+        assert out == ""
+
     def test_missing_flag_usage(self, capsys):
         code, _, err = run_cli(["pmf", "--model", "fpd", "--alpha", "0.5"], capsys)
         assert code == 2

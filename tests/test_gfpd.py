@@ -6,6 +6,8 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from countfam import (
@@ -237,6 +239,58 @@ class TestQuadratureRoutes:
             assert gfpd_pmf(p, x) == pytest.approx(float(table[x]), rel=1e-7)
 
 
+class TestBatchedRows:
+    """A 1-D mu gives the same rows as one call per mu.
+
+    Batched rows are evaluated about a shared reference mu within each node
+    set, so they agree with one-row calls to rounding: rtol 1e-12 wherever
+    the pmf is a normal float well above underflow (values below 1e-290 are
+    held to that absolute size instead).
+    """
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        alpha=st.floats(0.01, 0.99),
+        mu0=st.floats(0.1, 300.0),
+        band=st.lists(st.floats(0.8, 1.2), min_size=1, max_size=8),
+        x_lo=st.integers(0, 100),
+        width=st.integers(0, 300),
+    )
+    # the band crosses node sets (cutoff steps) at small mu0 and large x
+    @example(alpha=0.5, mu0=1.0, band=[0.8, 0.9, 1.0, 1.1, 1.2], x_lo=0, width=300)
+    # at alpha = 0.1, mu near 200 one node set spans |mu - mu0| y ~ 2000
+    @example(alpha=0.1, mu0=200.0, band=list(np.linspace(0.8, 1.2, 41)), x_lo=0, width=400)
+    def test_matches_one_row_calls(self, alpha, mu0, band, x_lo, width):
+        mus = mu0 * np.array(band)
+        xs = np.arange(x_lo, x_lo + width + 1)
+        for route in (fpd_pmf_quadrature, aa1_pmf_quadrature):
+            rows = route(alpha, mus, xs)
+            assert rows.shape == (len(mus), len(xs))
+            for mu, row in zip(mus, rows):
+                one = route(alpha, float(mu), xs)
+                np.testing.assert_allclose(row, one, rtol=1e-12, atol=1e-290)
+
+    def test_examples_reach_both_splits(self):
+        # the two explicit examples above do exercise several node sets and
+        # several chunks of one node set
+        steps = gfpd._cutoff_step(0.5, np.linspace(0.8, 1.2, 5), 300)
+        assert len(set(steps.tolist())) > 1
+        mus = 200.0 * np.linspace(0.8, 1.2, 41)
+        steps = gfpd._cutoff_step(0.1, mus, 400)
+        assert len(set(steps.tolist())) == 1
+        ys, _ = gfpd._mixture_nodes(0.1, steps[0], 4, 80)
+        assert (mus[-1] - mus[0]) * ys.max() > 4 * gfpd._SPREAD_MAX
+
+    def test_equal_mu_equal_rows(self):
+        rows = fpd_pmf_quadrature(0.7, [2.0, 3.0, 2.0], np.arange(30))
+        assert np.array_equal(rows[0], rows[2])
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
+    def test_refuses_mu_not_positive(self, mu):
+        with pytest.raises(DomainError, match="mu > 0"):
+            fpd_pmf_quadrature(0.7, [2.0, mu], np.arange(5))
+
+
 class TestMixtureNodes:
     def test_cold_build_memory(self, monkeypatch):
         # at alpha = 0.99 some rows' series run to tens of thousands of
@@ -247,7 +301,8 @@ class TestMixtureNodes:
         monkeypatch.setattr(gfpd, "_MIXTURE_CACHE", {})
         tracemalloc.start()
         try:
-            ys, _ = gfpd._mixture_nodes(0.99, mu, data.max_value, 4, 80)
+            step = int(gfpd._cutoff_step(0.99, mu, data.max_value))
+            ys, _ = gfpd._mixture_nodes(0.99, step, 4, 80)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -257,11 +312,11 @@ class TestMixtureNodes:
     def test_cache_evicts_oldest(self, monkeypatch):
         monkeypatch.setattr(gfpd, "_MIXTURE_CACHE", {})
         monkeypatch.setattr(gfpd, "_MIXTURE_CACHE_MAX", 2)
-        first = gfpd._mixture_nodes(0.3, 2.0, 10, 4, 80)
-        gfpd._mixture_nodes(0.5, 2.0, 10, 4, 80)
-        gfpd._mixture_nodes(0.7, 2.0, 10, 4, 80)
+        first = gfpd._mixture_nodes(0.3, 12, 4, 80)
+        gfpd._mixture_nodes(0.5, 12, 4, 80)
+        gfpd._mixture_nodes(0.7, 12, 4, 80)
         assert [k[0] for k in gfpd._MIXTURE_CACHE] == [0.5, 0.7]
-        rebuilt = gfpd._mixture_nodes(0.3, 2.0, 10, 4, 80)
+        rebuilt = gfpd._mixture_nodes(0.3, 12, 4, 80)
         assert rebuilt is not first
         assert np.array_equal(rebuilt[0], first[0])
         assert np.array_equal(rebuilt[1], first[1])

@@ -19,7 +19,7 @@ from countfam import (
     sample_fpd,
     sample_wpd,
 )
-from countfam.inference import _pooled_cells
+from countfam.inference import _NEG_INF, MODELS, ModelSpec, _pooled_cells, _safe_loglik
 
 # grid points and log-likelihoods of criterion 12's first five replicates,
 # recorded with the mixture nodes tabulated one node at a time
@@ -32,12 +32,65 @@ _FPD_FITS = [
 ]
 
 
+def loop_fit_grid(model, data, grid=None):
+    """fit_grid's scan one point at a time, one table per point: the oracle
+    for the run-batched scan.  Returns (theta, loglik, points)."""
+    spec = MODELS[model]
+    if grid is None:
+        points = spec.grid(data)
+    elif isinstance(grid, dict):
+        axes = [np.atleast_1d(np.asarray(grid[n], dtype=float)) for n in spec.param_names]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        points = zip(*(m.ravel() for m in mesh))
+    else:
+        points = grid
+    best_theta = None
+    best_ll = -math.inf
+    n_eval = 0
+    for theta in points:
+        theta = tuple(float(t) for t in theta)
+        n_eval += 1
+        ll = _safe_loglik(spec, theta, data)
+        if ll > best_ll:
+            best_ll = ll
+            best_theta = theta
+    if best_theta is None or best_ll <= _NEG_INF:
+        raise EvaluationError(f"all {n_eval} grid points failed for {model}")
+    return best_theta, best_ll, n_eval
+
+
+def assert_fit_matches_loop(model, data, grid=None):
+    theta, ll, n_eval = loop_fit_grid(model, data, grid)
+    res = fit_grid(model, data, grid)
+    assert tuple(res.params.values()) == theta
+    assert res.evaluations == n_eval
+    assert res.loglik == loglik(model, res.params, data) == ll
+    return res
+
+
 class TestCountData:
     def test_from_values(self):
         d = CountData.from_values([0, 1, 1, 3])
         assert d.histogram == {0: 1, 1: 2, 3: 1}
         assert d.n_total == 4
         assert d.mean() == pytest.approx(1.25)
+
+    def test_from_values_matches_counting(self):
+        values = np.random.default_rng(6).poisson(4.0, size=5000)
+        d = CountData.from_values(values)
+        counts = {}
+        for v in values.tolist():
+            counts[v] = counts.get(v, 0) + 1
+        assert d.histogram == counts
+        assert d.n_total == 5000
+        assert d.values.tolist() == sorted(counts)
+        assert d.freqs.tolist() == [counts[v] for v in sorted(counts)]
+        assert CountData.from_values([3.0, 0.0, 3.0]).histogram == {0: 1, 3: 2}
+
+    @pytest.mark.parametrize("values", [[1.5, 2, 2.9], [1, math.nan], [2, math.inf], [-1, 2]])
+    def test_from_values_refuses_non_counts(self, values):
+        with pytest.raises(DomainError, match="non-negative integers"):
+            CountData.from_values(values)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -65,6 +118,21 @@ class TestLoglik:
         # generalized Poisson with negative dispersion has finite support
         d = CountData({40: 1}, 1)
         assert loglik("genpoisson", (2.0, -0.4), d) == -math.inf
+
+    def test_sum_over_histogram(self):
+        d = CountData({0: 3, 2: 5, 7: 1}, 9)
+        table = MODELS["negbinom"].table((2.0, 0.4), 7)
+        want = math.fsum(f * math.log(table[v]) for v, f in d.histogram.items())
+        assert loglik("negbinom", (2.0, 0.4), d) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("cell", [0.0, -1e-300, math.nan])
+    def test_bad_observed_cell_is_minus_inf(self, monkeypatch, cell):
+        table = np.full(4, 0.25)
+        table[2] = cell
+        spec = ModelSpec("stub", ("t",), pmf=None, table=lambda theta, x_max: table)
+        monkeypatch.setitem(MODELS, "stub", spec)
+        assert loglik("stub", (1.0,), CountData({0: 1, 2: 1}, 2)) == -math.inf
+        assert loglik("stub", (1.0,), CountData({0: 1, 3: 1}, 2)) == pytest.approx(2 * math.log(0.25))
 
     def test_model_ii_true_beats_perturbed(self):
         p = make_special_case("model_ii", lam=2.0, beta=2.0, gamma=1.0)
@@ -123,6 +191,53 @@ class TestFitGrid:
         res = fit_grid("fpd", d)
         assert res.params == {"alpha": alpha, "mu": mu}
         assert res.loglik == pytest.approx(ll, abs=1e-6)
+
+
+class TestFitGridMatchesLoop:
+    """Run-batched scoring picks the point the per-point scan picks."""
+
+    @pytest.mark.parametrize("i", range(len(_FPD_FITS)))
+    def test_criterion_12_samples(self, i):
+        d = CountData.from_values(sample_fpd(0.85, 3.6, 5000, RngStream(1000 + i)).values)
+        res = assert_fit_matches_loop("fpd", d)
+        assert res.evaluations == 101 * 41
+
+    def test_aa1_default_grid(self):
+        d = CountData.from_values(sample_fpd(0.7, 2.0, 1000, RngStream(3)).values)
+        assert_fit_matches_loop("gfpd_aa1", d)
+
+    def test_dict_grid(self):
+        d = CountData.from_values(sample_fpd(0.6, 3.0, 800, RngStream(4)).values)
+        grid = {"alpha": [0.0, 0.3, 0.6, 0.9, 1.0], "mu": np.linspace(1.0, 5.0, 17)}
+        res = assert_fit_matches_loop("fpd", d, grid)
+        assert res.evaluations == 5 * 17
+
+    def test_iterable_grid_with_invalid_mu(self):
+        d = CountData.from_values(sample_fpd(0.8, 2.0, 800, RngStream(5)).values)
+        grid = [(0.5, -1.0), (0.5, 2.0), (0.5, 0.0), (0.5, 2.4), (0.8, 2.0), (0.8, math.nan),
+                (0.8, -2.0), (0.0, 0.0), (0.0, 1.5), (1.0, -0.5), (1.0, 2.0), (0.8, 2.1)]
+        for model in ("fpd", "gfpd_aa1"):
+            res = assert_fit_matches_loop(model, d, grid)
+            assert res.evaluations == len(grid)
+
+    def test_exact_tie_keeps_first(self):
+        # every alpha >= 1 is the Poisson law and every alpha <= 0 the
+        # geometric one, so these runs tie exactly, point for point
+        d = CountData.from_values(np.random.default_rng(8).poisson(2.0, size=500))
+        mus = np.linspace(1.5, 2.5, 11)
+        for alphas in ([1.5, 1.0], [1.0, 1.5], [-0.5, 0.0]):
+            res = assert_fit_matches_loop("fpd", d, {"alpha": alphas, "mu": mus})
+            assert res.params["alpha"] == alphas[0]
+        # a repeated point in one run
+        res = assert_fit_matches_loop("fpd", d, [(0.5, 2.0), (0.5, 2.0), (0.5, 1.0)])
+        assert res.params == {"alpha": 0.5, "mu": 2.0}
+
+    def test_all_points_fail(self):
+        d = CountData.from_values([0, 1, 2, 2, 5])
+        for model, grid in (("fpd", [(0.5, -1.0), (0.5, 0.0), (0.0, -2.0)]),
+                            ("gfpd_aa1", [(0.0, 1.0), (-0.5, 2.0), (0.5, 0.0)])):
+            with pytest.raises(EvaluationError, match="all 3 grid points failed"):
+                fit_grid(model, d, grid)
 
 
 class TestFitSimplex:

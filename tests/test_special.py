@@ -39,7 +39,7 @@ def _fit_nodes(alpha):
     reaches there on criterion 12's first sample: its smallest grid mu."""
     data = CountData.from_values(sample_fpd(0.85, 3.6, 5000, RngStream(1000)).values)
     mu = min(m for a, m in _fpd_grid(data) if a == alpha)
-    ys, _ = gfpd._mixture_nodes(alpha, mu, data.max_value, 4, 80)
+    ys, _ = gfpd._mixture_nodes(alpha, int(gfpd._cutoff_step(alpha, mu, data.max_value)), 4, 80)
     return ys
 
 
