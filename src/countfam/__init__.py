@@ -14,7 +14,9 @@ from .baselines import (
     NegBinomParams,
     genpoisson_factorial_moments,
     genpoisson_pmf,
+    genpoisson_pmf_table,
     negbinom_pmf,
+    negbinom_pmf_table,
     negbinom_skewness,
 )
 from .errors import CancellationError, ConvergenceError, DomainError, EvaluationError
@@ -41,6 +43,7 @@ from .inference import (
     compare,
     fit,
     fit_grid,
+    fit_newton,
     fit_simplex,
     gof_chisq,
     loglik,

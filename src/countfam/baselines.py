@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import gammaln
+
 from .errors import DomainError
 from .moments import FactorialMomentSequence
 from .special import CONSECUTIVE, REL_TOL
@@ -55,6 +58,44 @@ def negbinom_logpmf(p: NegBinomParams, x: int) -> float:
 def negbinom_pmf(p: NegBinomParams, x: int) -> float:
     """Gamma(r+x) / (Gamma(r) x!) p^r (1-p)^x."""
     return math.exp(negbinom_logpmf(p, x))
+
+
+def negbinom_pmf_table(p: NegBinomParams, x_max: int) -> np.ndarray:
+    """pmf on 0..x_max as cumulative log ratios.
+
+    log P(0) = r log p and log P(x+1) - log P(x) = log((r+x)(1-p)/(x+1)); the
+    ratios stay exact when r is much larger than x, where the two log-gamma
+    values of the closed form cancel.
+    """
+    j = np.arange(int(x_max), dtype=float)
+    log_pmf = np.empty(int(x_max) + 1)
+    log_pmf[0] = p.r * math.log(p.p)
+    log_pmf[1:] = np.log((p.r + j) * (1.0 - p.p) / (j + 1.0))
+    return np.exp(np.cumsum(log_pmf, out=log_pmf))
+
+
+def negbinom_score(p: NegBinomParams, values: np.ndarray, freqs: np.ndarray):
+    """Log likelihood of a histogram, its gradient and its observed
+    information in (r, p).
+
+    log Gamma(x+r) - log Gamma(r), psi(x+r) - psi(r) and psi'(r) - psi'(x+r)
+    are sums over j < x of log(r+j), 1/(r+j) and 1/(r+j)^2, so they stay
+    exact when r is much larger than x.  ``values`` ascend.
+    """
+    r, q = p.r, 1.0 - p.p
+    rj = r + np.arange(int(values[-1]), dtype=float)
+    sums = np.zeros((3, len(rj) + 1))
+    np.cumsum(np.log(rj), out=sums[0, 1:])
+    np.cumsum(1.0 / rj, out=sums[1, 1:])
+    np.cumsum(1.0 / (rj * rj), out=sums[2, 1:])
+    lg, dg, tg = sums[:, values] @ freqs
+    n = float(freqs.sum())
+    sx = float(values @ freqs)
+    log_p = math.log(p.p)
+    ll = lg - float(gammaln(values + 1.0) @ freqs) + n * r * log_p + sx * math.log(q)
+    grad = np.array([dg + n * log_p, n * r / p.p - sx / q])
+    info = np.array([[tg, -n / p.p], [-n / p.p, n * r / p.p**2 + sx / q**2]])
+    return ll, grad, info
 
 
 def negbinom_skewness(p: NegBinomParams) -> float:
@@ -109,6 +150,19 @@ def genpoisson_pmf(p: GenPoissonParams, x: int) -> float:
     return math.exp(
         math.log(p.lambda1) + (x - 1) * math.log(rate) - rate - math.lgamma(x + 1)
     )
+
+
+def genpoisson_pmf_table(p: GenPoissonParams, x_max: int) -> np.ndarray:
+    """pmf on 0..x_max; the cells past the support cap M (lambda2 < 0) are 0."""
+    x = np.arange(int(x_max) + 1, dtype=float)
+    rate = p.lambda1 + p.lambda2 * x
+    live = rate > 0
+    if p.lambda2 < 0:
+        live &= x <= p.M
+    out = np.zeros(len(x))
+    xl, rl = x[live], rate[live]
+    out[live] = np.exp(math.log(p.lambda1) + (xl - 1.0) * np.log(rl) - rl - gammaln(xl + 1.0))
+    return out
 
 
 def genpoisson_factorial_moments(p: GenPoissonParams, K: int) -> FactorialMomentSequence:

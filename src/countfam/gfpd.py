@@ -30,7 +30,7 @@ from scipy.integrate import quad
 
 from .errors import CancellationError, DomainError, EvaluationError
 from .moments import FactorialMomentSequence, SummaryStats, skewness_from_factorial
-from .special import MAX_DPS, _leggauss, m_wright, prabhakar_ml, wright_phi
+from .special import MAX_DPS, _leggauss, m_wright, wright_phi
 
 # Above this log-magnitude of the largest series term, a float64 row of the
 # pmf table is recomputed in high precision (absolute noise ~ e^6 * 1e-15).

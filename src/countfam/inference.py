@@ -1,10 +1,14 @@
 """Maximum likelihood fitting and goodness of fit for count data.
 
-Fitting is by exhaustive grid search for the fractional laws (two bounded
-parameters) and by a bounded derivative-free simplex for everything else.
-The chi-square test pools cells from both tails inward until every cell
-carries enough expected mass, and uses (cells - 1 - free parameters)
-degrees of freedom.
+Fitting takes one of three routes.  The fractional laws (two bounded
+parameters) are fitted by exhaustive grid search.  A law with an analytic
+score (the weighted-Poisson slices and the negative binomial) is fitted by a
+damped, bound-constrained Newton iteration on its log likelihood, gradient
+and observed information; where that iteration does not certify a maximum,
+the fit is the bounded derivative-free simplex's.  Every other law
+(the generalized Poisson) is fitted by the simplex.  The chi-square test
+pools cells from both tails inward until every cell carries enough expected
+mass, and uses (cells - 1 - free parameters) degrees of freedom.
 """
 
 from __future__ import annotations
@@ -18,29 +22,42 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import gfpd
-from .baselines import (
+# genpoisson_pmf and negbinom_logpmf are imported for perfbench/layers.py, which wraps them here
+from .baselines import (  # noqa: F401
     GenPoissonParams,
     NegBinomParams,
+    genpoisson_factorial_moments,
     genpoisson_pmf,
+    genpoisson_pmf_table,
     negbinom_logpmf,
+    negbinom_pmf_table,
+    negbinom_score,
     negbinom_skewness,
 )
 from .errors import DomainError, EvaluationError
 from .gfpd import GfpdParams, aa1_pmf_quadrature, fpd_pmf_quadrature, gfpd_summary
-from .moments import SummaryStats
+from .moments import SummaryStats, summary_from_factorial
 from .sampling import sample_fpd, sample_wpd
 from .special import chi2_sf
 from .wpd import (
     SLICE_PARAMS,
     SpecialCase,
     make_special_case,
+    slice_jacobian,
     wpd_pmf_recursive,
     wpd_pmf_table,
+    wpd_score,
     wpd_summary,
 )
 
 _SIMPLEX_DIAM_TOL = 1e-6
 _SIMPLEX_MAX_EVALS = 10_000
+_NEWTON_MAX_ITER = 30
+_NEWTON_MAX_HALVINGS = 40
+_NEWTON_FRONTIER = 3  # consecutive iterations cut short by refused points
+_NEWTON_MAX_STEP = 8.0  # largest step bound in search coordinates
+_NEWTON_TOL = 1e-9  # projected Newton decrement g' I^-1 g, about twice the gain left
+_ARMIJO = 1e-4
 _NEG_INF = -1e300
 
 
@@ -108,7 +125,13 @@ class CountData:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted parameters with likelihood and chi-square diagnostics."""
+    """Fitted parameters with likelihood and chi-square diagnostics.
+
+    ``std_errors`` (a converged Newton fit only, else None) maps each
+    parameter to the square root of its diagonal entry of the inverse
+    observed information over the parameters off the faces of the box, and
+    a parameter on a face to None.  ``to_dict`` leaves it out.
+    """
 
     model_id: str
     params: dict
@@ -118,6 +141,7 @@ class FitResult:
     p_value: float
     converged: bool
     evaluations: int
+    std_errors: dict | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -141,9 +165,13 @@ class ModelSpec:
 
     ``pmf`` is the tabulation route (the CLI's); ``table`` is the fitting
     route, and only laws with a ``table`` can be fitted.  A law with a
-    ``grid`` is fitted by grid search, any other by the simplex; a grid
-    law's ``table`` also takes its last parameter as a 1-D array and then
-    returns one pmf row per value.
+    ``grid`` is fitted by grid search; a grid law's ``table`` also takes its
+    last parameter as a 1-D array and then returns one pmf row per value.
+    A law with a ``score`` is fitted by ``fit_newton``: given (theta, data),
+    the score returns the log likelihood, its gradient and the observed
+    information (minus the Hessian) in the free parameters, and raises
+    DomainError or EvaluationError where ``loglik`` would fail.  Any other
+    law is fitted by the simplex.
     """
 
     name: str
@@ -155,6 +183,8 @@ class ModelSpec:
     bounds: tuple | None = None
     init: Callable | None = None  # CountData -> theta
     grid: Callable | None = None  # CountData -> iterable of theta
+    score: Callable | None = None  # (theta, CountData) -> (loglik, gradient, information)
+    face_start: Callable | None = None  # CountData -> theta on the face holding the maximum | None
 
 
 def _poisson_table(theta, x_max):
@@ -224,6 +254,17 @@ def _init_negbinom(data):
     return (r0, p0)
 
 
+def _face_negbinom(data):
+    """With variance <= mean the likelihood rises towards the Poisson limit
+    p -> 1, so the maximum over the box lies on the face p = 1 - 1e-9; the
+    start there matches the mean."""
+    mean, var = data.mean(), data.variance()
+    if var > mean or mean <= 0.0:
+        return None
+    p = 1.0 - 1e-9
+    return (mean * p / (1.0 - p), p)
+
+
 def _init_genpoisson(data):
     mean, var = _moment_inits(data)
     l2 = 1.0 - 1.0 / math.sqrt(max(var / mean, 1e-6))
@@ -263,20 +304,22 @@ def _init_model_ii2(data):
     return (min(max(var / mean, 0.05), 50.0), 1.0)
 
 
-def _pointwise_pmf(law, pmf):
-    """pmf table of a law evaluated one count at a time; without x_max the
-    support runs until the mass reaches 1 - 1e-10 (or 100,000 counts)."""
+def _adaptive(table):
+    """A pmf route from a table route: without x_max the support runs until
+    the mass reaches 1 - 1e-10 (or 100,000 counts)."""
 
     def build(theta, x_max):
-        p = law(*theta)
         if x_max is not None:
-            return np.array([pmf(p, x) for x in range(int(x_max) + 1)])
-        out = []
-        cum = 0.0
-        while cum < 1.0 - 1e-10 and len(out) < 100_000:
-            out.append(pmf(p, len(out)))
-            cum += out[-1]
-        return np.asarray(out)
+            return table(theta, int(x_max))
+        n = 64
+        while True:
+            out = table(theta, n - 1)
+            reached = np.flatnonzero(np.cumsum(out) >= 1.0 - 1e-10)
+            if len(reached):
+                return out[:reached[0] + 1]
+            if n == 100_000:
+                return out
+            n = min(8 * n, 100_000)
 
     return build
 
@@ -290,9 +333,12 @@ def _gfpd_routes(law):
     }
 
 
-# late-bound, because the benchmark's tracer wraps these two pmfs in this module
-_negbinom_pmf = _pointwise_pmf(NegBinomParams, lambda p, x: math.exp(negbinom_logpmf(p, x)))
-_genpoisson_pmf = _pointwise_pmf(GenPoissonParams, lambda p, x: genpoisson_pmf(p, x))
+def _negbinom_table(theta, x_max):
+    return negbinom_pmf_table(NegBinomParams(*theta), x_max)
+
+
+def _genpoisson_table(theta, x_max):
+    return genpoisson_pmf_table(GenPoissonParams(*theta), x_max)
 
 
 def _negbinom_summary(theta):
@@ -302,17 +348,22 @@ def _negbinom_summary(theta):
 
 def _slice(tag, bounds=None, init=None, table=None):
     """A weighted-Poisson slice; with ``bounds`` and ``init`` it is fitted
-    through the tag's pmf recursion unless another ``table`` is given."""
+    by Newton on the eta engine's score, and its likelihood comes from the
+    tag's pmf recursion unless another ``table`` is given."""
     names = SLICE_PARAMS[tag]
     law = lambda theta: make_special_case(tag, **dict(zip(names, theta)))
-    if bounds is not None and table is None:
-        table = lambda theta, x_max: wpd_pmf_recursive(law(theta), x_max)
+    score = None
+    if bounds is not None:
+        jac = slice_jacobian(tag)
+        score = lambda theta, data: wpd_score(law(theta), jac, data.values, data.freqs)
+        if table is None:
+            table = lambda theta, x_max: wpd_pmf_recursive(law(theta), x_max)
     return ModelSpec(
         tag.value, names,
         pmf=lambda theta, x_max: wpd_pmf_table(law(theta), x_max=x_max),
         summary=lambda theta: wpd_summary(law(theta)),
         sample=lambda theta, n, rng: sample_wpd(law(theta), n, rng),
-        table=table, bounds=bounds, init=init,
+        table=table, bounds=bounds, init=init, score=score,
     )
 
 
@@ -333,12 +384,17 @@ LAWS = {s.name: s for s in (
         grid=_aa1_grid,
     ),
     ModelSpec(
-        "negbinom", ("r", "p"), _negbinom_pmf, summary=_negbinom_summary,
-        table=_negbinom_pmf, bounds=(_POS, (1e-9, 1.0 - 1e-9)), init=_init_negbinom,
+        "negbinom", ("r", "p"), _adaptive(_negbinom_table), summary=_negbinom_summary,
+        table=_negbinom_table, bounds=(_POS, (1e-9, 1.0 - 1e-9)), init=_init_negbinom,
+        score=lambda theta, data: negbinom_score(NegBinomParams(*theta), data.values, data.freqs),
+        face_start=_face_negbinom,
     ),
     ModelSpec(
-        "genpoisson", ("lambda1", "lambda2"), _genpoisson_pmf, table=_genpoisson_pmf,
-        bounds=(_POS, (-1.0 + 1e-9, 1.0 - 1e-9)), init=_init_genpoisson,
+        "genpoisson", ("lambda1", "lambda2"), _adaptive(_genpoisson_table),
+        summary=lambda theta: summary_from_factorial(
+            genpoisson_factorial_moments(GenPoissonParams(*theta), 3)),
+        table=_genpoisson_table, bounds=(_POS, (-1.0 + 1e-9, 1.0 - 1e-9)),
+        init=_init_genpoisson,
     ),
     _slice(SpecialCase.POISSON, (_POS,), lambda d: (d.mean(),), table=_poisson_table),
     _slice(SpecialCase.COM_POISSON, (_POS, (0.0, math.inf)), _init_com_poisson),
@@ -547,17 +603,25 @@ def _nelder_mead_max(f, x0, bounds, diam_tol=_SIMPLEX_DIAM_TOL, max_evals=_SIMPL
     return simplex[order[0]], values[order[0]], evals, converged
 
 
-def fit_simplex(model: str, data: CountData, init=None, pool: bool = True) -> FitResult:
-    """Bounded derivative-free simplex maximization of the log likelihood."""
-    spec = MODELS[model]
+def _initial_point(spec: ModelSpec, init, data: CountData):
+    """``init`` or the law's moment start, and its log likelihood; DomainError
+    unless it lies in the box and its log likelihood can be evaluated."""
     theta0 = _theta_vector(spec, init) if init is not None else tuple(spec.init(data))
     for v, (lo, hi) in zip(theta0, spec.bounds):
         if not (lo <= v <= hi) or not math.isfinite(v):
             raise DomainError(
-                f"initial point {theta0} outside the domain of {model}"
+                f"initial point {theta0} outside the domain of {spec.name}"
             )
-    if _safe_loglik(spec, theta0, data) <= _NEG_INF:
-        raise DomainError(f"initial point {theta0} is not evaluable for {model}")
+    ll = _safe_loglik(spec, theta0, data)
+    if ll <= _NEG_INF:
+        raise DomainError(f"initial point {theta0} is not evaluable for {spec.name}")
+    return theta0, ll
+
+
+def fit_simplex(model: str, data: CountData, init=None, pool: bool = True) -> FitResult:
+    """Bounded derivative-free simplex maximization of the log likelihood."""
+    spec = MODELS[model]
+    theta0, _ = _initial_point(spec, init, data)
     theta, ll, evals, converged = _nelder_mead_max(
         lambda t: _safe_loglik(spec, t, data), theta0, spec.bounds
     )
@@ -569,10 +633,160 @@ def fit_simplex(model: str, data: CountData, init=None, pool: bool = True) -> Fi
     )
 
 
+def _newton_direction(g, info, at_lo, at_hi):
+    """Projected Newton direction on a box (Bertsekas 1982).
+
+    A parameter on a face is held while its gradient, or its Newton step,
+    points out of the box; the others take the Newton step of the reduced
+    information, shifted (Levenberg) until positive definite when it is
+    not.  Returns (direction, decrement g'd, whether the reduced
+    information is positive definite).
+    """
+    held = (at_lo & (g < 0)) | (at_hi & (g > 0))
+    while True:
+        free = ~held
+        w, v = np.linalg.eigh(info[np.ix_(free, free)])
+        pd = bool(np.all(w > 0))
+        shift = 0.0 if pd else 1e-3 * max(np.abs(w).max(), 1.0) - w.min()
+        d = np.zeros_like(g)
+        d[free] = v @ ((v.T @ g[free]) / (w + shift))
+        out = (at_lo & (d < 0)) | (at_hi & (d > 0))
+        if not out.any():
+            return d, float(g @ d), pd
+        held |= out
+
+
+def fit_newton(model: str, data: CountData, init=None, pool: bool = True) -> FitResult:
+    """Damped, bound-constrained Newton maximisation of the log likelihood.
+
+    The law's ``score`` gives the gradient and the observed information.
+    Parameters bounded by (1e-12, inf) are searched in log coordinates, the
+    others as they are.  Each iteration takes the projected Newton direction
+    (``_newton_direction``), bounded in every coordinate by a step bound
+    that starts at 1, doubles (up to ``_NEWTON_MAX_STEP``) after a full step
+    that reached it and shrinks to a step that had to be cut.  The step is
+    halved until ``loglik`` rises by the Armijo fraction of the predicted
+    gain; a trial point whose table raises (a refused eta, say) is a
+    rejected step.  The score is evaluated only at accepted points.
+
+    The fit converges when the reduced information is positive definite and
+    the projected Newton decrement is below ``_NEWTON_TOL``; ``evaluations``
+    then counts likelihood plus score evaluations.  Otherwise it returns
+    what ``fit_simplex`` returns from the same start: after
+    ``_NEWTON_MAX_ITER`` iterations, a score that fails, no acceptable step,
+    a cut step that gains nothing, or ``_NEWTON_FRONTIER`` iterations in a
+    row cut short by refused points.  The start and its refusal are
+    ``fit_simplex``'s, except that a law's ``face_start`` may move the
+    iteration's first point onto the face of the box where the maximum is
+    known to lie.
+    """
+    spec = MODELS[model]
+    theta, ll = _initial_point(spec, init, data)
+    n_eval = 1
+    face = spec.face_start(data) if init is None and spec.face_start is not None else None
+    if face is not None:
+        theta, ll = face, _safe_loglik(spec, face, data)
+        n_eval += 1
+    lo, hi = np.array(spec.bounds, dtype=float).T
+    logc = (lo > 0.0) & (hi == math.inf)
+    s_lo = lo.copy()
+    s_lo[logc] = np.log(lo[logc])
+
+    def search(theta):
+        s = np.array(theta, dtype=float)
+        s[logc] = np.log(s[logc])
+        return s
+
+    def params(s):
+        theta = s.copy()
+        theta[logc] = np.exp(s[logc])
+        theta = np.where(s <= s_lo, lo, np.where(s >= hi, hi, np.clip(theta, lo, hi)))
+        return tuple(theta.tolist())
+
+    def score(theta):
+        """(gradient, information) in search coordinates and the information in theta, or None."""
+        try:
+            _, g, info = spec.score(theta, data)
+        except (DomainError, EvaluationError, OverflowError):
+            return None
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(info))):
+            return None
+        c = np.where(logc, theta, 1.0)
+        info_s = info * np.outer(c, c) - np.diag(np.where(logc, np.multiply(theta, g), 0.0))
+        return g * c, info_s, info
+
+    s = search(theta)
+    cur = score(theta) if ll > _NEG_INF else None
+    n_eval += 1
+    converged, frontier, radius = False, 0, 1.0
+    for _ in range(_NEWTON_MAX_ITER if cur is not None else 0):
+        g, info_s, _ = cur
+        d, decrement, pd = _newton_direction(g, info_s, s <= s_lo, s >= hi)
+        if pd and decrement < _NEWTON_TOL:
+            converged = True
+            break
+        length = np.abs(d).max()
+        if length > radius:
+            d *= radius / length
+        # a step that loses no more than the rounding of the log likelihood
+        # passes, so a last Newton step is not refused for noise
+        slack = 1e-12 * (1.0 + abs(ll))
+        t, refused = 1.0, False
+        for _ in range(_NEWTON_MAX_HALVINGS):
+            s_new = np.clip(s + t * d, s_lo, hi)
+            theta_new = params(s_new)
+            ll_new = _safe_loglik(spec, theta_new, data)
+            n_eval += 1
+            if ll_new > _NEG_INF and ll_new >= ll + _ARMIJO * float(g @ (s_new - s)) - slack:
+                break
+            refused |= ll_new <= _NEG_INF
+            t *= 0.5
+        else:
+            break
+        # the step bound grows after a full step that reached it and shrinks
+        # to a step that had to be cut
+        if t < 1.0:
+            radius = t * min(length, radius)
+        elif length >= radius:
+            radius = min(2.0 * radius, _NEWTON_MAX_STEP)
+        # steps cut short by refused points, iteration after iteration, walk
+        # towards a supremum on the edge of the evaluable region
+        frontier = frontier + 1 if refused else 0
+        if frontier == _NEWTON_FRONTIER or (t < 1.0 and ll_new - ll <= slack):
+            break
+        s, ll, theta = s_new, ll_new, theta_new
+        cur = score(theta)
+        n_eval += 1
+        if cur is None:
+            break
+    if not converged:
+        return fit_simplex(model, data, init=init, pool=pool)
+    chi2, df, p_value = gof_chisq(model, theta, data, pool=pool)
+    return FitResult(
+        model, _params_dict(spec, theta), ll, chi2, df, p_value, True, n_eval,
+        _std_errors(spec, cur[2], (s <= s_lo) | (s >= hi)),
+    )
+
+
+def _std_errors(spec: ModelSpec, info: np.ndarray, on_face: np.ndarray) -> dict:
+    """sqrt of the diagonal of the inverse information over the parameters
+    off the faces; None on a face."""
+    free = ~on_face
+    out = dict.fromkeys(spec.param_names)
+    w, v = np.linalg.eigh(info[np.ix_(free, free)])
+    for name, var in zip(np.array(spec.param_names)[free], (v * v) @ (1.0 / w)):
+        out[str(name)] = math.sqrt(var) if var > 0 else None
+    return out
+
+
 def fit(model: str, data: CountData, pool: bool = True) -> FitResult:
-    """Fit with the model's default method (grid for the fractional laws)."""
-    if MODELS[model].grid is not None:
+    """Fit with the model's default method: grid search for the fractional
+    laws, Newton for a law with a score, the simplex for the others."""
+    spec = MODELS[model]
+    if spec.grid is not None:
         return fit_grid(model, data, pool=pool)
+    if spec.score is not None:
+        return fit_newton(model, data, pool=pool)
     return fit_simplex(model, data, pool=pool)
 
 

@@ -295,6 +295,96 @@ def log_eta(p: WpdParams) -> float:
     return eta(p).log_value
 
 
+@lru_cache(maxsize=None)
+def slice_jacobian(tag: SpecialCase) -> np.ndarray:
+    """The constant (4 x d) map from a slice's free parameters to (lam, beta, gamma, nu).
+
+    Every slice sets these four linearly (a free parameter, a tie such as
+    gamma = beta, or a constant), so one column per free parameter is the
+    change its unit step makes.  Read-only.
+    """
+    names = SLICE_PARAMS[tag]
+
+    def base(theta):
+        p = make_special_case(tag, **dict(zip(names, theta)))
+        return np.array([p.lam, p.beta, p.gamma, p.nu])
+
+    at = (2.0,) * len(names)
+    steps = [at[:j] + (3.0,) + at[j + 1:] for j in range(len(names))]
+    jac = np.column_stack([base(step) - base(at) for step in steps])
+    jac.flags.writeable = False
+    return jac
+
+
+def _log_term_derivatives(p: WpdParams, used: np.ndarray, k: np.ndarray):
+    """d lt(k) / d (lam, beta, gamma, nu) at alpha = 1 as a (4 x len(k))
+    array, and the second derivatives that are not 0 as ((a, b), values);
+    only the parameters in ``used`` are filled in."""
+    first = np.zeros((4, len(k)))
+    second = []
+    if used[0]:
+        first[0] = k / p.lam
+        second.append(((0, 0), -k / p.lam**2))
+    if used[1]:
+        psi_b = sc.digamma(k + p.beta)
+        first[1] = -p.nu * psi_b
+        second.append(((1, 1), -p.nu * sc.polygamma(1, k + p.beta)))
+        if used[3]:
+            second.append(((1, 3), -psi_b))
+    if used[3]:
+        first[3] = -sc.gammaln(k + p.beta)
+    if used[2]:
+        first[2] = sc.digamma(k + p.gamma)
+        second.append(((2, 2), sc.polygamma(1, k + p.gamma)))
+    return first, second
+
+
+def wpd_score(p: WpdParams, jac: np.ndarray, values: np.ndarray, freqs: np.ndarray):
+    """Log likelihood of a histogram, its gradient and its observed information.
+
+    The free parameters map to (lam, beta, gamma, nu) by the constant
+    ``jac`` (see ``slice_jacobian``); alpha must be 1.  At alpha = 1 the log
+    term lt(k) = k log lam - log k! + log Gamma(k + gamma) - nu log Gamma(k + beta)
+    has the derivatives k/lam, -nu psi(k + beta), psi(k + gamma) and
+    -log Gamma(k + beta).  With q the law's own pmf, d log eta = E_q[d lt]
+    and d^2 log eta = E_q[d^2 lt] + Cov_q[d lt]: one pass over
+    k = 0 .. k_trunc, in blocks of at most ``_ETA_BLOCK`` terms, keeps the k
+    where q does not underflow, and the moments are dot products over them.
+    The data side is the same derivatives at ``values`` weighted by
+    ``freqs``.  Raises what ``eta`` raises.
+    """
+    if p.alpha != 1.0 or p.beta == 0.0:
+        raise DomainError("the score needs alpha = 1 and beta > 0")
+    e = eta(p)
+    kept = []
+    for s in range(0, e.k_trunc + 1, _ETA_BLOCK):
+        k = np.arange(s, min(s + _ETA_BLOCK, e.k_trunc + 1), dtype=float)
+        lt = _log_terms(p, k, sc.gammaln(k + 1.0)) - e.log_value
+        live = lt > -745.0
+        if live.any():
+            kept.append((k[live], lt[live]))
+    k, lt = (np.concatenate(a) for a in zip(*kept))
+    q = np.exp(lt)
+    x = values.astype(float)
+    lt_x = _log_terms(p, x, sc.gammaln(x + 1.0))
+    n = float(freqs.sum())
+    used = jac.any(axis=1)
+    first, second = _log_term_derivatives(p, used, k)
+    first_x, second_x = _log_term_derivatives(p, used, x)
+    # the derivatives in the free parameters, one row per parameter
+    d_lt = jac.T @ first
+    mean = d_lt @ q
+    grad = (jac.T @ first_x) @ freqs - n * mean
+    centred = d_lt - mean[:, None]
+    hess = -n * ((centred * q) @ centred.T)
+    base = np.zeros((4, 4))
+    for ((a, b), h), (_, h_x) in zip(second, second_x):
+        base[a, b] = base[b, a] = h_x @ freqs - n * (h @ q)
+    hess += jac.T @ base @ jac
+    ll = float(lt_x @ freqs) - n * e.log_value
+    return ll, grad, -hess
+
+
 def wpd_pmf(p: WpdParams, x: int) -> float:
     """P(Y = x) = lam^x w(x) / (x! eta)."""
     if x < 0 or x != int(x):

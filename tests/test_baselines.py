@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,10 +13,14 @@ from countfam import (
     NegBinomParams,
     genpoisson_factorial_moments,
     genpoisson_pmf,
+    genpoisson_pmf_table,
     negbinom_pmf,
+    negbinom_pmf_table,
     negbinom_skewness,
     pmf_from_factorial,
+    summary_from_factorial,
 )
+from countfam.baselines import negbinom_logpmf
 
 
 class TestNegBinom:
@@ -65,6 +70,55 @@ class TestNegBinom:
             NegBinomParams(-1.0, 0.5)
         with pytest.raises(DomainError):
             NegBinomParams(1.0, 1.0)
+
+
+class TestNegBinomTable:
+    @pytest.mark.parametrize("r, p", [(2.5, 0.4), (1.0, 0.3), (0.3, 0.9), (50.0, 0.6), (7.0, 0.05)])
+    def test_matches_scalar(self, r, p):
+        law = NegBinomParams(r, p)
+        want = np.array([math.exp(negbinom_logpmf(law, x)) for x in range(61)])
+        np.testing.assert_allclose(negbinom_pmf_table(law, 60), want, rtol=1e-12, atol=0.0)
+
+    def test_huge_size_matches_mpmath(self):
+        # r >> x: the scalar's two log-gamma values of size 4e10 cancel, the
+        # cumulative ratios do not
+        law = NegBinomParams(2e9, 1.0 - 1e-9)
+        with mp.workdps(40):
+            r, p = mp.mpf(law.r), mp.mpf(law.p)
+            want = [float(mp.exp(mp.loggamma(r + x) - mp.loggamma(r) - mp.loggamma(x + 1)
+                                 + r * mp.log(p) + x * mp.log(1 - p))) for x in range(31)]
+        np.testing.assert_allclose(negbinom_pmf_table(law, 30), want, rtol=1e-12, atol=0.0)
+
+    def test_zero_support(self):
+        law = NegBinomParams(3.0, 0.2)
+        assert negbinom_pmf_table(law, 0).tolist() == [pytest.approx(0.2**3, rel=1e-14)]
+
+
+class TestGenPoissonTable:
+    @pytest.mark.parametrize("l1, l2", [(2.0, 0.3), (3.0, 0.6), (0.6334, 0.543), (2.0, 0.0),
+                                        (5.0, -0.2), (4.0, -0.5), (2.0, -0.4)])
+    def test_matches_scalar(self, l1, l2):
+        law = GenPoissonParams(l1, l2)
+        table = genpoisson_pmf_table(law, 80)
+        want = np.array([genpoisson_pmf(law, x) for x in range(81)])
+        np.testing.assert_allclose(table, want, rtol=1e-12, atol=0.0)
+        # the cells past the support cap stay exact zeros
+        assert np.array_equal(table == 0.0, want == 0.0)
+
+
+class TestGenPoissonSummary:
+    @pytest.mark.parametrize("l1, l2", [(2.0, 0.3), (3.0, 0.6), (5.0, -0.2), (4.0, -0.5)])
+    def test_matches_pmf_sums(self, l1, l2):
+        # the factorial moments are sums of x(x-1)...(x-r+1) P(x) over the pmf
+        law = GenPoissonParams(l1, l2)
+        table = genpoisson_pmf_table(law, 3000)
+        x = np.arange(len(table), dtype=float)
+        a = [1.0, float(x @ table), float((x * (x - 1)) @ table),
+             float((x * (x - 1) * (x - 2)) @ table)]
+        want = summary_from_factorial(a)
+        got = summary_from_factorial(genpoisson_factorial_moments(law, 3))
+        for name in ("mean", "variance", "skewness", "fisher_index"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-8), name
 
 
 class TestGenPoisson:

@@ -12,12 +12,14 @@ from countfam import (
     NegBinomParams,
     RngStream,
     SummaryStats,
-    genpoisson_pmf,
+    genpoisson_factorial_moments,
+    genpoisson_pmf_table,
     gfpd_pmf_table,
     gfpd_summary,
     make_special_case,
-    negbinom_pmf,
+    negbinom_pmf_table,
     negbinom_skewness,
+    summary_from_factorial,
     sample_fpd,
     sample_wpd,
     wpd_pmf_table,
@@ -202,6 +204,18 @@ class TestMomentsCommand:
         assert row["mean"] == pytest.approx(2.0 / math.gamma(1.5), rel=1e-10)
         assert row["fisher_index"] > 1.0
 
+    @pytest.mark.parametrize("l2", ["0.3", "-0.2"])
+    def test_genpoisson_moments(self, l2, capsys):
+        code, out, err = run_cli(
+            ["moments", "--model", "genpoisson", "--lambda1", "2", "--lambda2", l2,
+             "--output-format", "json"], capsys)
+        assert code == 0, err
+        row = json.loads(out)[0]
+        # mean lambda1 / (1 - lambda2) on the untruncated branch
+        if float(l2) > 0:
+            assert row["mean"] == pytest.approx(2.0 / 0.7, rel=1e-10)
+        assert row["variance"] > 0.0
+
 
 class TestExitCodes:
     def test_parse_error(self, tmp_path, capsys):
@@ -276,10 +290,9 @@ def _library_pmf(model, x_max):
     if model in GFPD_LAWS:
         return list(gfpd_pmf_table(GFPD_LAWS[model](f), x_max=x_max))
     if model == "negbinom":
-        return [negbinom_pmf(NegBinomParams(f["r"], f["p"]), x) for x in range(x_max + 1)]
+        return list(negbinom_pmf_table(NegBinomParams(f["r"], f["p"]), x_max))
     if model == "genpoisson":
-        p = GenPoissonParams(f["lambda1"], f["lambda2"])
-        return [genpoisson_pmf(p, x) for x in range(x_max + 1)]
+        return list(genpoisson_pmf_table(GenPoissonParams(f["lambda1"], f["lambda2"]), x_max))
     return list(wpd_pmf_table(make_special_case(model, **f), x_max=x_max))
 
 
@@ -290,6 +303,9 @@ def _library_summary(model):
     if model == "negbinom":
         p = NegBinomParams(f["r"], f["p"])
         return SummaryStats(p.mean, p.variance, negbinom_skewness(p), 1.0 / p.p)
+    if model == "genpoisson":
+        p = GenPoissonParams(f["lambda1"], f["lambda2"])
+        return summary_from_factorial(genpoisson_factorial_moments(p, 3))
     return wpd_summary(make_special_case(model, **f))
 
 
@@ -300,7 +316,6 @@ def _library_sample(model, n, seed):
     return sample_wpd(make_special_case(model, **f), n, RngStream(seed)).values.tolist()
 
 
-NO_MOMENTS = {"genpoisson"}
 NO_SAMPLER = {"gfpd", "gfpd_aa1", "negbinom", "genpoisson"}
 
 
@@ -328,10 +343,6 @@ class TestLawContract:
     @pytest.mark.parametrize("model", sorted(LAWS))
     def test_moments(self, model, capsys):
         code, out, err = run_cli(["moments", *_flags(model), "--output-format", "json"], capsys)
-        if model in NO_MOMENTS:
-            assert code == 2
-            assert "error[2]" in err
-            return
         assert code == 0
         s = _library_summary(model)
         assert json.loads(out) == [{"mean": s.mean, "variance": s.variance,

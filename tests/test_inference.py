@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln, logsumexp
 
 from countfam import (
     CountData,
@@ -11,7 +14,9 @@ from countfam import (
     EvaluationError,
     RngStream,
     compare,
+    fit,
     fit_grid,
+    fit_newton,
     fit_simplex,
     gof_chisq,
     loglik,
@@ -368,3 +373,217 @@ class TestCompare:
         errs = [r for r in rows if r.get("error")]
         assert len(errs) == 1
         assert rows[-1]["error"] is not None
+
+
+# ---------------------------------------------------------------------------
+# Newton fits on the analytic score
+# ---------------------------------------------------------------------------
+
+NEWTON_LAWS = sorted(m for m, s in MODELS.items() if s.score is not None)
+
+
+def _stable(rng, alpha, n):
+    """One-sided stable variates by the sine-product formula."""
+    u1 = 1.0 - rng.random(n)
+    u2 = 1.0 - rng.random(n)
+    th = math.pi * u1
+    inv = 1.0 / alpha
+    return (np.sin(alpha * th) * np.sin((1.0 - alpha) * th) ** (inv - 1.0)
+            / (np.sin(th) ** inv * np.abs(np.log(u2)) ** (inv - 1.0)))
+
+
+def _fpd_counts(rng, alpha, mu, n):
+    return rng.poisson(mu * _stable(rng, alpha, n) ** (-alpha))
+
+
+def _inverse_cdf(rng, log_terms, n):
+    cdf = np.cumsum(np.exp(log_terms - logsumexp(log_terms)))
+    x = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right")
+    return np.minimum(x, len(cdf) - 1)
+
+
+def compare_kinds(seed, n=2000):
+    """The four data kinds of the benchmark's nine-model compares:
+    FPD(0.85, 50), FPD(0.6, 3), COM-Poisson(5, 2) and model II (2, 2, 1)."""
+    k = np.arange(401.0)
+    com = k * math.log(5.0) - 2.0 * gammaln(k + 1.0)
+    m2 = k * math.log(2.0) - gammaln(k + 1.0) + gammaln(k + 1.0) - gammaln(k + 2.0)
+    rng = np.random.default_rng([seed, 3])
+    return [
+        CountData.from_values(_fpd_counts(rng, 0.85, 50.0, n)),
+        CountData.from_values(_fpd_counts(rng, 0.6, 3.0, n)),
+        CountData.from_values(_inverse_cdf(rng, com, n)),
+        CountData.from_values(_inverse_cdf(rng, m2, n)),
+    ]
+
+
+def _simplex_test_datasets():
+    """The data of TestFitSimplex."""
+    yield CountData.from_values(np.random.default_rng(12).poisson(3.0, size=4000))
+    yield CountData.from_values(np.random.default_rng(3).poisson(2.0, size=500))
+    com = make_special_case("com_poisson", lam=5.0, nu=2.0)
+    for i in range(20):
+        yield CountData.from_values(sample_wpd(com, 5000, RngStream(900 + i)).values)
+    m1 = make_special_case("model_i", lam=1.0, beta=0.5, nu=0.1)
+    for i in range(5):
+        yield CountData.from_values(sample_wpd(m1, 5000, RngStream(700 + i)).values)
+
+
+def assert_projected_optimum(model, res, data):
+    """At a converged Newton fit a parameter on a face gains nothing by moving
+    into the box (its gradient points out, or its Newton gain g^2/I is
+    rounding), and the others are a maximum: a positive definite
+    information and a vanishing Newton decrement."""
+    spec = MODELS[model]
+    theta = np.array(list(res.params.values()))
+    _, g, info = spec.score(tuple(theta), data)
+    lo, hi = np.array(spec.bounds, dtype=float).T
+    on_lo, on_hi = theta == lo, theta == hi
+    inward = (on_lo & (g > 0.0)) | (on_hi & (g < 0.0))
+    assert np.all(g[inward] ** 2 / np.diag(info)[inward] < 1e-6)
+    free = ~(on_lo | on_hi)
+    reduced = info[np.ix_(free, free)]
+    assert np.all(np.linalg.eigvalsh(reduced) > 0.0)
+    assert g[free] @ np.linalg.solve(reduced, g[free]) < 1e-6
+    assert [k for k, v in res.std_errors.items() if v is None] == \
+        [k for k, f in zip(spec.param_names, free) if not f]
+
+
+def assert_newton_at_least_simplex(model, data):
+    try:
+        want = fit_simplex(model, data)
+    except (DomainError, EvaluationError) as exc:
+        with pytest.raises(type(exc)):
+            fit(model, data)
+        return
+    res = fit(model, data)
+    assert res.loglik >= want.loglik - 1e-6, (model, res, want)
+    if res.std_errors is None:
+        # not certified: the simplex's row, unchanged
+        assert res == want
+    else:
+        assert res.converged
+        assert_projected_optimum(model, res, data)
+
+
+# parameter ranges, inside each law's box, where eta stays cheap
+_SCORE_BOXES = {
+    "poisson": [(0.2, 30.0)],
+    "negbinom": [(0.3, 30.0), (0.05, 0.95)],
+    "com_poisson": [(0.2, 10.0), (0.5, 3.0)],
+    "hyper_poisson": [(0.2, 20.0), (0.2, 10.0)],
+    "model_i": [(0.2, 10.0), (0.2, 10.0), (0.5, 3.0)],
+    "model_i_2param": [(0.2, 10.0), (0.5, 5.0)],
+    "model_ii": [(0.2, 20.0), (0.2, 10.0), (0.2, 10.0)],
+    "model_ii_2param": [(0.2, 10.0), (0.2, 10.0)],
+}
+_SCORE_DATA = CountData.from_values(np.random.default_rng(11).negative_binomial(2, 0.3, size=300))
+
+
+class TestScore:
+    def test_every_newton_law_has_a_box(self):
+        assert sorted(_SCORE_BOXES) == NEWTON_LAWS
+        assert "genpoisson" not in NEWTON_LAWS
+
+    @pytest.mark.parametrize("model", NEWTON_LAWS)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(u=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+    def test_matches_central_differences(self, model, u):
+        spec, data = MODELS[model], _SCORE_DATA
+        theta = np.array([lo * (hi / lo) ** ui for (lo, hi), ui in zip(_SCORE_BOXES[model], u)])
+        ll, g, info = spec.score(tuple(theta), data)
+        assert ll == pytest.approx(loglik(model, tuple(theta), data), rel=1e-12)
+        fd_g, fd_info = np.empty_like(g), np.empty_like(info)
+        for j in range(len(theta)):
+            step = np.zeros_like(theta)
+            step[j] = 1e-5 * theta[j]
+            up, down = tuple(theta + step), tuple(theta - step)
+            fd_g[j] = (loglik(model, up, data) - loglik(model, down, data)) / (2.0 * step[j])
+            fd_info[:, j] = -(spec.score(up, data)[1] - spec.score(down, data)[1]) / (2.0 * step[j])
+        np.testing.assert_allclose(g, fd_g, rtol=1e-6, atol=1e-6 * np.abs(g).max())
+        np.testing.assert_allclose(info, info.T, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(info, fd_info, rtol=1e-6, atol=1e-6 * np.abs(info).max())
+
+
+class TestFitNewton:
+    @pytest.mark.parametrize("seed", [556, 557, 558])
+    def test_at_least_simplex_on_compare_data(self, seed):
+        for data in compare_kinds(seed):
+            for model in NEWTON_LAWS:
+                assert_newton_at_least_simplex(model, data)
+
+    def test_at_least_simplex_on_simplex_test_data(self):
+        for data in _simplex_test_datasets():
+            for model in NEWTON_LAWS:
+                assert_newton_at_least_simplex(model, data)
+
+    def test_model_ii_leaves_the_gamma_face(self):
+        # the simplex stops at gamma ~ 1e-10 and calls that converged
+        data = compare_kinds(556)[0]
+        res = fit("model_ii", data)
+        assert res.std_errors is not None and res.converged
+        assert res.loglik >= fit_simplex("model_ii", data).loglik + 1000.0
+
+    @pytest.mark.parametrize("seed", [556, 557])
+    def test_negbinom_underdispersed_on_the_p_face(self, seed):
+        data = compare_kinds(seed)[2]
+        assert data.variance() < data.mean()
+        res = fit("negbinom", data)
+        assert res.converged
+        assert res.params["p"] == 1.0 - 1e-9
+        assert res.std_errors["p"] is None and res.std_errors["r"] > 0.0
+        assert res.loglik >= fit_simplex("negbinom", data).loglik
+
+    def test_ridge_falls_back_to_the_simplex(self):
+        # model II with lam = 1 rises towards the frontier where eta overflows
+        data = compare_kinds(556)[0]
+        assert fit("model_ii_2param", data) == fit_simplex("model_ii_2param", data)
+
+    def test_refusal_is_the_simplex_refusal(self):
+        data = compare_kinds(556)[0]
+        with pytest.raises(DomainError, match="not evaluable"):
+            fit_simplex("model_i", data)
+        with pytest.raises(DomainError, match="not evaluable"):
+            fit("model_i", data)
+
+    def test_method_dispatch(self):
+        data = compare_kinds(556)[3]
+        assert fit("genpoisson", data) == fit_simplex("genpoisson", data)
+        assert fit("com_poisson", data) == fit_newton("com_poisson", data)
+
+    def test_poisson_std_error(self):
+        data = CountData.from_values(np.random.default_rng(12).poisson(3.0, size=4000))
+        res = fit("poisson", data)
+        assert res.params["lam"] == pytest.approx(data.mean(), rel=1e-12)
+        want = math.sqrt(res.params["lam"] / data.n_total)
+        assert res.std_errors["lam"] == pytest.approx(want, rel=1e-10)
+        assert "std_errors" not in res.to_dict()
+
+    @pytest.mark.parametrize("model, kind", [("negbinom", 1), ("com_poisson", 2),
+                                             ("model_ii", 3), ("model_i", 3)])
+    def test_std_errors_match_finite_difference_hessian(self, model, kind):
+        data = compare_kinds(557)[kind]
+        res = fit(model, data)
+        assert res.std_errors is not None
+        theta = np.array(list(res.params.values()))
+        f = lambda t: loglik(model, tuple(t), data)
+        d = len(theta)
+
+        def hessian(h):
+            out = np.empty((d, d))
+            for i in range(d):
+                for j in range(d):
+                    ei, ej = np.eye(d)[i] * h[i], np.eye(d)[j] * h[j]
+                    out[i, j] = (f(theta + ei + ej) - f(theta + ei - ej)
+                                 - f(theta - ei + ej) + f(theta - ei - ej)) / (4.0 * h[i] * h[j])
+            return out
+
+        # Richardson: the h^2 error of the central differences cancels
+        hess = (4.0 * hessian(1e-3 * theta) - hessian(2e-3 * theta)) / 3.0
+        want = np.sqrt(np.diag(np.linalg.inv(-hess)))
+        np.testing.assert_allclose(list(res.std_errors.values()), want, rtol=1e-4)
+
+    def test_grid_and_simplex_fits_have_no_std_errors(self):
+        d = CountData.from_values(np.random.default_rng(42).poisson(1.5, size=400))
+        assert fit_grid("fpd", d, grid=[(1.0, 1.5)]).std_errors is None
+        assert fit_simplex("poisson", d).std_errors is None
