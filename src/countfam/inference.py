@@ -656,7 +656,7 @@ def _newton_direction(g, info, at_lo, at_hi):
         held |= out
 
 
-def fit_newton(model: str, data: CountData, init=None, pool: bool = True) -> FitResult:
+def fit_newton(model: str, data: CountData, pool: bool = True) -> FitResult:
     """Damped, bound-constrained Newton maximisation of the log likelihood.
 
     The law's ``score`` gives the gradient and the observed information.
@@ -681,9 +681,9 @@ def fit_newton(model: str, data: CountData, init=None, pool: bool = True) -> Fit
     known to lie.
     """
     spec = MODELS[model]
-    theta, ll = _initial_point(spec, init, data)
+    theta, ll = _initial_point(spec, None, data)
     n_eval = 1
-    face = spec.face_start(data) if init is None and spec.face_start is not None else None
+    face = spec.face_start(data) if spec.face_start is not None else None
     if face is not None:
         theta, ll = face, _safe_loglik(spec, face, data)
         n_eval += 1
@@ -760,7 +760,7 @@ def fit_newton(model: str, data: CountData, init=None, pool: bool = True) -> Fit
         if cur is None:
             break
     if not converged:
-        return fit_simplex(model, data, init=init, pool=pool)
+        return fit_simplex(model, data, pool=pool)
     chi2, df, p_value = gof_chisq(model, theta, data, pool=pool)
     return FitResult(
         model, _params_dict(spec, theta), ll, chi2, df, p_value, True, n_eval,

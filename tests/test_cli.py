@@ -13,10 +13,12 @@ from countfam import (
     RngStream,
     SummaryStats,
     genpoisson_factorial_moments,
+    genpoisson_pmf,
     genpoisson_pmf_table,
     gfpd_pmf_table,
     gfpd_summary,
     make_special_case,
+    negbinom_pmf,
     negbinom_pmf_table,
     negbinom_skewness,
     summary_from_factorial,
@@ -333,6 +335,21 @@ class TestLawContract:
         rows = json.loads(out)
         assert [r["x"] for r in rows] == list(range(13))
         assert [r["probability"] for r in rows] == _library_pmf(model, 12)
+
+    @pytest.mark.parametrize("model, law, scalar_pmf", [
+        ("negbinom", lambda f: NegBinomParams(f["r"], f["p"]), negbinom_pmf),
+        ("genpoisson", lambda f: GenPoissonParams(f["lambda1"], f["lambda2"]), genpoisson_pmf),
+    ])
+    def test_pmf_baselines_match_scalar(self, model, law, scalar_pmf, capsys):
+        # the scalar pmfs are computed independently of the NumPy tables the
+        # CLI calls, so they check the CLI's numbers and not only its route
+        code, out, _ = run_cli(["pmf", *_flags(model), "--x-max", "12",
+                                "--output-format", "json"], capsys)
+        assert code == 0
+        p = law(LAW_FLAGS[model])
+        expected = [scalar_pmf(p, x) for x in range(13)]
+        got = [r["probability"] for r in json.loads(out)]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("model", sorted(LAWS))
     def test_pmf_adaptive_support(self, model, capsys):
