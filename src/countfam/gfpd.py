@@ -526,10 +526,12 @@ def _mixture_pmf(alpha, mu, xs, y_power, n_panels, n_nodes):
     out = np.empty((len(mus), len(xs)))
     # the cutoff falls as mu grows, so each node set serves a run of mus
     steps = _cutoff_step(alpha, mus, x_max).tolist()
+    distinct = list(dict.fromkeys(steps))
+    node_sets = dict(zip(distinct, _mixture_node_sets(alpha, distinct, n_panels, n_nodes)))
     lo = 0
     while lo < len(mus):
         hi = lo + steps.count(steps[lo])
-        ys, wm = _mixture_nodes(alpha, steps[lo], n_panels, n_nodes)
+        ys, wm = node_sets[steps[lo]]
         with np.errstate(divide="ignore"):  # m_wright underflows to 0 far out
             log_w = np.log(wm * ys**y_power if y_power else wm)
         # chunks of mus at most 2 _SPREAD_MAX / y_max wide
@@ -570,18 +572,44 @@ def _cutoff_step(alpha, mu, x_max):
     return np.ceil(np.log(y_hi) / math.log(1.3)).astype(int)
 
 
+# node sets by (alpha, cutoff, panels, nodes), least recently used first
 _MIXTURE_CACHE: dict = {}
 _MIXTURE_CACHE_MAX = 512
 
 
 def _mixture_nodes(alpha, step, n_panels, n_nodes):
+    """The node set of one cutoff step (see ``_mixture_node_sets``)."""
+    return _mixture_node_sets(alpha, [step], n_panels, n_nodes)[0]
+
+
+def _mixture_node_sets(alpha, steps, n_panels, n_nodes):
     """Gauss-Legendre panels on the mixing variable up to 1.3 ** step, with
-    cached density values."""
-    y_hi = 1.3**step
-    key = (round(alpha, 12), round(y_hi, 6), n_panels, n_nodes)
-    hit = _MIXTURE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    density values, for each of the distinct cutoff ``steps``.
+
+    The sets missing from the cache are tabulated by one ``m_wright`` call
+    over all their nodes; every row of it gets the same bits as alone, so a
+    set is the same whatever other sets share its call.  The sets then
+    enter the cache, or move to its recent end, in the order of ``steps``.
+    """
+    keys = [(round(alpha, 12), round(1.3**step, 6), n_panels, n_nodes) for step in steps]
+    sets = [_MIXTURE_CACHE.get(key) for key in keys]
+    missing = [i for i, hit in enumerate(sets) if hit is None]
+    if missing:
+        nodes = [_panel_nodes(1.3 ** steps[i], n_panels, n_nodes) for i in missing]
+        density = m_wright(alpha, np.concatenate([ys for ys, _ in nodes]))
+        for i, (ys, ws), m in zip(missing, nodes, np.split(density, len(missing))):
+            sets[i] = (ys, ws * m)
+    for key, node_set in zip(keys, sets):
+        _MIXTURE_CACHE.pop(key, None)
+        if len(_MIXTURE_CACHE) >= _MIXTURE_CACHE_MAX:
+            # evict the least recently used set (dicts keep insertion order)
+            del _MIXTURE_CACHE[next(iter(_MIXTURE_CACHE))]
+        _MIXTURE_CACHE[key] = node_set
+    return sets
+
+
+def _panel_nodes(y_hi, n_panels, n_nodes):
+    """Nodes and weights of ``n_panels`` Gauss-Legendre panels on (0, y_hi)."""
     gx, gw = _leggauss(n_nodes)
     edges = np.concatenate([[0.0], np.geomspace(0.25, y_hi, n_panels)])
     ys, ws = [], []
@@ -593,14 +621,7 @@ def _mixture_nodes(alpha, step, n_panels, n_nodes):
     for lo, hi in zip(edges[1:-1], edges[2:]):
         ys.append(0.5 * (hi - lo) * gx + 0.5 * (hi + lo))
         ws.append(0.5 * (hi - lo) * gw)
-    ys = np.concatenate(ys)
-    ws = np.concatenate(ws)
-    out = (ys, ws * m_wright(alpha, ys))
-    if len(_MIXTURE_CACHE) >= _MIXTURE_CACHE_MAX:
-        # evict the oldest node set (dicts keep insertion order)
-        del _MIXTURE_CACHE[next(iter(_MIXTURE_CACHE))]
-    _MIXTURE_CACHE[key] = out
-    return out
+    return np.concatenate(ys), np.concatenate(ws)
 
 
 # ---------------------------------------------------------------------------

@@ -602,6 +602,59 @@ def _m_wright_integral(alpha, y):
     return float(_m_wright_integral_rows(alpha, np.array([float(y)]))[0])
 
 
+# The series' value is refused where its cancellation ratio exceeds
+# _M_WRIGHT_CANCEL; rows whose ratio provably exceeds it ten times over are
+# sent to the integral without summing (``_m_wright_integral_first``).
+_M_WRIGHT_CANCEL = 1e6
+_ROUTE_WINDOW = 9
+
+
+def _m_wright_integral_first(alpha, ys):
+    """Rows of y > 0 whose series ``m_wright`` would refuse after summing it.
+
+    Why a row marked here is one the series refuses:
+
+    - The log-magnitudes lm(j) = (j-1) log y + lgamma(a j) - lgamma(j) of the
+      series' terms (without the sine) are strictly concave in j, since
+      x^2 trigamma(x) increases and so a^2 trigamma(a j) < trigamma(j).
+      They peak near j* = (a^a y)^(1/(1-a)).
+    - The window holds the _ROUTE_WINDOW terms around j*, clipped to the
+      ones the series can reach.  lm is computed exactly as the series
+      computes it.  If the window starts at j = 1 or lm rises into it, no
+      term before it is falling, so none can stop the series.  A window
+      term then counts only if every window term before it lies within
+      45 nats of the running maximum; the series needs 46 nats and a
+      falling term to stop, so it reaches that term or overflows first.
+      The one nat of slack covers float64's departures from concavity.
+    - The series' absolute sum holds every term it reaches, so it is at
+      least the largest counted term.  A counted lm above OVERFLOW_LOG
+      makes the series overflow, which it reports as NaN.
+    - The density is M_a(y) <= 1/(e (1-a) y), because the integrand
+      a Y e^(-a Y) of ``_m_wright_integral_rows`` is at most 1/e.  The
+      signed sum misses M_a(y) by at most its truncation tail (e^-46 of the
+      largest term) and rounding (below 1e-9 of the absolute sum even at
+      j ~ 1e5).  Where the largest counted term exceeds 10 _M_WRIGHT_CANCEL
+      times the bound, the signed sum is therefore below 1/_M_WRIGHT_CANCEL
+      of the absolute sum, and the series' ratio exceeds the cut.
+    """
+    logy = np.log(ys)
+    log_peak = np.minimum((alpha * math.log(alpha) + logy) / (1.0 - alpha), math.log(MAX_TERMS))
+    first = np.clip(np.rint(np.exp(log_peak)) - _ROUTE_WINDOW // 2, 1.0, MAX_TERMS - _ROUTE_WINDOW)
+    j = first[:, None] + np.arange(_ROUTE_WINDOW)
+    lm = (j - 1.0) * logy[:, None] - (sc.gammaln(j) - sc.gammaln(alpha * j))
+    run = np.maximum.accumulate(lm, axis=1)
+    counted = np.empty(lm.shape, dtype=bool)
+    counted[:, 0] = (first == 1.0) | (lm[:, 0] < lm[:, 1])
+    np.logical_and.accumulate(lm[:, :-1] >= run[:, :-1] - 45.0, axis=1, out=counted[:, 1:])
+    counted[:, 1:] &= counted[:, :1]
+    with np.errstate(divide="ignore"):
+        log_term = lm + np.log(np.abs(np.sin(math.pi * alpha * j))) - math.log(math.pi)
+    log_term[~counted] = -math.inf
+    log_bound = -1.0 - math.log(1.0 - alpha) - logy
+    over = (counted & (lm > OVERFLOW_LOG)).any(axis=1)
+    return over | (log_term.max(axis=1) - log_bound > math.log(10.0 * _M_WRIGHT_CANCEL))
+
+
 def m_wright(alpha: float, y):
     """Density of the inverse-alpha-power of a one-sided stable variable.
 
@@ -610,7 +663,11 @@ def m_wright(alpha: float, y):
     where it is numerically trustworthy; the positive stable-integral
     representation takes over at the points where cancellation would cost
     more than 6 of float64's ~16 digits (large y), which keeps the
-    stretched-exponential tail exact.
+    stretched-exponential tail exact.  Points whose cancellation a bound
+    from the series' largest terms and the density's size shows to be
+    past that cut go to the integral without summing the series
+    (``_m_wright_integral_first``); every point gets the value it would get
+    after summing, bit for bit.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError("m_wright requires alpha in (0, 1)")
@@ -620,9 +677,15 @@ def m_wright(alpha: float, y):
     flat = y.ravel()
     out = np.full(flat.shape, 1.0 / math.gamma(1.0 - alpha))
     pos = np.flatnonzero(flat > 0.0)
-    value, cancel, _ = _m_wright_series_rows(alpha, flat[pos])
-    bad = ~np.isfinite(value) | (cancel > 1e6) | (value < 0.0)
-    value[bad] = _m_wright_integral_rows(alpha, flat[pos[bad]])
+    ys = flat[pos]
+    # NaN marks the rows the integral serves
+    value = np.full(ys.shape, math.nan)
+    summed = np.flatnonzero(~_m_wright_integral_first(alpha, ys))
+    series, cancel, _ = _m_wright_series_rows(alpha, ys[summed])
+    series[~np.isfinite(series) | (cancel > _M_WRIGHT_CANCEL) | (series < 0.0)] = math.nan
+    value[summed] = series
+    bad = np.isnan(value)
+    value[bad] = _m_wright_integral_rows(alpha, ys[bad])
     out[pos] = np.maximum(value, 0.0)
     out = out.reshape(y.shape)
     return float(out) if out.ndim == 0 else out

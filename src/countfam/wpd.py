@@ -229,7 +229,12 @@ def eta(p: WpdParams) -> EtaValue:
     operations.  From block to block it carries the partial sum (a total
     in the frame exp(shift)), the previous ratio, the run of non-increasing
     ratios and the certificate.  Most sums stop inside the first block.
+
+    At nu = 0 the terms are lam^k Gamma(k + gamma) / k!, whose ratio rises
+    to lam: for lam >= 1 the sum diverges and is refused at once.
     """
+    if p.nu == 0.0 and p.lam >= 1.0:
+        raise _eta_budget_error()
     log_tol = math.log(1e-15)
     s, width = 0, _ETA_FIRST
     shift, total = -math.inf, 0.0
@@ -285,7 +290,11 @@ def eta(p: WpdParams) -> EtaValue:
         prev_ratio, dec_run, certified = float(ratio[-1]), s + n - 1 - int(reset[-1]), bool(cert[-1])
         s += n
         width = min(2 * width, _ETA_BLOCK)
-    raise ConvergenceError(
+    raise _eta_budget_error()
+
+
+def _eta_budget_error() -> ConvergenceError:
+    return ConvergenceError(
         "eta: term multiplier not certified decreasing below "
         f"{_ETA_EPS} within {_ETA_BUDGET} terms"
     )

@@ -29,6 +29,7 @@ from countfam import (
     gfpd_pmf_mc,
     gfpd_pmf_table,
     gfpd_summary,
+    m_wright,
     overdispersion_delta_bound,
     prabhakar_ml,
     sample_fpd,
@@ -309,6 +310,41 @@ class TestMixtureNodes:
         assert len(ys) == 320
         assert peak < 4e6
 
+    def test_cold_quadrature_tabulates_once(self, monkeypatch):
+        # the grid's mus at alpha = 0.99 on criterion 12's first sample need
+        # several node sets; a cold quadrature call tabulates them with one
+        # m_wright call, within the memory of one set, and caches each set
+        # as it would be built alone
+        data = CountData.from_values(sample_fpd(0.85, 3.6, 5000, RngStream(1000)).values)
+        mus = [m for a, m in _fpd_grid(data) if a == 0.99]
+        steps = gfpd._cutoff_step(0.99, np.array(mus), data.max_value)
+        assert len(set(steps.tolist())) >= 3
+        calls = []
+
+        def counted(alpha, ys):
+            calls.append(len(ys))
+            return m_wright(alpha, ys)
+
+        monkeypatch.setattr(gfpd, "m_wright", counted)
+        monkeypatch.setattr(gfpd, "_MIXTURE_CACHE", {})
+        tracemalloc.start()
+        try:
+            fpd_pmf_quadrature(0.99, mus, np.arange(data.max_value + 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        distinct = sorted(set(steps.tolist()), reverse=True)
+        assert calls == [320 * len(distinct)]
+        assert peak < 4e6
+        batched = gfpd._MIXTURE_CACHE
+        assert [key[1] for key in batched] == [round(1.3**step, 6) for step in distinct]
+        for step in distinct:
+            monkeypatch.setattr(gfpd, "_MIXTURE_CACHE", {})
+            ys, wm = gfpd._mixture_nodes(0.99, step, 4, 80)
+            (key,) = gfpd._MIXTURE_CACHE
+            assert np.array_equal(ys, batched[key][0])
+            assert np.array_equal(wm, batched[key][1])
+
     def test_cache_evicts_oldest(self, monkeypatch):
         monkeypatch.setattr(gfpd, "_MIXTURE_CACHE", {})
         monkeypatch.setattr(gfpd, "_MIXTURE_CACHE_MAX", 2)
@@ -321,6 +357,16 @@ class TestMixtureNodes:
         assert np.array_equal(rebuilt[0], first[0])
         assert np.array_equal(rebuilt[1], first[1])
         assert [k[0] for k in gfpd._MIXTURE_CACHE] == [0.7, 0.3]
+        # a hit moves its set to the recent end: the next eviction passes it
+        kept = gfpd._MIXTURE_CACHE[(0.7, round(1.3**12, 6), 4, 80)]
+        assert gfpd._mixture_nodes(0.7, 12, 4, 80) is kept
+        assert [k[0] for k in gfpd._MIXTURE_CACHE] == [0.3, 0.7]
+        gfpd._mixture_nodes(0.5, 12, 4, 80)
+        assert [k[0] for k in gfpd._MIXTURE_CACHE] == [0.7, 0.5]
+        assert gfpd._mixture_nodes(0.7, 12, 4, 80) is kept
+        again = gfpd._mixture_nodes(0.3, 12, 4, 80)
+        assert np.array_equal(again[0], first[0])
+        assert np.array_equal(again[1], first[1])
 
 
 class TestMonteCarlo:

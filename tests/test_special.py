@@ -31,7 +31,13 @@ from countfam import (
 )
 from countfam import gfpd
 from countfam.inference import _fpd_grid
-from countfam.special import _m_wright_integral, _m_wright_series, _m_wright_series_rows
+from countfam.special import (
+    _m_wright_integral,
+    _m_wright_integral_first,
+    _m_wright_integral_rows,
+    _m_wright_series,
+    _m_wright_series_rows,
+)
 
 
 def _fit_nodes(alpha):
@@ -286,11 +292,54 @@ class TestMWright:
         if ref > 1e-100:
             assert m_wright(alpha, y) == pytest.approx(ref, rel=1e-8, abs=0.0)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        # where sin(pi alpha j) vanishes at every few j, and the whole range
+        alpha=st.one_of(st.sampled_from([0.25, 1.0 / 3.0, 0.5]), st.floats(0.01, 0.99)),
+        log_ys=st.lists(st.floats(math.log(1e-4), math.log(400.0)), min_size=1, max_size=40),
+    )
+    def test_matches_series_then_integral(self, alpha, log_ys):
+        # the rows sent to the integral before summing are ones the series
+        # refuses after summing: m_wright is bit for bit the series on every
+        # row, then the integral on the rows it refuses
+        near = [_crossing(lambda ly: _series_refused(alpha, ly)),
+                _crossing(lambda ly: bool(_m_wright_integral_first(alpha, np.exp([ly]))[0]))]
+        spread = np.linspace(-0.02, 0.02, 9)
+        ys = np.exp(np.concatenate([log_ys, *(c + spread for c in near if c is not None)]))
+        value, cancel, _ = _m_wright_series_rows(alpha, ys)
+        bad = ~np.isfinite(value) | (cancel > 1e6) | (value < 0.0)
+        value[bad] = _m_wright_integral_rows(alpha, ys[bad])
+        assert np.array_equal(m_wright(alpha, ys), np.maximum(value, 0.0))
+
+    def test_density_bound(self):
+        # M_a(y) <= 1 / (e (1 - a) y): the Kanter integrand is at most 1/e
+        rng = np.random.default_rng(11)
+        for alpha in rng.uniform(0.01, 0.99, 40):
+            ys = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 50))
+            bound = 1.0 / (math.e * (1.0 - alpha) * ys)
+            assert np.all(_m_wright_integral_rows(alpha, ys) <= bound * (1.0 + 1e-12))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             m_wright(1.0, 1.0)
         with pytest.raises(DomainError):
             m_wright(0.5, -1.0)
+
+
+def _series_refused(alpha, log_y):
+    value, cancel, _ = _m_wright_series(alpha, math.exp(log_y))
+    return not math.isfinite(value) or cancel > 1e6 or value < 0.0
+
+
+def _crossing(refused, lo=math.log(1e-4), hi=math.log(400.0)):
+    """A log y in (lo, hi) where ``refused`` turns True, by bisection; None
+    when it does not hold at hi or already holds at lo."""
+    if refused(lo) or not refused(hi):
+        return None
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if refused(mid) else (mid, hi)
+    return hi
 
 
 def _partitions(items):

@@ -263,6 +263,27 @@ class TestEtaMatchesLoop:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    @pytest.mark.parametrize("alpha,beta,gamma,lam", [
+        (1.0, 0.5, 0.3, 1.0),
+        (1.0, 2.0, 4.0, 1.0),
+        (0.6, 0.05, 1.0, 1.5),
+        (0.25, 3.0, 0.7, 40.0),
+    ])
+    def test_divergent_nu_zero_refused_at_once(self, monkeypatch, alpha, beta, gamma, lam):
+        # at nu = 0 the term ratio lam (k + gamma) / (k + 1) rises to lam >= 1:
+        # the loop runs its whole budget and refuses; eta refuses before it
+        # evaluates a term
+        p = WpdParams(alpha, beta, gamma, 0.0, lam)
+        with pytest.raises(ConvergenceError):
+            loop_eta(p)
+
+        def no_terms(*args):
+            raise AssertionError("eta evaluated terms of a divergent sum")
+
+        monkeypatch.setattr(wpd, "_log_terms", no_terms)
+        with pytest.raises(ConvergenceError, match="within"):
+            eta.__wrapped__(p)
+
 
 class TestPmf:
     def test_poisson_value(self):
