@@ -130,6 +130,8 @@ def _cell(v):
 # ---------------------------------------------------------------------------
 
 def _cmd_pmf(args, out):
+    if args.x_max is not None and args.x_max < 0:
+        raise CliError(EXIT_USAGE, f"--x-max must be >= 0, got {args.x_max}")
     spec = LAWS[args.model]
     table = spec.pmf(_theta(args, spec), args.x_max)
     rows = [{"x": i, "probability": float(p)} for i, p in enumerate(table)]

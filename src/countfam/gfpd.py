@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special as sc
 from scipy.integrate import quad
 
@@ -94,33 +95,53 @@ class GfpdParams:
 # series engines
 # ---------------------------------------------------------------------------
 
-def _row_logmag(p: GfpdParams, xs: np.ndarray, js: np.ndarray) -> np.ndarray:
-    """log |T_{x,j}| of the full pmf series term, shape (len(xs), len(js))."""
+def _row_logmag(p: GfpdParams, xs, jcap: int) -> np.ndarray:
+    """log |T_{x,j}| of the full pmf series term for j < jcap, shape (len(xs), jcap).
+
+    The cell (x, j) is, added in this order,
+      gammaln(b) + gammaln(d+m) - gammaln(d) - gammaln(x+1) - gammaln(j+1)
+      + m log(mu) - gammaln(alpha m + b),   m = x + j.
+    The parts in m alone are computed once per m and each row reads them as
+    a window starting at its x; the order of the additions is kept, so
+    every cell has the bits of the per-cell formula.  ``xs`` may be any
+    non-empty set of non-negative integers.
+    """
     a, b, d, u = p.alpha, p.beta, p.delta, p.mu
-    m = xs[:, None] + js[None, :]
-    return (
-        sc.gammaln(b)
-        + sc.gammaln(d + m)
-        - sc.gammaln(d)
-        - sc.gammaln(xs + 1.0)[:, None]
-        - sc.gammaln(js + 1.0)[None, :]
-        + m * math.log(u)
-        - sc.gammaln(a * m + b)
-    )
+    xs = np.asarray(xs, dtype=int)
+    m = np.arange(int(xs.max()) + jcap, dtype=float)
+
+    def window(v):
+        return sliding_window_view(v, jcap)[xs]
+
+    out = window(sc.gammaln(b) + sc.gammaln(d + m) - sc.gammaln(d))
+    out -= sc.gammaln(xs + 1.0)[:, None]
+    out -= sc.gammaln(m[:jcap] + 1.0)
+    out += window(m * math.log(u))
+    out -= window(sc.gammaln(a * m + b))
+    return out
 
 
 def _rows_f64(p: GfpdParams, xs: np.ndarray, jcap: int):
-    """Float64 series sums per x. Returns (pmf, maxlog, decayed)."""
-    js = np.arange(jcap, dtype=float)
-    logmag = _row_logmag(p, xs.astype(float), js)
-    signs = np.where(js.astype(int) % 2 == 0, 1.0, -1.0)
+    """Float64 series sums per x. Returns (pmf, maxlog, decayed).
+
+    Rows whose largest term exceeds e^_F64_MAXLOG are not summed (their pmf
+    is NaN): `_pmf_rows` sends them to high precision whatever their sum.
+    """
+    logmag = _row_logmag(p, xs, jcap)
     maxlog = logmag.max(axis=1)
     pk = logmag.argmax(axis=1)
     decayed = (logmag[:, -1] < maxlog - 46.0) & (pk < jcap - 1)
-    shifted = np.exp(np.clip(logmag - maxlog[:, None], -746.0, 0.0)) * signs[None, :]
-    sums = np.array([math.fsum(row) for row in shifted])
+    logmag -= maxlog[:, None]
+    # exp(-746) is 0 in float64 and fsum is correctly rounded, so leaving
+    # out the terms at or below it changes no bit of a sum
+    kept = (logmag > -746.0) & (maxlog <= _F64_MAXLOG)[:, None]
+    signs = np.broadcast_to(np.where(np.arange(jcap) % 2 == 0, 1.0, -1.0), kept.shape)
+    terms = (np.exp(logmag[kept]) * signs[kept]).tolist()
+    ends = [0, *np.cumsum(kept.sum(axis=1)).tolist()]
+    sums = np.array([math.fsum(terms[lo:hi]) for lo, hi in zip(ends[:-1], ends[1:])])
     pmf = np.exp(np.clip(maxlog, -746.0, 700.0)) * sums
     pmf[maxlog < -745.0] = 0.0
+    pmf[maxlog > _F64_MAXLOG] = np.nan
     return pmf, maxlog, decayed
 
 
@@ -134,18 +155,21 @@ _GUARD_BITS = 32
 # bits each was computed to.  A value is recomputed only when a row needs
 # more bits than it holds, so rows at lower precision reuse it; each holds
 # _GUARD_BITS beyond what its use rounds to, so the cache's history does not
-# change results.  Holds at most _MP_GAMMA_CACHE_MAX pairs, evicting the oldest.
+# change results.  Holds at most _MP_GAMMA_CACHE_MAX pairs, least recently
+# used first.
 _MP_GAMMA_CACHE: dict = {}
 _MP_GAMMA_CACHE_MAX = 32
 
 
 def _mp_rgamma(alpha: float, beta: float, bits) -> list:
     """1/Gamma(alpha m + beta) for m < len(bits), each good to bits[m] bits."""
-    ent = _MP_GAMMA_CACHE.get((alpha, beta))
+    ent = _MP_GAMMA_CACHE.pop((alpha, beta), None)
     if ent is None:
         if len(_MP_GAMMA_CACHE) >= _MP_GAMMA_CACHE_MAX:
+            # evict the least recently used pair (dicts keep insertion order)
             del _MP_GAMMA_CACHE[next(iter(_MP_GAMMA_CACHE))]
-        ent = _MP_GAMMA_CACHE[(alpha, beta)] = ([], [])
+        ent = ([], [])
+    _MP_GAMMA_CACHE[(alpha, beta)] = ent
     vals, have = ent
     vals.extend([None] * (len(bits) - len(vals)))
     have.extend([0] * (len(bits) - len(have)))
@@ -172,7 +196,7 @@ def _rows_mp(p: GfpdParams, xs, jend) -> np.ndarray:
     jend = np.asarray(jend, dtype=int)
     mtot = int((xs + jend).max())
     # log of the largest term each c_m enters (at least 1)
-    logmag = _row_logmag(p, xs.astype(float), np.arange(jend.max() + 1, dtype=float))
+    logmag = _row_logmag(p, xs, int(jend.max()) + 1)
     top = np.zeros(mtot + 1)
     for i, x in enumerate(xs):
         seg = top[x : x + jend[i] + 1]
@@ -214,7 +238,7 @@ def _mp_plan(p: GfpdParams, xs, probe_cap=60_000):
     """Size the high-precision pass: per-x term counts and digits needed."""
     jcap = 2048
     while True:
-        logmag = _row_logmag(p, np.asarray(xs, dtype=float), np.arange(jcap, dtype=float))
+        logmag = _row_logmag(p, xs, jcap)
         maxlog = logmag.max(axis=1)
         pk = logmag.argmax(axis=1)
         done = (logmag[:, -1] < -45.0) & (pk < jcap - 1)
@@ -307,6 +331,7 @@ def gfpd_pmf(p: GfpdParams, x: int, method: str = "auto") -> float:
     return float(_pmf_rows(p, np.array([x]), method=method)[0])
 
 
+# tables by (params, x_max, method, tail_tol, tail_run), least recently used first
 _TABLE_CACHE: dict = {}
 _TABLE_CACHE_MAX = 1024
 
@@ -323,15 +348,16 @@ def gfpd_pmf_table(
     With ``x_max=None`` the support is extended adaptively until the pmf has
     stayed below ``tail_tol`` for ``tail_run`` consecutive points.
     """
+    if x_max is not None and x_max < 0:
+        raise DomainError(f"x_max must be >= 0, got {x_max}")
     key = (p, x_max, method, tail_tol, tail_run)
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    table = _build_pmf_table(p, x_max, method, tail_tol, tail_run)
-    table.setflags(write=False)
-    if len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
-        # evict the oldest table (dicts keep insertion order)
-        del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
+    table = _TABLE_CACHE.pop(key, None)
+    if table is None:
+        table = _build_pmf_table(p, x_max, method, tail_tol, tail_run)
+        table.setflags(write=False)
+        if len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
+            # evict the least recently used table (dicts keep insertion order)
+            del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
     _TABLE_CACHE[key] = table
     return table
 

@@ -244,6 +244,14 @@ class TestExitCodes:
         assert "vanishing zero cell" in err
         assert out == ""
 
+    @pytest.mark.parametrize("model", sorted(LAWS))
+    def test_negative_x_max(self, model, capsys):
+        flags = [t for name, v in LAW_FLAGS[model].items() for t in (f"--{name}", str(v))]
+        code, out, err = run_cli(["pmf", "--model", model, *flags, "--x-max", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error[2]: --x-max must be >= 0, got -1"
+
     def test_missing_flag_usage(self, capsys):
         code, _, err = run_cli(["pmf", "--model", "fpd", "--alpha", "0.5"], capsys)
         assert code == 2

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special as sc
 from scipy import stats
 
 from countfam import (
@@ -68,6 +69,50 @@ def _forward_resum(p, xs, jend, dps, guard=20):
                 acc += t
             out.append(float(acc))
     return np.array(out)
+
+
+def _row_logmag_oracle(p, xs, jcap):
+    """log |T_{x,j}| cell by cell over the dense (x, j) matrix."""
+    a, b, d, u = p.alpha, p.beta, p.delta, p.mu
+    xs = np.asarray(xs, dtype=float)
+    js = np.arange(jcap, dtype=float)
+    m = xs[:, None] + js[None, :]
+    return (
+        sc.gammaln(b)
+        + sc.gammaln(d + m)
+        - sc.gammaln(d)
+        - sc.gammaln(xs + 1.0)[:, None]
+        - sc.gammaln(js + 1.0)[None, :]
+        + m * math.log(u)
+        - sc.gammaln(a * m + b)
+    )
+
+
+def _rows_f64_oracle(p, xs, jcap):
+    """Float64 series rows with one fsum over every term of each row."""
+    js = np.arange(jcap)
+    logmag = _row_logmag_oracle(p, xs, jcap)
+    signs = np.where(js % 2 == 0, 1.0, -1.0)
+    maxlog = logmag.max(axis=1)
+    pk = logmag.argmax(axis=1)
+    decayed = (logmag[:, -1] < maxlog - 46.0) & (pk < jcap - 1)
+    shifted = np.exp(np.clip(logmag - maxlog[:, None], -746.0, 0.0)) * signs[None, :]
+    sums = np.array([math.fsum(row) for row in shifted])
+    pmf = np.exp(np.clip(maxlog, -746.0, 700.0)) * sums
+    pmf[maxlog < -745.0] = 0.0
+    return pmf, maxlog, decayed
+
+
+# criterion 04's grid without its three alpha = 0.3, mu = 5 off-plane points,
+# whose high-precision tables take seconds each
+TABLE_GRID = [
+    GfpdParams(alpha, beta, frac * beta / alpha, mu)
+    for alpha in (0.3, 0.6, 0.9)
+    for beta in (0.3, 0.6, 0.9)
+    for frac in (0.5, 1.0)
+    for mu in (0.5, 2.0, 5.0)
+    if not (alpha == 0.3 and frac == 0.5 and mu == 5.0)
+]
 
 
 class TestParams:
@@ -149,6 +194,47 @@ class TestSeriesEngine:
         want = _forward_resum(p, xs, jend, dps)
         assert np.abs(got - want).max() <= 1e-25
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        alpha=st.floats(0.05, 1.0),
+        beta=st.floats(0.05, 1.0),
+        frac=st.floats(0.01, 1.0),
+        mu=st.floats(0.05, 50.0),
+        xs=st.one_of(
+            st.builds(lambda lo, n: list(range(lo, lo + n)), st.integers(0, 300), st.integers(1, 64)),
+            st.lists(st.integers(0, 400), min_size=1, max_size=20),
+        ),
+        jcap=st.sampled_from([1024, 8192]),
+    )
+    # hostile rows (largest term above e^6) next to rows that are summed
+    @example(alpha=0.3, beta=0.3, frac=0.5, mu=5.0, xs=[191, 0, 40, 3], jcap=1024)
+    def test_rows_match_dense_oracle(self, alpha, beta, frac, mu, xs, jcap):
+        p = GfpdParams(alpha, beta, frac * beta / alpha, mu)
+        xs = np.array(xs)
+        assert np.array_equal(gfpd._row_logmag(p, xs, jcap), _row_logmag_oracle(p, xs, jcap))
+        pmf, maxlog, decayed = gfpd._rows_f64(p, xs, jcap)
+        want_pmf, want_maxlog, want_decayed = _rows_f64_oracle(p, xs, jcap)
+        assert np.array_equal(maxlog, want_maxlog)
+        assert np.array_equal(decayed, want_decayed)
+        # rows above the float64 threshold are left unsummed for high precision
+        want_pmf[want_maxlog > gfpd._F64_MAXLOG] = np.nan
+        assert np.array_equal(pmf, want_pmf, equal_nan=True)
+
+    def test_tables_match_dense_oracle(self, monkeypatch):
+        monkeypatch.setattr(gfpd, "_TABLE_CACHE", {})
+        fast = [gfpd_pmf_table(p) for p in TABLE_GRID]
+        monkeypatch.setattr(gfpd, "_TABLE_CACHE", {})
+        monkeypatch.setattr(gfpd, "_row_logmag", _row_logmag_oracle)
+        monkeypatch.setattr(gfpd, "_rows_f64", _rows_f64_oracle)
+        dense = [gfpd_pmf_table(p) for p in TABLE_GRID]
+        assert len(fast) == 51
+        for p, got, want in zip(TABLE_GRID, fast, dense):
+            assert np.array_equal(got, want), p
+
+    def test_table_refuses_negative_x_max(self):
+        with pytest.raises(DomainError, match="x_max"):
+            gfpd_pmf_table(GfpdParams(0.6, 0.9, 1.0, 2.0), x_max=-1)
+
     def test_gamma_cache_does_not_change_tables(self, monkeypatch):
         # the cold build fills the cache chunk by chunk at rising precision;
         # the warm build serves its first chunk from higher-precision entries
@@ -174,6 +260,17 @@ class TestSeriesEngine:
         assert np.array_equal(rebuilt, first)
         assert [k[0] for k in gfpd._TABLE_CACHE] == [laws[2], laws[0]]
 
+    def test_table_cache_hit_survives_eviction(self, monkeypatch):
+        monkeypatch.setattr(gfpd, "_TABLE_CACHE", {})
+        monkeypatch.setattr(gfpd, "_TABLE_CACHE_MAX", 2)
+        laws = [GfpdParams.fpd(0.5, 2.0), GfpdParams(0.6, 0.9, 1.0, 2.0), GfpdParams.fpd(0.7, 2.0)]
+        first = gfpd_pmf_table(laws[0])
+        gfpd_pmf_table(laws[1])
+        assert gfpd_pmf_table(laws[0]) is first
+        gfpd_pmf_table(laws[2])
+        assert [k[0] for k in gfpd._TABLE_CACHE] == [laws[0], laws[2]]
+        assert gfpd_pmf_table(laws[0]) is first
+
     def test_gamma_cache_bounded(self, monkeypatch):
         monkeypatch.setattr(gfpd, "_MP_GAMMA_CACHE", {})
         for k in range(gfpd._MP_GAMMA_CACHE_MAX + 5):
@@ -190,6 +287,16 @@ class TestSeriesEngine:
         for beta in (0.1, 0.2, 0.3):
             gfpd._mp_rgamma(0.5, beta, [128] * 3)
         assert list(gfpd._MP_GAMMA_CACHE) == [(0.5, 0.2), (0.5, 0.3)]
+
+    def test_gamma_cache_hit_survives_eviction(self, monkeypatch):
+        monkeypatch.setattr(gfpd, "_MP_GAMMA_CACHE", {})
+        monkeypatch.setattr(gfpd, "_MP_GAMMA_CACHE_MAX", 2)
+        first = gfpd._mp_rgamma(0.5, 0.1, [128] * 3)
+        gfpd._mp_rgamma(0.5, 0.2, [128] * 3)
+        assert gfpd._mp_rgamma(0.5, 0.1, [128] * 3) is first
+        gfpd._mp_rgamma(0.5, 0.3, [128] * 3)
+        assert list(gfpd._MP_GAMMA_CACHE) == [(0.5, 0.1), (0.5, 0.3)]
+        assert gfpd._mp_rgamma(0.5, 0.1, [128] * 3) is first
 
     def test_table_cached_readonly(self):
         p = GfpdParams(0.9, 0.9, 1.0, 2.0)
