@@ -526,18 +526,25 @@ def fit_grid(model: str, data: CountData, grid=None, pool: bool = True) -> FitRe
     )
 
 
-def _project(theta, bounds):
-    out = []
-    for v, (lo, hi) in zip(theta, bounds):
-        eps = 1e-10 * (1.0 + abs(lo) if math.isfinite(lo) else 1.0)
-        lo_eff = lo + eps if math.isfinite(lo) and lo != 0.0 else lo
+def _projector(bounds):
+    """The map that clips a point into the box ``bounds``.
+
+    A finite lower bound other than 0 is raised by 1e-10 (1 + |lo|), so the
+    clipped point lies strictly inside it; each bound's limits are worked
+    out once.
+    """
+    limits = []
+    for lo, hi in bounds:
         if lo == 0.0:
-            lo_eff = 0.0
-        v = max(v, lo_eff)
-        if math.isfinite(hi):
-            v = min(v, hi)
-        out.append(v)
-    return tuple(out)
+            lo = 0.0
+        elif math.isfinite(lo):
+            lo = lo + 1e-10 * (1.0 + abs(lo))
+        limits.append((lo, hi))
+
+    def project(theta):
+        return tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(theta, limits))
+
+    return project
 
 
 def _nelder_mead_max(f, x0, bounds, diam_tol=_SIMPLEX_DIAM_TOL, max_evals=_SIMPLEX_MAX_EVALS):
@@ -546,7 +553,10 @@ def _nelder_mead_max(f, x0, bounds, diam_tol=_SIMPLEX_DIAM_TOL, max_evals=_SIMPL
     Candidate points are projected into the box before evaluation.  Stops
     when the simplex infinity-diameter drops below ``diam_tol`` or the
     evaluation budget runs out; returns (x, fx, evaluations, converged).
+    Vertices are tuples of floats; the centroid is the sequential sum of the
+    kept vertices divided by their number.
     """
+    project = _projector(bounds)
     nd = len(x0)
     evals = 0
 
@@ -560,24 +570,27 @@ def _nelder_mead_max(f, x0, bounds, diam_tol=_SIMPLEX_DIAM_TOL, max_evals=_SIMPL
         step = 0.05 * max(abs(x0[i]), 1.0)
         v = list(x0)
         v[i] += step
-        simplex.append(_project(v, bounds))
+        simplex.append(project(v))
     values = [fx(v) for v in simplex]
     converged = False
     while evals < max_evals:
         order = sorted(range(nd + 1), key=lambda i: -values[i])
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
-        best = np.array(simplex[0])
-        diam = max(np.max(np.abs(np.array(v) - best)) for v in simplex[1:])
+        best = simplex[0]
+        diam = max(max(abs(a - b) for a, b in zip(v, best)) for v in simplex[1:])
         if diam < diam_tol:
             converged = True
             break
-        centroid = np.mean(np.array(simplex[:-1]), axis=0)
-        worst = np.array(simplex[-1])
-        xr = _project(centroid + (centroid - worst), bounds)
+        centroid = list(best)
+        for v in simplex[1:-1]:
+            centroid = [c + a for c, a in zip(centroid, v)]
+        centroid = [c / nd for c in centroid]
+        step = [c - w for c, w in zip(centroid, simplex[-1])]
+        xr = project([c + d for c, d in zip(centroid, step)])
         fr = fx(xr)
         if fr > values[0]:
-            xe = _project(centroid + 2.0 * (centroid - worst), bounds)
+            xe = project([c + 2.0 * d for c, d in zip(centroid, step)])
             fe = fx(xe)
             if fe > fr:
                 simplex[-1], values[-1] = xe, fe
@@ -587,17 +600,15 @@ def _nelder_mead_max(f, x0, bounds, diam_tol=_SIMPLEX_DIAM_TOL, max_evals=_SIMPL
             simplex[-1], values[-1] = xr, fr
         else:
             if fr > values[-1]:
-                xc = _project(centroid + 0.5 * (centroid - worst), bounds)
+                xc = project([c + 0.5 * d for c, d in zip(centroid, step)])
             else:
-                xc = _project(centroid - 0.5 * (centroid - worst), bounds)
+                xc = project([c - 0.5 * d for c, d in zip(centroid, step)])
             fc = fx(xc)
             if fc > min(fr, values[-1]):
                 simplex[-1], values[-1] = xc, fc
             else:
                 for i in range(1, nd + 1):
-                    simplex[i] = _project(
-                        best + 0.5 * (np.array(simplex[i]) - best), bounds
-                    )
+                    simplex[i] = project([b + 0.5 * (a - b) for a, b in zip(simplex[i], best)])
                     values[i] = fx(simplex[i])
     order = sorted(range(nd + 1), key=lambda i: -values[i])
     return simplex[order[0]], values[order[0]], evals, converged

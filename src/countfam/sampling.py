@@ -1,8 +1,9 @@
 """Random variate generation and Monte Carlo estimators.
 
 One-sided stable variates come from the sine-product formula driven by two
-open-interval uniforms; fractional-Poisson counts from the renewal clock
-T <- T + V^(1/alpha) S with exponential V; weighted-Poisson counts from
+open-interval uniforms; fractional-Poisson counts from one mixed Poisson
+draw, Poisson(mu S^(-alpha)) with S stable (Meerschaert, Nane & Vellaisamy
+2011), so a variate costs the same at every mu; weighted-Poisson counts from
 inverse-CDF lookup over the recursion-built pmf table.
 """
 
@@ -13,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError, EvaluationError
 from .wpd import WpdParams, wpd_pmf_table
-
-_EVENT_CAP = 10_000_000  # runaway guard on the renewal loop, events per variate
 
 
 class RngStream:
@@ -41,6 +40,10 @@ class RngStream:
 
     def next_uniform(self) -> float:
         return float(self.uniforms(1)[0])
+
+    def poisson(self, lam: np.ndarray) -> np.ndarray:
+        """One Poisson count per mean in ``lam``, from the same generator."""
+        return self._gen.poisson(lam)
 
     def spawn(self, offset: int) -> "RngStream":
         """Independent derived stream (for parallel batches)."""
@@ -89,12 +92,13 @@ def sample_stable(alpha: float, n: int, rng: RngStream) -> np.ndarray:
 
 
 def sample_fpd(alpha: float, mu: float, n: int, rng: RngStream) -> SampleBatch:
-    """Fractional-Poisson counts by the renewal algorithm.
+    """Fractional-Poisson counts as one mixed Poisson draw.
 
-    Each variate starts at X = 0, T = 0 and, while T <= 1, adds
-    V^(1/alpha) S to the clock (V exponential with rate mu, S stable) and
-    counts the arrivals that land inside [0, 1].  Fresh V and S are drawn at
-    every event.
+    The count at time 1 is a Poisson process of rate mu run to the inverse
+    stable time E_1, and E_1 has the law of S^(-alpha) with S stable
+    (Meerschaert, Nane & Vellaisamy 2011, "The fractional Poisson process
+    and the inverse stable subordinator").  So X = Poisson(mu S^(-alpha)):
+    one batch of stable variates, then one batch of Poisson counts.
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
@@ -102,24 +106,10 @@ def sample_fpd(alpha: float, mu: float, n: int, rng: RngStream) -> SampleBatch:
         raise DomainError("mu must be > 0")
     if n < 1:
         raise DomainError("n must be >= 1")
-    x = np.zeros(n, dtype=np.int64)
-    t = np.zeros(n)
-    active = np.ones(n, dtype=bool)
-    inv = 1.0 / alpha
-    events = 0
-    while active.any():
-        idx = np.nonzero(active)[0]
-        k = len(idx)
-        v = -np.log(rng.uniforms(k)) / mu
-        s = sample_stable(alpha, k, rng)
-        t[idx] = t[idx] + v**inv * s
-        done = t[idx] > 1.0
-        x[idx[~done]] += 1
-        active[idx] = ~done
-        events += 1
-        if events > _EVENT_CAP:
-            raise ConvergenceError("renewal loop exceeded the event cap")
-    return SampleBatch(x, n, rng.seed)
+    lam = mu * sample_stable(alpha, n, rng) ** (-alpha)
+    if not np.all(np.isfinite(lam)):
+        raise EvaluationError(f"stable variates left float64 range at alpha = {alpha}")
+    return SampleBatch(rng.poisson(lam), n, rng.seed)
 
 
 def sample_wpd(p: WpdParams, n: int, rng: RngStream) -> SampleBatch:

@@ -228,7 +228,10 @@ def eta(p: WpdParams) -> EtaValue:
     log terms with gammaln and finds its first stopping step with array
     operations.  From block to block it carries the partial sum (a total
     in the frame exp(shift)), the previous ratio, the run of non-increasing
-    ratios and the certificate.  Most sums stop inside the first block.
+    ratios and the certificate.  Most sums stop inside the first block.  A
+    sum whose first block ends uncertified and that has no step up to the
+    budget with a ratio below 0.9 is refused there, without walking the
+    budget (``_never_certified``).
 
     At nu = 0 the terms are lam^k Gamma(k + gamma) / k!, whose ratio rises
     to lam: for lam >= 1 the sum diverges and is refused at once.
@@ -290,7 +293,32 @@ def eta(p: WpdParams) -> EtaValue:
         prev_ratio, dec_run, certified = float(ratio[-1]), s + n - 1 - int(reset[-1]), bool(cert[-1])
         s += n
         width = min(2 * width, _ETA_BLOCK)
+        # the first block ends at _ETA_FIRST, with or without a vanishing zero cell
+        if s == _ETA_FIRST and not certified and _never_certified(p, s, width):
+            raise _eta_budget_error()
     raise _eta_budget_error()
+
+
+def _never_certified(p: WpdParams, s: int, width: int) -> bool:
+    """Whether no step from s to the budget has a ratio that could certify.
+
+    The certificate can only be set at a step whose ratio is below
+    ``_ETA_EPS`` (a NaN ratio counts as one that could); without a carried
+    certificate, a sum with no such step walks its whole budget and is
+    refused.  The ratio at the last budgeted step screens first, then the
+    steps are checked over the blocks ``eta`` would walk, with the same log
+    terms and the same ratios, one block at a time.
+    """
+    blocks = [(_ETA_BUDGET - 1, _ETA_BUDGET)]
+    while s < _ETA_BUDGET:
+        blocks.append((s, min(s + width, _ETA_BUDGET)))
+        s = blocks[-1][1]
+        width = min(2 * width, _ETA_BLOCK)
+    for s, e in blocks:
+        lt = _log_terms(p, *_block_grid(s, e))
+        if not np.all(np.exp(np.minimum(lt[1:] - lt[:-1], 700.0)) >= _ETA_EPS):
+            return False
+    return True
 
 
 def _eta_budget_error() -> ConvergenceError:

@@ -252,7 +252,7 @@ def test_criterion_09_fpd_sampler():
         tv = 0.5 * float(np.abs(emp - th).sum()) + 0.5 * max(0.0, 1.0 - float(th.sum()))
         ok = ok and mean_ok and tv < 0.01
         details.append(f"({alpha},{mu}): tv={tv:.4f}")
-    _report(9, "renewal sampler mean and total variation", ok, time.time() - t0,
+    _report(9, "fpd sampler mean and total variation", ok, time.time() - t0,
             120.0, "; ".join(details))
 
 

@@ -38,6 +38,7 @@ from countfam import (
 from countfam import gfpd
 from countfam.gfpd import _mp_plan, _rows_mp
 from countfam.inference import _fpd_grid
+from test_sampling import renewal_fpd
 
 
 def small_grid():
@@ -402,9 +403,10 @@ class TestBatchedRows:
 class TestMixtureNodes:
     def test_cold_build_memory(self, monkeypatch):
         # at alpha = 0.99 some rows' series run to tens of thousands of
-        # terms; the cutoff is the largest fit_grid("fpd") reaches on
-        # criterion 12's first sample (its smallest grid mu)
-        data = CountData.from_values(sample_fpd(0.85, 3.6, 5000, RngStream(1000)).values)
+        # terms; the cutoff is the largest fit_grid("fpd") reaches on the
+        # renewal sampler's draw for criterion 12's first seed (its smallest
+        # grid mu)
+        data = CountData.from_values(renewal_fpd(0.85, 3.6, 5000, RngStream(1000)).values)
         mu = min(m for a, m in _fpd_grid(data) if a == 0.99)
         monkeypatch.setattr(gfpd, "_MIXTURE_CACHE", {})
         tracemalloc.start()
@@ -418,11 +420,11 @@ class TestMixtureNodes:
         assert peak < 4e6
 
     def test_cold_quadrature_tabulates_once(self, monkeypatch):
-        # the grid's mus at alpha = 0.99 on criterion 12's first sample need
-        # several node sets; a cold quadrature call tabulates them with one
-        # m_wright call, within the memory of one set, and caches each set
-        # as it would be built alone
-        data = CountData.from_values(sample_fpd(0.85, 3.6, 5000, RngStream(1000)).values)
+        # the grid's mus at alpha = 0.99 on the renewal draw for criterion 12's
+        # first seed need several node sets; a cold quadrature call
+        # tabulates them with one m_wright call, within the memory of one
+        # set, and caches each set as it would be built alone
+        data = CountData.from_values(renewal_fpd(0.85, 3.6, 5000, RngStream(1000)).values)
         mus = [m for a, m in _fpd_grid(data) if a == 0.99]
         steps = gfpd._cutoff_step(0.99, np.array(mus), data.max_value)
         assert len(set(steps.tolist())) >= 3

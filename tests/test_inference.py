@@ -24,10 +24,21 @@ from countfam import (
     sample_fpd,
     sample_wpd,
 )
-from countfam.inference import _NEG_INF, MODELS, ModelSpec, _pooled_cells, _safe_loglik
+from countfam import inference
+from countfam.inference import (
+    _NEG_INF,
+    MODELS,
+    ModelSpec,
+    _initial_point,
+    _nelder_mead_max,
+    _pooled_cells,
+    _safe_loglik,
+)
+from test_sampling import renewal_fpd
 
-# grid points and log-likelihoods of criterion 12's first five replicates,
-# recorded with the mixture nodes tabulated one node at a time
+# grid points and log-likelihoods of criterion 12's first five replicates
+# as the renewal sampler drew them, recorded with the mixture nodes
+# tabulated one node at a time
 _FPD_FITS = [
     (0.84, 3.5210342221425233, -11284.884029765914),
     (0.85, 3.616206260812572, -11306.436645351167),
@@ -192,7 +203,7 @@ class TestFitGrid:
     @pytest.mark.parametrize("i", range(len(_FPD_FITS)))
     def test_criterion_12_replicates(self, i):
         alpha, mu, ll = _FPD_FITS[i]
-        d = CountData.from_values(sample_fpd(0.85, 3.6, 5000, RngStream(1000 + i)).values)
+        d = CountData.from_values(renewal_fpd(0.85, 3.6, 5000, RngStream(1000 + i)).values)
         res = fit_grid("fpd", d)
         assert res.params == {"alpha": alpha, "mu": mu}
         assert res.loglik == pytest.approx(ll, abs=1e-6)
@@ -380,6 +391,8 @@ class TestCompare:
 # ---------------------------------------------------------------------------
 
 NEWTON_LAWS = sorted(m for m, s in MODELS.items() if s.score is not None)
+# the laws the simplex fits, directly or as the Newton fallback
+SIMPLEX_LAWS = sorted(m for m, s in MODELS.items() if s.grid is None)
 
 
 def _stable(rng, alpha, n):
@@ -587,3 +600,121 @@ class TestFitNewton:
         d = CountData.from_values(np.random.default_rng(42).poisson(1.5, size=400))
         assert fit_grid("fpd", d, grid=[(1.0, 1.5)]).std_errors is None
         assert fit_simplex("poisson", d).std_errors is None
+
+
+def numpy_project(theta, bounds):
+    """The projection into the box that the simplex used before its
+    bookkeeping moved to plain floats: part of the oracle below."""
+    out = []
+    for v, (lo, hi) in zip(theta, bounds):
+        eps = 1e-10 * (1.0 + abs(lo) if math.isfinite(lo) else 1.0)
+        lo_eff = lo + eps if math.isfinite(lo) and lo != 0.0 else lo
+        if lo == 0.0:
+            lo_eff = 0.0
+        v = max(v, lo_eff)
+        if math.isfinite(hi):
+            v = min(v, hi)
+        out.append(v)
+    return tuple(out)
+
+
+def numpy_nelder_mead_max(f, x0, bounds, diam_tol=1e-6, max_evals=10_000):
+    """The simplex with its vertex arithmetic in NumPy arrays: the oracle for
+    the path, the evaluations and the result of the plain-float one."""
+    nd = len(x0)
+    evals = 0
+
+    def fx(t):
+        nonlocal evals
+        evals += 1
+        return f(t)
+
+    simplex = [tuple(x0)]
+    for i in range(nd):
+        step = 0.05 * max(abs(x0[i]), 1.0)
+        v = list(x0)
+        v[i] += step
+        simplex.append(numpy_project(v, bounds))
+    values = [fx(v) for v in simplex]
+    converged = False
+    while evals < max_evals:
+        order = sorted(range(nd + 1), key=lambda i: -values[i])
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        best = np.array(simplex[0])
+        diam = max(np.max(np.abs(np.array(v) - best)) for v in simplex[1:])
+        if diam < diam_tol:
+            converged = True
+            break
+        centroid = np.mean(np.array(simplex[:-1]), axis=0)
+        worst = np.array(simplex[-1])
+        xr = numpy_project(centroid + (centroid - worst), bounds)
+        fr = fx(xr)
+        if fr > values[0]:
+            xe = numpy_project(centroid + 2.0 * (centroid - worst), bounds)
+            fe = fx(xe)
+            if fe > fr:
+                simplex[-1], values[-1] = xe, fe
+            else:
+                simplex[-1], values[-1] = xr, fr
+        elif fr > values[-2]:
+            simplex[-1], values[-1] = xr, fr
+        else:
+            if fr > values[-1]:
+                xc = numpy_project(centroid + 0.5 * (centroid - worst), bounds)
+            else:
+                xc = numpy_project(centroid - 0.5 * (centroid - worst), bounds)
+            fc = fx(xc)
+            if fc > min(fr, values[-1]):
+                simplex[-1], values[-1] = xc, fc
+            else:
+                for i in range(1, nd + 1):
+                    simplex[i] = numpy_project(
+                        best + 0.5 * (np.array(simplex[i]) - best), bounds
+                    )
+                    values[i] = fx(simplex[i])
+    order = sorted(range(nd + 1), key=lambda i: -values[i])
+    return simplex[order[0]], values[order[0]], evals, converged
+
+
+def assert_simplex_matches_numpy(model, data):
+    """The simplex of fit_simplex from its start visits the points the NumPy
+    oracle visits and returns its (point, loglik, evaluations, converged).
+    Both read one memo of the log likelihood, so each point costs one
+    evaluation."""
+    spec = MODELS[model]
+    try:
+        theta0, _ = _initial_point(spec, None, data)
+    except DomainError:
+        return
+    memo = {}
+
+    def f(theta):
+        key = tuple(float(t) for t in theta)
+        if key not in memo:
+            memo[key] = _safe_loglik(spec, theta, data)
+        return memo[key]
+
+    want = numpy_nelder_mead_max(f, theta0, spec.bounds)
+    assert _nelder_mead_max(f, theta0, spec.bounds) == want, (model, want)
+
+
+class TestSimplexMatchesNumpy:
+    """The plain-float simplex takes the NumPy simplex's path, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [556, 557, 558])
+    def test_compare_data(self, seed):
+        for data in compare_kinds(seed):
+            for model in SIMPLEX_LAWS:
+                assert_simplex_matches_numpy(model, data)
+
+    def test_simplex_test_data(self):
+        for data in _simplex_test_datasets():
+            for model in SIMPLEX_LAWS:
+                assert_simplex_matches_numpy(model, data)
+
+    def test_fit_simplex_result(self, monkeypatch):
+        data = compare_kinds(556)[3]
+        want = [fit_simplex(m, data) for m in SIMPLEX_LAWS]
+        monkeypatch.setattr(inference, "_nelder_mead_max", numpy_nelder_mead_max)
+        assert [fit_simplex(m, data) for m in SIMPLEX_LAWS] == want

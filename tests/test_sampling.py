@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from countfam import (
     CountData,
+    ConvergenceError,
     DomainError,
     GfpdParams,
     RngStream,
@@ -22,6 +26,47 @@ from countfam import (
     wpd_pmf_table,
     wpd_summary,
 )
+from countfam.gfpd import fpd_pmf_quadrature
+from countfam.inference import _pooled_cells
+from countfam.sampling import SampleBatch
+
+
+def renewal_fpd(alpha, mu, n, rng):
+    """Fractional-Poisson counts by the renewal clock T <- T + V^(1/alpha) S
+    (V exponential with rate mu, S stable), counting the arrivals in [0, 1]:
+    the sampler before the mixed Poisson draw.  It is the oracle for that
+    draw's law, and tests whose assertions pin values fitted to sampled data
+    draw their data from it, so those data stay what they were."""
+    x = np.zeros(n, dtype=np.int64)
+    t = np.zeros(n)
+    active = np.ones(n, dtype=bool)
+    inv = 1.0 / alpha
+    events = 0
+    while active.any():
+        idx = np.nonzero(active)[0]
+        k = len(idx)
+        v = -np.log(rng.uniforms(k)) / mu
+        s = sample_stable(alpha, k, rng)
+        t[idx] = t[idx] + v**inv * s
+        done = t[idx] > 1.0
+        x[idx[~done]] += 1
+        active[idx] = ~done
+        events += 1
+        if events > 10_000_000:
+            raise ConvergenceError("renewal loop exceeded the event cap")
+    return SampleBatch(x, n, rng.seed)
+
+
+def chi2_p_value(values, table):
+    """p-value of the chi-square test of counts against a pmf table whose
+    last cell is open to the right, cells pooled to 5 expected counts."""
+    n, k = len(values), len(table)
+    observed = np.bincount(np.minimum(values, k - 1), minlength=k).astype(float)
+    expected = n * np.asarray(table, dtype=float)
+    expected[-1] = n * max(1.0 - float(np.sum(table[:-1])), 0.0)
+    observed, expected = _pooled_cells(observed, expected, 5.0)
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    return float(stats.chi2.sf(chi2, len(expected) - 1))
 
 
 class TestRngStream:
@@ -40,6 +85,19 @@ class TestRngStream:
         a = rng.spawn(0).uniforms(10)
         b = rng.spawn(1).uniforms(10)
         assert not np.allclose(a, b)
+
+    def test_poisson(self):
+        # at mu = 1e4 the renewal loop would draw about 1e4 events per variate
+        lam = np.full(100_000, 1e4)
+        a, b = RngStream(61).poisson(lam), RngStream(61).poisson(lam)
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == np.int64
+        assert abs(a.mean() - 1e4) < 4.0 * math.sqrt(1e4 / len(a))
+        batch = sample_fpd(0.7, 1e4, 100_000, RngStream(62))
+        np.testing.assert_array_equal(batch.values, sample_fpd(0.7, 1e4, 100_000, RngStream(62)).values)
+        vals = batch.values.astype(float)
+        se = vals.std(ddof=1) / math.sqrt(len(vals))
+        assert abs(vals.mean() - 1e4 / math.gamma(1.7)) < 4.0 * se
 
 
 class TestStable:
@@ -94,6 +152,34 @@ class TestFpdSampler:
         th = np.pad(np.asarray(table), (0, k - len(table)))
         tv = 0.5 * float(np.abs(emp - th).sum()) + 0.5 * max(0.0, 1.0 - float(th.sum()))
         assert tv < 0.015
+
+    @pytest.mark.parametrize("mu", [0.5, 3.6, 50.0])
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.85])
+    def test_chi2_against_table(self, alpha, mu):
+        if (alpha, mu) == (0.6, 50.0):
+            # the series table there goes to high precision and takes about
+            # 35 s on a 2-core machine; the positive mixture quadrature agrees
+            # with it to 3e-7 below alpha = 0.9
+            table = fpd_pmf_quadrature(alpha, mu, np.arange(400))
+        else:
+            table = gfpd_pmf_table(GfpdParams.fpd(alpha, mu))
+        batch = sample_fpd(alpha, mu, 100_000, RngStream(71))
+        assert chi2_p_value(batch.values, table) > 1e-3
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(alpha=st.floats(0.2, 1.0), mu=st.floats(0.1, 30.0), seed=st.integers(0, 2**32 - 1))
+    def test_two_sample_against_renewal(self, alpha, mu, seed):
+        # chi-square test of homogeneity over the values both samples share
+        # often enough, the rest pooled into the tails
+        new = sample_fpd(alpha, mu, 20_000, RngStream(seed)).values
+        old = renewal_fpd(alpha, mu, 20_000, RngStream(seed + 1)).values
+        k = int(max(new.max(), old.max())) + 1
+        counts = np.stack([np.bincount(new, minlength=k), np.bincount(old, minlength=k)])
+        total = counts.sum(axis=0)
+        keep = np.nonzero(total >= 20)[0]
+        edges = np.concatenate([[0], keep[1:], [k]])
+        pooled = np.add.reduceat(counts, edges[:-1], axis=1)
+        assert stats.chi2_contingency(pooled)[1] > 1e-3
 
 
 class TestWpdSampler:

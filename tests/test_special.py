@@ -24,7 +24,6 @@ from countfam import (
     m_wright,
     prabhakar_ml,
     reciprocal_gamma,
-    sample_fpd,
     stirling2,
     trigamma,
     wright_phi,
@@ -38,12 +37,14 @@ from countfam.special import (
     _m_wright_series,
     _m_wright_series_rows,
 )
+from test_sampling import renewal_fpd
 
 
 def _fit_nodes(alpha):
     """Mixture nodes at alpha with the largest cutoff that fit_grid("fpd")
-    reaches there on criterion 12's first sample: its smallest grid mu."""
-    data = CountData.from_values(sample_fpd(0.85, 3.6, 5000, RngStream(1000)).values)
+    reaches there on the renewal sampler's draw for criterion 12's first
+    seed: its smallest grid mu."""
+    data = CountData.from_values(renewal_fpd(0.85, 3.6, 5000, RngStream(1000)).values)
     mu = min(m for a, m in _fpd_grid(data) if a == alpha)
     ys, _ = gfpd._mixture_nodes(alpha, int(gfpd._cutoff_step(alpha, mu, data.max_value)), 4, 80)
     return ys

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from countfam import wpd
@@ -133,6 +133,49 @@ def slice_params(draw):
 LONG_SUM = make_special_case("com_poisson", lam=1.59, nu=0.055)
 # lam^(1/nu) astronomically large: certificate unreachable within budget
 BUDGET_REFUSAL = make_special_case("model_i", lam=10.0, beta=0.5, nu=0.1)
+
+
+# model I and its two-parameter form at their moment starts on FPD(0.85, 50)
+# data: lam^(1/nu) far beyond the budget, and no ratio below 0.9 after k = 0
+MOMENT_START_I = make_special_case("model_i", lam=52.6, beta=1.0, nu=0.05)
+MOMENT_START_I2 = make_special_case("model_i_2param", lam=52.6, beta=0.05)
+# ratios below 0.9 only in the first 85 steps (rising to 0.91), and only from
+# k = 50,000 on (lam (k + 1)^-nu)
+EARLY_ONLY = WpdParams(1.0, 1.0, 0.05, 0.0, 0.91)
+LATE_ONLY = make_special_case("model_i", lam=0.9 * 50_000.5**0.05, beta=1.0, nu=0.05)
+# the cells of criterion 11 whose certificate is out of reach
+CRITERION_11_REFUSALS = [
+    make_special_case("model_i", lam=lam, beta=beta, nu=0.1)
+    for beta in (0.1, 0.5, 2.0) for lam in (5.0, 10.0)
+]
+
+
+@st.composite
+def long_sums(draw):
+    """Laws whose eta sum outlives its first block: the moment starts of
+    model I and its two-parameter form on FPD(0.85, 50)-like data, nu = 0
+    with 0.901 <= lam < 1, and model I whose ratio falls below 0.9 only late
+    in the budget.
+
+    At nu = 0 and gamma < 1 the ratio lam (k + gamma) / (k + 1) rises to lam.
+    For lam within about 1e-5 above 0.9 and below it stays under 0.9 through
+    the budget and the sum stops where rounding has flattened the ratio,
+    which the loop and the blocked sum reach at different steps (lam = 0.9,
+    gamma = 0.5: k = 64,594 and 64,397, log values 2e-16 apart)."""
+    kind = draw(st.sampled_from(["model_i", "model_i_2param", "nu_zero", "late"]))
+    lam = draw(st.floats(30.0, 70.0))
+    small = draw(st.floats(0.05, 0.3))
+    if kind == "model_i":
+        return make_special_case("model_i", lam=lam, beta=1.0, nu=small)
+    if kind == "model_i_2param":
+        return make_special_case("model_i_2param", lam=lam, beta=small)
+    if kind == "nu_zero":
+        return WpdParams(draw(_BOX["alpha"]), draw(_BOX["beta"]), draw(_BOX["gamma"]), 0.0,
+                         draw(st.floats(0.901, 1.0, exclude_max=True)))
+    # at beta = 1 the ratio is lam (k + 1)^-nu; it crosses 0.9 half way
+    # between two steps, where rounding cannot move the crossing
+    crossing = draw(st.integers(1_000, 99_000)) + 0.5
+    return make_special_case("model_i", lam=0.9 * crossing**small, beta=1.0, nu=small)
 
 
 CATALOG = [
@@ -262,6 +305,44 @@ class TestEtaMatchesLoop:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(p=long_sums())
+    @example(p=MOMENT_START_I)
+    @example(p=MOMENT_START_I2)
+    @example(p=EARLY_ONLY)
+    @example(p=LATE_ONLY)
+    def test_long_sums(self, p):
+        assert_same_eta(p, eta.__wrapped__)
+
+    @pytest.mark.parametrize("p", CRITERION_11_REFUSALS, ids=str)
+    def test_criterion_11_refusals(self, p):
+        assert_same_eta(p, eta.__wrapped__)
+
+    @pytest.mark.parametrize("p,refused", [
+        *((p, True) for p in [BUDGET_REFUSAL, MOMENT_START_I, MOMENT_START_I2,
+                              *CRITERION_11_REFUSALS]),
+        (EARLY_ONLY, False),
+        (LATE_ONLY, False),
+    ])
+    def test_refused_without_walking(self, monkeypatch, p, refused):
+        # a sum no step of which could certify is refused after its first
+        # block; a sum with such a step, however early or late, is walked
+        folds = []
+
+        def counted(*args):
+            folds.append(1)
+            return fold(*args)
+
+        fold = wpd._fold
+        monkeypatch.setattr(wpd, "_fold", counted)
+        if refused:
+            with pytest.raises(ConvergenceError, match="within"):
+                eta.__wrapped__(p)
+            assert len(folds) == 1
+        else:
+            _outcome(eta.__wrapped__, p)
+            assert len(folds) > 1
 
     @pytest.mark.parametrize("alpha,beta,gamma,lam", [
         (1.0, 0.5, 0.3, 1.0),
