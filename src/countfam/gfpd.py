@@ -15,7 +15,10 @@ Probabilities come from three routes that cross-check each other:
 * a positive-integrand mixture quadrature over the inverse-stable density
   (classical fractional case), immune to cancellation and cheap enough for
   grid fitting;
-* Monte Carlo over one-sided stable variates.
+* Monte Carlo over one-sided stable variates: an unbiased average of the
+  Poisson kernel over weighted draws of the mixing variable Y = V^alpha Z0,
+  V beta-distributed and Z0 inverse-stable, with a true standard error for
+  every parameter set.
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ import mpmath as mp
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special as sc
-from scipy.integrate import quad
 
 from .errors import CancellationError, DomainError, EvaluationError
 from .moments import FactorialMomentSequence, SummaryStats, skewness_from_factorial
-from .special import MAX_DPS, _leggauss, m_wright, wright_phi
+from .special import MAX_DPS, _leggauss, m_wright
 
 # Above this log-magnitude of the largest series term, a float64 row of the
 # pmf table is recomputed in high precision (absolute noise ~ e^6 * 1e-15).
@@ -424,53 +426,62 @@ def fpd_cdf(alpha: float, mu: float, x: int) -> float:
 # Monte Carlo / quadrature representations
 # ---------------------------------------------------------------------------
 
-def gfpd_pmf_mc(p: GfpdParams, x: int, n: int, rng) -> tuple[float, float]:
-    """Independent pmf estimate with its standard error.
+def _mixing_draws(p: GfpdParams, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """n draws of the mixing variable Y of X = Poisson(mu Y), as (log Y, log weight).
 
-    For the classical slice (beta = delta = 1) this is the unbiased Monte
-    Carlo average of exp(-mu Y) (mu Y)^x / x! over inverse-stable variates
-    Y; for general parameters the mixture integral over the Wright density
-    factor is evaluated by adaptive quadrature (the reported error is then
-    the quadrature error estimate).
+    The weighted draws represent the law: E[w g(Y)] is E g(Y) under the law's
+    mixing distribution for every g.  Write Z0 = S^(-alpha) with S stable,
+    the inverse-stable variable of density M_alpha (Meerschaert, Nane &
+    Vellaisamy 2011); E Z0^s = Gamma(1+s)/Gamma(1+alpha s).  The classical
+    slice mixes over Z0 itself (weight 1).  Elsewhere Y = V^alpha Z with
+    V ~ Beta(alpha delta, beta - alpha delta) (V = 1 on the plane
+    beta = alpha delta) and Z of density z^delta M_alpha(z) / E Z0^delta,
+    drawn as Z0 with weight w = Z0^delta Gamma(1+alpha delta)/Gamma(1+delta).
+    Then E[w Y^j] = Gamma(beta)Gamma(delta+j)/(Gamma(delta)Gamma(alpha j+beta)),
+    the law's j-th factorial moment over mu^j.
     """
     from .sampling import sample_stable
 
+    a, b, d = p.alpha, p.beta, p.delta
+    with np.errstate(divide="ignore"):
+        log_z0 = -a * np.log(sample_stable(a, n, rng))
+    # NaN or S = 0: the sine-product formula left float64 range
+    if not np.all(log_z0 < np.inf):
+        raise EvaluationError(f"stable variates left float64 range at alpha = {a}")
+    if p.is_fpd:
+        return log_z0, np.zeros(n)
+    log_w = d * log_z0 + (math.lgamma(1.0 + a * d) - math.lgamma(1.0 + d))
+    if abs(b - a * d) < 1e-12:
+        return log_z0, log_w
+    with np.errstate(divide="ignore"):
+        log_v = np.log(rng.beta(a * d, b - a * d, n))
+    return log_z0 + a * log_v, log_w
+
+
+def gfpd_pmf_mc(p: GfpdParams, x: int, n: int, rng) -> tuple[float, float]:
+    """Unbiased Monte Carlo estimate of P(X = x) from n draws, with its standard error.
+
+    Averages w exp(-mu Y) (mu Y)^x / x! in log space over the weighted
+    mixing draws of `_mixing_draws`; the standard error is the sample
+    standard deviation over sqrt(n).  At alpha = 1 and in the geometric
+    limit the mixing variable is degenerate and the exact pmf is returned
+    with standard error 0.  A batch whose stable variates leave float64
+    range (seen at alpha = 0.01) raises `EvaluationError`.
+    """
     if x < 0:
         raise DomainError("x must be >= 0")
     if p.geometric_limit or p.alpha == 1.0:
-        # degenerate mixing variable: the estimate is the exact pmf
         return gfpd_pmf(p, x), 0.0
-    if p.is_fpd:
-        if n < 1:
-            raise DomainError("n must be >= 1")
-        s = sample_stable(p.alpha, n, rng)
-        y = s ** (-p.alpha)
-        logv = x * (math.log(p.mu) + np.log(y)) - p.mu * y - math.lgamma(x + 1)
-        v = np.exp(logv)
-        est = float(v.mean())
-        se = float(v.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-        return est, se
-    # general parameters: mixture over the Wright density factor.  The
-    # density decays like a stretched exponential, so the integral is cut at
-    # the point where its tail bound is far below any usable tolerance.
-    a, b, d, u = p.alpha, p.beta, p.delta, p.mu
-    omega = b - a * d
-    lpref = math.lgamma(b) - math.lgamma(d) - math.lgamma(x + 1) + x * math.log(u)
-    c = (1.0 - a) * a ** (a / (1.0 - a))
-    y_hi = max((46.0 / c) ** (1.0 - a), 3.0 * (x + 10) / u, 4.0)
-
-    def integrand(y):
-        if y <= 0.0 or y >= y_hi:
-            return 0.0
-        try:
-            w = wright_phi(-a, omega, -y).value
-        except EvaluationError:
-            # beyond float64+guard reach the density is negligible here
-            return 0.0
-        return math.exp(lpref - u * y + (d + x - 1.0) * math.log(y)) * w
-
-    val, err = quad(integrand, 0.0, y_hi, limit=400)
-    return float(val), float(err)
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    log_y, log_w = _mixing_draws(p, n, rng)
+    log_lam = math.log(p.mu) + log_y
+    # x log(lam) is 0 at x = 0 also where lam underflowed to 0
+    log_kernel = (x * log_lam if x else 0.0) - np.exp(log_lam) - math.lgamma(x + 1)
+    v = np.exp(log_w + log_kernel)
+    est = float(v.mean())
+    se = float(v.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+    return est, se
 
 
 def gfpd_aa1_pmf(
@@ -479,23 +490,18 @@ def gfpd_aa1_pmf(
     """pmf of the (alpha, alpha, 1, mu) member.
 
     Series evaluation when it is stable; with ``n`` and ``rng`` given, falls
-    back to the stable-expectation Monte Carlo form
+    back to the Monte Carlo estimate of `gfpd_pmf_mc`, which on this plane is
     Gamma(alpha+1) mu^x / x! E[S^(-alpha(x+1)) e^(-mu S^(-alpha))].
     """
-    from .sampling import sample_stable
-
     if not (0.0 < alpha <= 1.0):
         raise DomainError("alpha must lie in (0, 1]")
+    p = GfpdParams.aa1(alpha, mu)
     try:
-        return gfpd_pmf(GfpdParams.aa1(alpha, mu), x, method=method)
+        return gfpd_pmf(p, x, method=method)
     except EvaluationError:
         if n < 1 or rng is None:
             raise
-    s = sample_stable(alpha, n, rng)
-    logv = -alpha * (x + 1) * np.log(s) - mu * s ** (-alpha)
-    v = np.exp(logv)
-    lpref = math.lgamma(alpha + 1.0) + x * math.log(mu) - math.lgamma(x + 1)
-    return float(math.exp(lpref) * v.mean())
+    return gfpd_pmf_mc(p, x, n, rng)[0]
 
 
 def fpd_pmf_quadrature(alpha: float, mu, xs, n_panels: int = 4, n_nodes: int = 80) -> np.ndarray:

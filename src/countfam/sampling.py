@@ -45,6 +45,10 @@ class RngStream:
         """One Poisson count per mean in ``lam``, from the same generator."""
         return self._gen.poisson(lam)
 
+    def beta(self, a: float, b: float, n: int) -> np.ndarray:
+        """n Beta(a, b) variates, from the same generator."""
+        return self._gen.beta(a, b, n)
+
     def spawn(self, offset: int) -> "RngStream":
         """Independent derived stream (for parallel batches)."""
         return RngStream(np.random.SeedSequence([self.seed, int(offset)]).generate_state(1)[0])

@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
 from scipy import stats
@@ -495,11 +495,62 @@ class TestMonteCarlo:
         est, se = gfpd_pmf_mc(GfpdParams.fpd(0.5, 1.0), 0, 200_000, RngStream(3))
         assert abs(est - math.e * math.erfc(1.0)) < 3.0 * se
 
-    def test_general_parameters_quadrature(self):
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        alpha=st.floats(0.05, 0.95),
+        dfrac=st.floats(0.02, 1.0),
+        bfrac=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        mu=st.floats(0.05, 2.0),
+        x=st.integers(0, 6),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    # on the plane beta = alpha delta (V = 1): (0.6, 0.6, 1) and (0.2, 0.6, 3);
+    # off it: (0.6, 0.77, 0.9)
+    @example(alpha=0.6, dfrac=0.6, bfrac=0.0, mu=2.0, x=2, seed=1)
+    @example(alpha=0.2, dfrac=1.0, bfrac=0.0, mu=0.5, x=1, seed=2)
+    @example(alpha=0.6, dfrac=0.54, bfrac=0.5, mu=1.5, x=2, seed=3)
+    def test_general_mc_matches_series(self, alpha, dfrac, bfrac, mu, x, seed):
+        # delta <= 3 keeps the weight's relative variance below about 20
+        delta = dfrac * min(3.0, 1.0 / alpha)
+        beta = alpha * delta + bfrac * (1.0 - alpha * delta)
+        p = GfpdParams(alpha, beta, delta, mu)
+        try:
+            want = gfpd_pmf(p, x, method="series")
+        except CancellationError:
+            assume(False)  # off the float64 series, which is the reference here
+        est, se = gfpd_pmf_mc(p, x, 50_000, RngStream(seed))
+        assert abs(est - want) < 4.0 * se, (p, x, est, want, se)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, delta",
+        [(0.3, 0.6, 1.0), (0.2, 0.9, 4.0), (0.6, 0.6, 1.0), (0.5, 0.3, 0.2), (0.85, 1.0, 1.0)],
+    )
+    def test_mixing_draws_moments(self, alpha, beta, delta):
+        log_y, log_w = gfpd._mixing_draws(GfpdParams(alpha, beta, delta, 1.0), 200_000, RngStream(11))
+        for j in (1, 2):
+            v = np.exp(log_w + j * log_y)
+            want = math.exp(
+                math.lgamma(beta) + math.lgamma(delta + j)
+                - math.lgamma(delta) - math.lgamma(alpha * j + beta)
+            )
+            se = v.std(ddof=1) / math.sqrt(len(v))
+            assert abs(v.mean() - want) < 4.0 * se, (j, v.mean(), want, se)
+
+    def test_general_mc_deterministic(self):
         p = GfpdParams(0.6, 0.8, 0.9, 1.5)
-        val, err = gfpd_pmf_mc(p, 2, 1, RngStream(1))
-        assert val == pytest.approx(gfpd_pmf(p, 2), rel=1e-6)
-        assert err < 1e-8
+        first = gfpd_pmf_mc(p, 2, 10_000, RngStream(5))
+        assert gfpd_pmf_mc(p, 2, 10_000, RngStream(5)) == first
+        assert gfpd_pmf_mc(p, 2, 10_000, RngStream(6)) != first
+
+    def test_general_mc_refuses_n_below_one(self):
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            gfpd_pmf_mc(GfpdParams(0.6, 0.8, 0.9, 1.5), 2, 0, RngStream(1))
+
+    # at alpha = 0.01 some of 100,000 sine-product stable draws are NaN
+    @pytest.mark.parametrize("p", [GfpdParams.fpd(0.01, 1.0), GfpdParams(0.01, 0.5, 10.0, 1.0)])
+    def test_refuses_non_finite_mixing_values(self, p):
+        with pytest.raises(EvaluationError, match="left float64 range"):
+            gfpd_pmf_mc(p, 0, 100_000, RngStream(1))
 
     def test_geometric_exact(self):
         val, err = gfpd_pmf_mc(GfpdParams.fpd(0.0, 1.0), 3, 10, RngStream(1))
@@ -525,6 +576,13 @@ class TestAa1:
         est = math.gamma(1.8) * float(v.mean())
         se = math.gamma(1.8) * float(v.std(ddof=1)) / math.sqrt(n)
         assert abs(est - val) < 2.0 * se
+
+    def test_mc_fallback_refuses_non_finite_mixing_values(self):
+        # the float64 series refuses here, so the Monte Carlo fallback runs
+        with pytest.raises(CancellationError):
+            gfpd_aa1_pmf(0.01, 5.0, 0, method="series")
+        with pytest.raises(EvaluationError, match="left float64 range"):
+            gfpd_aa1_pmf(0.01, 5.0, 0, n=100_000, rng=RngStream(1), method="series")
 
     def test_normalization(self):
         table = gfpd_pmf_table(GfpdParams.aa1(0.8, 1.0))

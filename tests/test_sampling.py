@@ -70,6 +70,12 @@ def chi2_p_value(values, table):
 
 
 class TestRngStream:
+    def test_beta(self):
+        a, b = RngStream(71).beta(0.3, 0.7, 100_000), RngStream(71).beta(0.3, 0.7, 100_000)
+        np.testing.assert_array_equal(a, b)
+        se = a.std(ddof=1) / math.sqrt(len(a))
+        assert abs(a.mean() - 0.3) < 4.0 * se
+
     def test_open_interval(self):
         rng = RngStream(0)
         u = rng.uniforms(100_000)
