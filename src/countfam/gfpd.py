@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special as sc
 
-from .errors import CancellationError, DomainError, EvaluationError
+from .errors import CancellationError, ConvergenceError, DomainError, EvaluationError
 from .moments import FactorialMomentSequence, SummaryStats, skewness_from_factorial
 from .special import MAX_DPS, _leggauss, m_wright
 
@@ -40,6 +40,10 @@ from .special import MAX_DPS, _leggauss, m_wright
 _F64_MAXLOG = 6.0
 _TAIL_TOL = 1e-14
 _TAIL_RUN = 10
+# an adaptive table is refused once it holds this many rows without meeting
+# its tail rule, or when its mass is further than _MASS_TOL from 1
+_ROW_CAP = 100_000
+_MASS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -347,11 +351,18 @@ def gfpd_pmf_table(
 ) -> np.ndarray:
     """pmf on 0..x_max as a read-only array (tables are cached per parameter set).
 
-    With ``x_max=None`` the support is extended adaptively until the pmf has
-    stayed below ``tail_tol`` for ``tail_run`` consecutive points.
+    With ``x_max=None`` the support is extended adaptively and the table ends
+    at the first x that completes a run of ``tail_run`` consecutive values
+    below ``tail_tol``.  That table is refused with `ConvergenceError` when it
+    reaches 100,000 rows without meeting the rule, and with `EvaluationError`
+    when its sum is further than 1e-8 from 1 (so a ``tail_tol`` loose enough
+    to leave more mass than that behind is refused too).  A fixed ``x_max``
+    table may hold less than the whole mass and is not checked.
     """
     if x_max is not None and x_max < 0:
         raise DomainError(f"x_max must be >= 0, got {x_max}")
+    if tail_run < 1:
+        raise DomainError(f"tail_run must be >= 1, got {tail_run}")
     key = (p, x_max, method, tail_tol, tail_run)
     table = _TABLE_CACHE.pop(key, None)
     if table is None:
@@ -365,47 +376,72 @@ def gfpd_pmf_table(
 
 
 def _build_pmf_table(p, x_max, method, tail_tol, tail_run) -> np.ndarray:
+    # evaluate(xs, x_end) gives the rows xs of a chunk that spans up to x_end;
+    # only the quadrature reads x_end, to pick its node set
     if p.geometric_limit or p.alpha == 1.0:
-        evaluate = lambda xs: np.array([gfpd_pmf(p, int(x)) for x in xs])
+        evaluate = lambda xs, x_end: np.array([gfpd_pmf(p, int(x)) for x in xs])
     elif method == "auto" and abs(p.beta - p.alpha * p.delta) < 1e-12:
         # the Wright density factor collapses onto the inverse-stable density
         # when beta = alpha delta, giving a cancellation-free positive
         # quadrature for the whole table
         pref = math.gamma(p.beta) * p.alpha / math.gamma(p.delta)
-        evaluate = lambda xs: pref * _mixture_pmf(
-            p.alpha, p.mu, xs, y_power=p.delta, n_panels=4, n_nodes=80
+        evaluate = lambda xs, x_end: pref * _mixture_pmf(
+            p.alpha, p.mu, xs, y_power=p.delta, n_panels=4, n_nodes=80, x_max=x_end
         )
     else:
-        evaluate = lambda xs: _pmf_rows(p, xs, method=method)
+        evaluate = lambda xs, x_end: _pmf_rows(p, xs, method=method)
     try:
-        return _run_adaptive(evaluate, x_max, tail_tol, tail_run)
-    except EvaluationError:
-        if method == "auto" and p.is_fpd and 0.0 < p.alpha < 1.0:
-            # series route infeasible even in high precision (small alpha,
-            # larger mu): the positive mixture quadrature still applies
-            ev = lambda xs: fpd_pmf_quadrature(p.alpha, p.mu, xs)
-            return _run_adaptive(ev, x_max, tail_tol, tail_run)
+        table = _run_adaptive(evaluate, x_max, tail_tol, tail_run)
+    except ConvergenceError:
+        # the row cap: another route would walk the same support
         raise
+    except EvaluationError:
+        if not (method == "auto" and p.is_fpd and 0.0 < p.alpha < 1.0):
+            raise
+        # series route infeasible even in high precision (small alpha,
+        # larger mu): the positive mixture quadrature still applies
+        ev = lambda xs, x_end: _mixture_pmf(
+            p.alpha, p.mu, xs, y_power=0, n_panels=4, n_nodes=80, x_max=x_end
+        )
+        table = _run_adaptive(ev, x_max, tail_tol, tail_run)
+    if x_max is None:
+        total = math.fsum(table)
+        if not abs(total - 1.0) <= _MASS_TOL:
+            raise EvaluationError(
+                f"adaptive pmf table over 0..{len(table) - 1} sums to {total:.10g}, "
+                f"more than {_MASS_TOL:g} from 1"
+            )
+    return table
 
 
 def _run_adaptive(evaluate, x_max, tail_tol, tail_run) -> np.ndarray:
     if x_max is not None:
-        return evaluate(np.arange(int(x_max) + 1))
+        return evaluate(np.arange(int(x_max) + 1), int(x_max))
     chunks = []
     start = 0
     run = 0
     size = 64
-    while start < 100_000:
-        xs = np.arange(start, start + size)
-        vals = evaluate(xs)
-        for v in vals:
+    while start < _ROW_CAP:
+        # a chunk that ends inside a run is followed by just the rows that
+        # could complete it; otherwise chunks double from 64 to 1024 rows.
+        # Either way the chunk spans start + size - 1, so a quadrature keeps
+        # the node set, and every row its bits, of the full chunk.
+        finishing = run > 0
+        n = min(tail_run - run if finishing else size, _ROW_CAP - start)
+        vals = evaluate(np.arange(start, start + n), start + size - 1)
+        for i, v in enumerate(vals):
             run = run + 1 if v < tail_tol else 0
+            if run >= tail_run:
+                chunks.append(vals[: i + 1])
+                return np.concatenate(chunks)
         chunks.append(vals)
-        if run >= tail_run:
-            break
-        start += size
-        size = min(2 * size, 1024)
-    return np.concatenate(chunks)
+        if not finishing:
+            size = min(2 * size, 1024)
+        start += n
+    raise ConvergenceError(
+        f"pmf table reached {_ROW_CAP} rows before {tail_run} consecutive values "
+        f"fell below {tail_tol:g}; pass x_max for a fixed support"
+    )
 
 
 def fpd_pmf(alpha: float, mu: float, x: int, method: str = "auto") -> float:
@@ -536,12 +572,17 @@ def aa1_pmf_quadrature(alpha: float, mu, xs, n_panels: int = 4, n_nodes: int = 8
 _SPREAD_MAX = 300.0
 
 
-def _mixture_pmf(alpha, mu, xs, y_power, n_panels, n_nodes):
-    """sum_j w_j y_j^y_power Poisson(x; mu y_j) over the mixing nodes; one row per mu."""
+def _mixture_pmf(alpha, mu, xs, y_power, n_panels, n_nodes, x_max=None):
+    """sum_j w_j y_j^y_power Poisson(x; mu y_j) over the mixing nodes; one row per mu.
+
+    The node sets are those of the support 0..x_max, by default the largest
+    of ``xs``.
+    """
     if not (0.0 < alpha < 1.0):
         raise DomainError("mixture quadrature requires alpha in (0, 1)")
     xs = np.asarray(xs, dtype=int)
-    x_max = int(xs.max())
+    if x_max is None:
+        x_max = int(xs.max())
     mu = np.asarray(mu, dtype=float)
     if not np.all(mu > 0.0):
         raise DomainError("mixture quadrature requires mu > 0")

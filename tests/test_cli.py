@@ -244,6 +244,23 @@ class TestExitCodes:
         assert "vanishing zero cell" in err
         assert out == ""
 
+    def test_row_cap_refused(self, capsys):
+        # the geometric limit at mu = 1e4 needs about 4e5 rows to meet the tail rule
+        code, out, err = run_cli(["pmf", "--model", "fpd", "--alpha", "0", "--mu", "10000"], capsys)
+        assert code == 5
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[5]: pmf table reached 100000 rows before 10 consecutive")
+
+    @pytest.mark.parametrize("alpha, mu", [("0.99", "0.5"), ("0.95", "0.05"), ("0.97", "1.0")])
+    def test_adaptive_mass_refused(self, alpha, mu, capsys):
+        code, out, err = run_cli(["pmf", "--model", "gfpd_aa1", "--alpha", alpha, "--mu", mu], capsys)
+        assert code == 5
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[5]: adaptive pmf table over 0..")
+        assert err.rstrip().endswith("more than 1e-08 from 1")
+
     @pytest.mark.parametrize("model", sorted(LAWS))
     def test_negative_x_max(self, model, capsys):
         flags = [t for name, v in LAW_FLAGS[model].items() for t in (f"--{name}", str(v))]

@@ -13,6 +13,7 @@ from scipy import stats
 
 from countfam import (
     CancellationError,
+    ConvergenceError,
     CountData,
     DomainError,
     EvaluationError,
@@ -306,6 +307,151 @@ class TestSeriesEngine:
         assert t1 is t2
         with pytest.raises(ValueError):
             t1[0] = 0.0
+
+
+def _run_adaptive_oracle(evaluate, x_max, tail_tol, tail_run):
+    """The adaptive loop before tables were cut at their tail rule: it checks
+    the rule only after whole chunks of 64, 128, ... 1024 rows and returns
+    every row it evaluated.  ``evaluate(xs, x_end)`` is given each whole chunk."""
+    if x_max is not None:
+        return evaluate(np.arange(int(x_max) + 1), int(x_max))
+    chunks = []
+    start = 0
+    run = 0
+    size = 64
+    while start < 100_000:
+        xs = np.arange(start, start + size)
+        vals = evaluate(xs, xs[-1])
+        for v in vals:
+            run = run + 1 if v < tail_tol else 0
+        chunks.append(vals)
+        if run >= tail_run:
+            break
+        start += size
+        size = min(2 * size, 1024)
+    return np.concatenate(chunks)
+
+
+def _rule_end(vals, tail_tol, tail_run):
+    """Index of the first value that completes a run of tail_run below tail_tol."""
+    run = 0
+    for i, v in enumerate(vals):
+        run = run + 1 if v < tail_tol else 0
+        if run >= tail_run:
+            return i
+    raise AssertionError("the rule is never met")
+
+
+class TestAdaptiveCut:
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(
+        alpha=st.floats(0.3, 0.95),
+        beta=st.floats(0.3, 1.0),
+        frac=st.floats(0.1, 0.9),
+        mu=st.floats(0.1, 3.0),
+        tail_tol=st.sampled_from([1e-14, 1e-16]),
+    )
+    def test_offplane_table_is_oracle_prefix(self, alpha, beta, frac, mu, tail_tol):
+        p = GfpdParams(alpha, beta, frac * beta / alpha, mu)
+        got = gfpd_pmf_table(p, tail_tol=tail_tol)
+        want = _run_adaptive_oracle(lambda xs, x_end: gfpd._pmf_rows(p, xs), None, tail_tol, 10)
+        assert len(got) == _rule_end(want, tail_tol, 10) + 1
+        assert np.array_equal(got, want[: len(got)])
+
+    def test_grid_evaluates_nothing_past_a_finished_run(self, monkeypatch):
+        monkeypatch.setattr(gfpd, "_TABLE_CACHE", {})
+        real = gfpd._run_adaptive
+        seen = []
+
+        def spy(evaluate, x_max, tail_tol, tail_run):
+            chunks = []
+
+            def logged(xs, x_end):
+                vals = evaluate(xs, x_end)
+                chunks.append((np.asarray(xs), vals))
+                return vals
+
+            seen.append((evaluate, chunks))
+            return real(logged, x_max, tail_tol, tail_run)
+
+        monkeypatch.setattr(gfpd, "_run_adaptive", spy)
+        tables = [gfpd_pmf_table(p) for p in TABLE_GRID]
+        assert len(seen) == len(TABLE_GRID) == 51
+        for p, table, (evaluate, chunks) in zip(TABLE_GRID, tables, seen):
+            xs = np.concatenate([c[0] for c in chunks])
+            vals = np.concatenate([c[1] for c in chunks])
+            assert np.array_equal(xs, np.arange(len(xs))), p
+            assert len(table) == _rule_end(vals, 1e-14, 10) + 1, p
+            run = 0
+            for cxs, cvals in chunks:
+                if run:
+                    assert cxs[-1] < len(table), (p, cxs)
+                for v in cvals:
+                    run = run + 1 if v < 1e-14 else 0
+            # plane rows too: a chunk cut short keeps the full chunk's node set
+            want = _run_adaptive_oracle(evaluate, None, 1e-14, 10)
+            assert np.array_equal(table, want[: len(table)]), p
+
+    def test_finishing_chunk_that_fails_keeps_doubling(self):
+        below = {61, 62, 63, 64, 65, *range(67, 71), *range(100, 110)}
+        calls = []
+
+        def evaluate(xs, x_end):
+            calls.append((xs[0], len(xs), x_end))
+            return np.array([0.0 if x in below else 1.0 for x in xs])
+
+        table = gfpd._run_adaptive(evaluate, None, 1e-14, 10)
+        # 64 rows end in a run of 3; 7 rows break it and end in a run of 4;
+        # 6 rows break that; the doubling then resumes at 128.  The short
+        # chunks span the 128 rows the doubling would have taken.
+        assert calls == [(0, 64, 63), (64, 7, 191), (71, 6, 198), (77, 128, 204)]
+        assert len(table) == 110
+
+    def test_row_cap_refused(self):
+        asked = []
+
+        def flat(xs, x_end):
+            asked.append(xs)
+            return np.full(len(xs), 1e-3)
+
+        with pytest.raises(ConvergenceError, match=r"100000 rows .* 10 consecutive .* 1e-14"):
+            gfpd._run_adaptive(flat, None, 1e-14, 10)
+        assert np.array_equal(np.concatenate(asked), np.arange(gfpd._ROW_CAP))
+
+    def test_row_cap_skips_quadrature_fallback(self, monkeypatch):
+        monkeypatch.setattr(gfpd, "_TABLE_CACHE", {})
+        monkeypatch.setattr(gfpd, "_pmf_rows", lambda p, xs, method="auto": np.full(len(xs), 1e-3))
+
+        def fallback(*args, **kwargs):
+            raise AssertionError("the quadrature fallback walked the row cap again")
+
+        monkeypatch.setattr(gfpd, "_mixture_pmf", fallback)
+        with pytest.raises(ConvergenceError):
+            gfpd_pmf_table(GfpdParams.fpd(0.5, 2.0))
+
+    def test_quadrature_fallback_serves_refused_series(self, monkeypatch):
+        monkeypatch.setattr(gfpd, "_TABLE_CACHE", {})
+
+        def refused(p, xs, method="auto"):
+            raise EvaluationError("series refused")
+
+        monkeypatch.setattr(gfpd, "_pmf_rows", refused)
+        table = gfpd_pmf_table(GfpdParams.fpd(0.5, 2.0))
+        want = fpd_pmf_quadrature(0.5, 2.0, np.arange(len(table)))
+        np.testing.assert_allclose(table, want, rtol=1e-12, atol=0.0)
+        assert len(table) == _rule_end(table, 1e-14, 10) + 1
+
+    @pytest.mark.parametrize("alpha, mu", [(0.99, 0.5), (0.95, 0.05), (0.97, 1.0)])
+    def test_adaptive_mass_refused(self, alpha, mu):
+        p = GfpdParams.aa1(alpha, mu)
+        with pytest.raises(EvaluationError, match="more than 1e-08 from 1"):
+            gfpd_pmf_table(p)
+        # a fixed support may hold less than the whole mass and is not checked
+        assert len(gfpd_pmf_table(p, x_max=40)) == 41
+
+    def test_tail_run_must_be_positive(self):
+        with pytest.raises(DomainError, match="tail_run"):
+            gfpd_pmf_table(GfpdParams.fpd(0.5, 2.0), tail_run=0)
 
 
 class TestQuadratureRoutes:
