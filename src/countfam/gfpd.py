@@ -353,11 +353,13 @@ def gfpd_pmf_table(
 
     With ``x_max=None`` the support is extended adaptively and the table ends
     at the first x that completes a run of ``tail_run`` consecutive values
-    below ``tail_tol``.  That table is refused with `ConvergenceError` when it
-    reaches 100,000 rows without meeting the rule, and with `EvaluationError`
-    when its sum is further than 1e-8 from 1 (so a ``tail_tol`` loose enough
-    to leave more mass than that behind is refused too).  A fixed ``x_max``
-    table may hold less than the whole mass and is not checked.
+    below ``tail_tol`` after a value at or above it (values below ``tail_tol``
+    before the bulk of the law, as for a Poisson of large mu, start no run).
+    That table is refused with `ConvergenceError` when it reaches 100,000
+    rows without meeting the rule, and with `EvaluationError` when its sum is
+    further than 1e-8 from 1 (so a ``tail_tol`` loose enough to leave more
+    mass than that behind is refused too).  A fixed ``x_max`` table may hold
+    less than the whole mass and is not checked.
     """
     if x_max is not None and x_max < 0:
         raise DomainError(f"x_max must be >= 0, got {x_max}")
@@ -417,27 +419,36 @@ def _build_pmf_table(p, x_max, method, tail_tol, tail_run) -> np.ndarray:
 def _run_adaptive(evaluate, x_max, tail_tol, tail_run) -> np.ndarray:
     if x_max is not None:
         return evaluate(np.arange(int(x_max) + 1), int(x_max))
+    # the rule counts values below tail_tol only once the table has held one
+    # at or above it, so a low region before the bulk (a Poisson of large mu)
+    # does not end the table
     chunks = []
     start = 0
-    run = 0
+    end = -1
     size = 64
+    run = 0
+    risen = False
     while start < _ROW_CAP:
-        # a chunk that ends inside a run is followed by just the rows that
-        # could complete it; otherwise chunks double from 64 to 1024 rows.
-        # Either way the chunk spans start + size - 1, so a quadrature keeps
-        # the node set, and every row its bits, of the full chunk.
-        finishing = run > 0
-        n = min(tail_run - run if finishing else size, _ROW_CAP - start)
-        vals = evaluate(np.arange(start, start + n), start + size - 1)
-        for i, v in enumerate(vals):
-            run = run + 1 if v < tail_tol else 0
-            if run >= tail_run:
-                chunks.append(vals[: i + 1])
-                return np.concatenate(chunks)
-        chunks.append(vals)
-        if not finishing:
+        if start > end:
+            # the next chunk of the 64, 128, ... 1024-row doubling
+            end = start + size - 1
             size = min(2 * size, 1024)
-        start += n
+        # rows are taken from the chunk, and evaluated with its node set, up
+        # to its end or, inside a run, up to the row that would complete it
+        stop = min(end + 1, _ROW_CAP)
+        if run:
+            stop = min(stop, start + tail_run - run)
+        vals = evaluate(np.arange(start, stop), end)
+        for i, v in enumerate(vals):
+            if not v < tail_tol:
+                run, risen = 0, True
+            elif risen:
+                run += 1
+                if run >= tail_run:
+                    chunks.append(vals[: i + 1])
+                    return np.concatenate(chunks)
+        chunks.append(vals)
+        start = stop
     raise ConvergenceError(
         f"pmf table reached {_ROW_CAP} rows before {tail_run} consecutive values "
         f"fell below {tail_tol:g}; pass x_max for a fixed support"

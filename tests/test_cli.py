@@ -131,6 +131,17 @@ class TestPmfCommand:
         total = sum(float(l.split(",")[1]) for l in out.strip().splitlines()[1:])
         assert total == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("model", ["fpd", "gfpd_aa1"])
+    def test_poisson_slice_of_large_mu(self, model, capsys):
+        # P(0..9) are below 1e-14 at mu = 60 and must not end the table
+        code, out, _ = run_cli(
+            ["pmf", "--model", model, "--alpha", "1", "--mu", "60",
+             "--output-format", "csv"], capsys)
+        assert code == 0
+        probs = [float(l.split(",")[1]) for l in out.strip().splitlines()[1:]]
+        assert len(probs) > 100
+        assert math.fsum(probs) == pytest.approx(1.0, abs=1e-8)
+
     def test_four_parameter_family(self, capsys):
         code, out, _ = run_cli(
             ["pmf", "--model", "gfpd", "--alpha", "0.6", "--beta", "0.9",

@@ -333,13 +333,27 @@ def _run_adaptive_oracle(evaluate, x_max, tail_tol, tail_run):
 
 
 def _rule_end(vals, tail_tol, tail_run):
-    """Index of the first value that completes a run of tail_run below tail_tol."""
+    """Index of the first value that completes a run of tail_run below
+    tail_tol after a value at or above tail_tol."""
     run = 0
+    risen = False
     for i, v in enumerate(vals):
-        run = run + 1 if v < tail_tol else 0
-        if run >= tail_run:
-            return i
+        if not v < tail_tol:
+            run, risen = 0, True
+        elif risen:
+            run += 1
+            if run >= tail_run:
+                return i
     raise AssertionError("the rule is never met")
+
+
+def _doubling_end(x):
+    """Last row of the oracle's 64, 128, ... 1024-row chunk that holds row x."""
+    end, size = 63, 64
+    while end < x:
+        size = min(2 * size, 1024)
+        end += size
+    return end
 
 
 class TestAdaptiveCut:
@@ -364,20 +378,21 @@ class TestAdaptiveCut:
         seen = []
 
         def spy(evaluate, x_max, tail_tol, tail_run):
-            chunks = []
+            chunks, ends = [], []
 
             def logged(xs, x_end):
                 vals = evaluate(xs, x_end)
                 chunks.append((np.asarray(xs), vals))
+                ends.append((np.asarray(xs), x_end))
                 return vals
 
-            seen.append((evaluate, chunks))
+            seen.append((evaluate, chunks, ends))
             return real(logged, x_max, tail_tol, tail_run)
 
         monkeypatch.setattr(gfpd, "_run_adaptive", spy)
         tables = [gfpd_pmf_table(p) for p in TABLE_GRID]
         assert len(seen) == len(TABLE_GRID) == 51
-        for p, table, (evaluate, chunks) in zip(TABLE_GRID, tables, seen):
+        for p, table, (evaluate, chunks, ends) in zip(TABLE_GRID, tables, seen):
             xs = np.concatenate([c[0] for c in chunks])
             vals = np.concatenate([c[1] for c in chunks])
             assert np.array_equal(xs, np.arange(len(xs))), p
@@ -388,7 +403,9 @@ class TestAdaptiveCut:
                     assert cxs[-1] < len(table), (p, cxs)
                 for v in cvals:
                     run = run + 1 if v < 1e-14 else 0
-            # plane rows too: a chunk cut short keeps the full chunk's node set
+            for cxs, x_end in ends:
+                assert x_end == _doubling_end(cxs[0]) and cxs[-1] <= x_end, (p, cxs)
+            # plane rows too: rows taken in pieces keep their chunk's node set
             want = _run_adaptive_oracle(evaluate, None, 1e-14, 10)
             assert np.array_equal(table, want[: len(table)]), p
 
@@ -402,10 +419,49 @@ class TestAdaptiveCut:
 
         table = gfpd._run_adaptive(evaluate, None, 1e-14, 10)
         # 64 rows end in a run of 3; 7 rows break it and end in a run of 4;
-        # 6 rows break that; the doubling then resumes at 128.  The short
-        # chunks span the 128 rows the doubling would have taken.
-        assert calls == [(0, 64, 63), (64, 7, 191), (71, 6, 198), (77, 128, 204)]
+        # 6 rows break that; the rest of the 128-row chunk 64..191 follows.
+        # Every piece is evaluated with the node set of that chunk.
+        assert calls == [(0, 64, 63), (64, 7, 191), (71, 6, 191), (77, 115, 191)]
         assert len(table) == 110
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        lead=st.integers(0, 40),
+        gaps=st.lists(st.tuples(st.integers(1, 300), st.integers(1, 9)), max_size=12),
+        tail_run=st.integers(1, 12),
+    )
+    def test_pieces_keep_the_doubling_chunks(self, lead, gaps, tail_run):
+        # values below tail_tol: a leading low region, then runs shorter than
+        # tail_run (when they fit) between stretches of the bulk
+        below, x = set(range(lead)), lead
+        for bulk, low in gaps:
+            x += bulk
+            below.update(range(x, x + min(low, tail_run - 1)))
+            x += low
+        below.update(range(x + 1, x + 1 + tail_run))
+        values = lambda xs: np.array([0.0 if x in below else 1.0 for x in xs])
+        calls = []
+
+        def evaluate(xs, x_end):
+            calls.append((xs, x_end))
+            return values(xs)
+
+        table = gfpd._run_adaptive(evaluate, None, 1e-14, tail_run)
+        xs = np.concatenate([c[0] for c in calls])
+        assert np.array_equal(xs, np.arange(len(xs)))
+        assert len(table) == _rule_end(values(xs), 1e-14, tail_run) + 1
+        for cxs, x_end in calls:
+            assert x_end == _doubling_end(cxs[0]) and cxs[-1] <= x_end
+
+    @pytest.mark.parametrize("law", [GfpdParams.fpd, GfpdParams.aa1])
+    @pytest.mark.parametrize("mu, head", [(60.0, 10), (200.0, 64)])
+    def test_poisson_slice_of_large_mu(self, law, mu, head):
+        # P(0..head-1) are all below 1e-14: at mu = 200 the whole first chunk
+        table = gfpd_pmf_table(law(1.0, mu))
+        assert table[:head].max() < 1e-14
+        assert abs(math.fsum(table) - 1.0) <= 1e-8
+        assert len(table) == _rule_end(table, 1e-14, 10) + 1
+        np.testing.assert_allclose(table, stats.poisson.pmf(np.arange(len(table)), mu), rtol=1e-10)
 
     def test_row_cap_refused(self):
         asked = []
