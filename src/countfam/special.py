@@ -1,14 +1,15 @@
 """Special functions underpinning the count distributions.
 
 The Mittag-Leffler-type series here alternate violently for negative
-arguments, so every series is evaluated in log-magnitude/sign form with
-compensated summation, an explicit stopping rule, and guards that refuse to
-return a cancellation-destroyed answer.  Where the float64 series is hopeless
-but the value is still representable, an arbitrary-precision fallback re-sums
-the same series with enough guard digits.  The M-Wright density is the
-exception: its reflection series is summed for a whole array of points in
-NumPy, and points whose sum cancellation would spoil go to a positive
-integral form instead.
+arguments.  One float64 engine, ``_series_rows``, sums them all -- the
+three-parameter Mittag-Leffler and Wright functions one argument at a time,
+the M-Wright density for a whole array of points -- in log-magnitude/sign
+form, in NumPy blocks of terms, with an explicit stopping rule and the
+cancellation ratio its callers use to refuse a cancellation-destroyed
+answer.  Where the float64 series is hopeless but the value is still
+representable, an arbitrary-precision fallback re-sums the same series with
+enough guard digits; for the M-Wright density, points whose sum
+cancellation would spoil go to a positive integral form instead.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from scipy import special as sc
 
 from .errors import CancellationError, ConvergenceError, DomainError, EvaluationError
 
-# Stopping rule shared by all series: relative-term threshold sustained over
-# several consecutive terms, with a geometric tail certificate from the
-# observed term ratio.
+# Plain stopping rule of the package's short positive or scalar sums: a
+# relative-term threshold sustained over several consecutive terms.
 REL_TOL = 1e-15
 CONSECUTIVE = 5
+# Term budget of the float64 series engine.
 MAX_TERMS = 100_000
 # Refuse rather than return garbage once the magnitude pile-up exceeds this
 # many times the surviving sum.
@@ -46,8 +47,12 @@ MAX_DPS = 1200
 class SeriesValue:
     """Result of a truncated series evaluation.
 
-    ``est_truncation_error`` is an upper bound on the absolute magnitude of
-    the discarded tail under the stopping rule.
+    ``est_truncation_error`` estimates the discarded tail.  The float64
+    engine takes it from its stopping term n: with m(r) the magnitudes its
+    stopping rule tests and q = m(n) / m(n - 1) < 1, it is m(n) q / (1 - q),
+    a geometric tail at the stopping ratio, which bounds the tail while the
+    ratios keep falling.  A high-precision re-sum reports 1e-15 of the
+    value, and a zero argument 0.
     """
 
     value: float
@@ -88,137 +93,165 @@ def trigamma(z):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_rgamma_signed(x: float) -> tuple[float, float]:
-    """(log|1/Gamma(x)|, sign), with sign 0 at the poles of Gamma."""
-    if x > 0:
-        return -math.lgamma(x), 1.0
-    if x == math.floor(x):
-        return -math.inf, 0.0
-    # reflection: 1/Gamma(x) = Gamma(1-x) sin(pi x) / pi
-    s = math.sin(math.pi * x)
-    if s == 0.0:
-        return -math.inf, 0.0
-    return math.lgamma(1.0 - x) + math.log(abs(s)) - math.log(math.pi), math.copysign(1.0, s)
+# Size of the series engine's temporaries: blocks of r grow to at most
+# _SERIES_BLOCK terms, and each (rows x r) array has at most
+# _SERIES_BLOCK_CELLS cells, so node sets whose rows run to MAX_TERMS stay
+# within a few MB.
+_SERIES_BLOCK = 4096
+_SERIES_BLOCK_CELLS = 32_768
 
 
-class _SignedLogSum:
-    """Accumulates sum of sign_j * exp(logmag_j) in a max-shifted frame.
+def _series_rows(logz, coef, n_terms):
+    """Sum sign(r) exp(r log|z| - base(r) + log_s(r)), r = 0 .. n_terms - 1,
+    for an array of log|z|, one row each.
 
-    Uses Neumaier compensation; tracks the magnitude pile-up so the caller
-    can detect catastrophic cancellation.
+    ``coef(r)`` gives (base, log_s, sign) for a block of r (a float array),
+    once per block for all rows, so the sign of z belongs in ``sign``.  The
+    rows advance together through blocks of r, each carrying its running
+    maximum log-magnitude, previous term and its signed and absolute sums
+    (in a frame shifted by its largest added term).  A row stops at the
+    first term past r = 7 whose lm(r) = r log|z| - base(r) is falling and
+    lies 46 below its running maximum; lm leaves out ``log_s``, so a sine's
+    zeros or a reciprocal gamma's poles stop no row.  A row whose running
+    maximum passes OVERFLOW_LOG stops with value NaN and cancellation inf.
+    No block or per-row reduction depends on the other rows, so a row gets
+    the same bits alone as in any array.
+
+    Returns arrays (value, cancel_ratio, max_logmag, stop), ``stop`` being
+    the r of a row's stopping term (NaN where it reached n_terms).
     """
+    n = len(logz)
+    max_lm = np.full(n, -math.inf)
+    prev = np.full(n, -math.inf)
+    # a finite floor keeps the frame finite through blocks whose terms all
+    # vanish
+    shift = np.full(n, -1e308)
+    acc = np.zeros(n)
+    abs_acc = np.zeros(n)
+    stop = np.full(n, math.nan)
 
-    def __init__(self):
-        self.shift = -math.inf
-        self.s = 0.0
-        self.comp = 0.0
-        self.abs_s = 0.0
+    def advance(rows, r, base, log_s, sign):
+        """Add the block's terms to ``rows``; return which rows finished."""
+        lm = r * logz[rows, None] - base
+        run_max = np.maximum.accumulate(lm, axis=1)
+        np.maximum(run_max, max_lm[rows, None], out=run_max)
+        falling = np.empty(lm.shape, dtype=bool)
+        falling[:, 0] = lm[:, 0] < prev[rows]
+        np.less(lm[:, 1:], lm[:, :-1], out=falling[:, 1:])
+        over = run_max > OVERFLOW_LOG
+        event = over | ((r > 7.0) & (lm < run_max - 46.0) & falling)
+        done = event.any(axis=1)
+        last = np.where(done, event.argmax(axis=1), len(r) - 1)
+        at_last = (np.arange(len(rows)), last)
+        overflow = over[at_last]
+        max_lm[rows] = run_max[at_last]
+        prev[rows] = lm[:, -1]
+        stop[rows] = np.where(done, r[last], math.nan)
+        del run_max, falling, over, event
+        # in place from here: lm becomes the shifted terms; terms past a
+        # row's stopping term are not added
+        lm += log_s
+        lm[np.arange(len(r)) > last[:, None]] = -math.inf
+        new_shift = np.maximum(shift[rows], lm.max(axis=1))
+        scale = np.exp(shift[rows] - new_shift)
+        lm -= new_shift[:, None]
+        t = np.exp(lm, out=lm)
+        abs_acc[rows] = abs_acc[rows] * scale + t.sum(axis=1)
+        t *= sign
+        acc[rows] = acc[rows] * scale + t.sum(axis=1)
+        shift[rows] = new_shift
+        acc[rows[done & overflow]] = math.nan
+        return done
 
-    def add(self, logmag: float, sign: float):
-        if sign == 0.0 or logmag == -math.inf:
-            return
-        if logmag > self.shift:
-            scale = math.exp(self.shift - logmag) if self.shift > -math.inf else 0.0
-            self.s *= scale
-            self.comp *= scale
-            self.abs_s *= scale
-            self.shift = logmag
-        t = sign * math.exp(logmag - self.shift)
-        new = self.s + t
-        if abs(self.s) >= abs(t):
-            self.comp += (self.s - new) + t
-        else:
-            self.comp += (t - new) + self.s
-        self.s = new
-        self.abs_s += abs(t)
-
-    @property
-    def total_scaled(self) -> float:
-        return self.s + self.comp
-
-    def value(self) -> float:
-        if self.shift == -math.inf:
-            return 0.0
-        t = self.total_scaled
-        return math.copysign(math.exp(self.shift + math.log(abs(t))), t) if t != 0.0 else 0.0
-
-    def cancel_ratio(self) -> float:
-        t = abs(self.total_scaled)
-        if self.abs_s == 0.0:
-            return 1.0
-        return self.abs_s / max(t, 5e-324 / max(math.exp(min(self.shift, 0.0)), 5e-324))
+    rows = np.arange(n)
+    r0, width = 0, 16
+    while rows.size and r0 < n_terms:
+        # most rows stop within a few dozen terms: blocks start narrow and
+        # widen while rows run on
+        width = min(2 * width, _SERIES_BLOCK, n_terms - r0)
+        r = np.arange(r0, r0 + width, dtype=float)
+        base, log_s, sign = coef(r)
+        group = max(_SERIES_BLOCK_CELLS // width, 1)
+        done = np.concatenate([
+            advance(rows[g:g + group], r, base, log_s, sign)
+            for g in range(0, rows.size, group)
+        ])
+        rows = rows[~done]
+        r0 += width
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = np.where(acc != 0.0, np.sign(acc) * np.exp(shift + np.log(np.abs(acc))), 0.0)
+        floor = 5e-324 / np.maximum(np.exp(np.minimum(shift, 0.0)), 5e-324)
+        cancel = np.where(abs_acc == 0.0, 1.0, abs_acc / np.maximum(np.abs(acc), floor))
+    cancel[np.isnan(acc)] = math.inf
+    return value, cancel, max_lm, stop
 
 
-def _sum_series(terms, max_terms=MAX_TERMS, alternating=False, what="series"):
-    """Drive a (logmag, sign) generator through the stopping rule.
+def _scan_max_log(coef, z, what, block=4096, max_r=2_000_000):
+    """Largest log term magnitude of the series ``coef`` gives at z != 0,
+    scanned in blocks of r without summing (sizes a high-precision re-sum)."""
+    logz = math.log(abs(z))
+    best = -math.inf
+    for start in range(0, max_r, block):
+        r = np.arange(start, start + block, dtype=float)
+        base, log_s, _ = coef(r)
+        lm = r * logz - base
+        best = max(best, float((lm + log_s).max()))
+        if lm[-1] < best - 60.0:
+            return best
+    raise ConvergenceError(f"{what}: magnitude scan exhausted its budget")
 
-    Returns (value, terms_used, tail_bound, cancel_ratio, max_logmag).
-    Raises EvaluationError on term overflow, ConvergenceError on budget
-    exhaustion.
+
+def _series_or_resum(what, method, coef, z, resum):
+    """A one-row series at z != 0: the engine's float64 value, or a re-sum.
+
+    ``resum(max_logmag)`` re-sums in high precision, sized from the largest
+    log term: the engine's, or ``_scan_max_log``'s where the engine's terms
+    overflow or it does not stop.  "auto" re-sums past AUTO_CANCEL_LIMIT;
+    "series" raises instead, past CANCEL_LIMIT; "exact" re-sums at once.
     """
-    acc = _SignedLogSum()
-    prev_logmag = None
-    ratios = []
-    small_run = 0
-    max_logmag = -math.inf
-    n = 0
-    tail_bound = math.inf
-    for logmag, sign in terms:
-        n += 1
-        if logmag > OVERFLOW_LOG:
+    if method == "exact":
+        value, n = resum(_scan_max_log(coef, z, what))
+        return SeriesValue(value, n, abs(value) * 1e-15)
+    logz = math.log(abs(z))
+    value, cancel, max_logmag, stop = (
+        float(a[0]) for a in _series_rows(np.array([logz]), coef, MAX_TERMS)
+    )
+    if math.isnan(value) or math.isnan(stop):
+        if method == "series" and math.isnan(value):
             raise EvaluationError(
                 f"{what}: term magnitude exceeds the float64 overflow budget; "
                 "use the Monte Carlo or integral representation"
             )
-        max_logmag = max(max_logmag, logmag)
-        acc.add(logmag, sign)
-        if prev_logmag is not None and logmag > -math.inf and prev_logmag > -math.inf:
-            ratios.append(math.exp(min(logmag - prev_logmag, 100.0)))
-            if len(ratios) > CONSECUTIVE:
-                ratios.pop(0)
-        if logmag > -math.inf:
-            prev_logmag = logmag
-        scaled_tot = abs(acc.total_scaled)
-        term_scaled = math.exp(logmag - acc.shift) if logmag > -math.inf else 0.0
-        if scaled_tot > 0.0 and term_scaled < REL_TOL * scaled_tot:
-            small_run += 1
-        else:
-            small_run = 0
-        if small_run >= CONSECUTIVE and len(ratios) == CONSECUTIVE:
-            r_hat = max(ratios)
-            if r_hat < 1.0:
-                tail_bound = math.exp(logmag) * r_hat / (1.0 - r_hat) if logmag > -745 else 0.0
-                break
-        if n >= max_terms:
-            raise ConvergenceError(f"{what}: no convergence within {max_terms} terms")
-    else:
-        # the generator terminated: the sum is exact
-        tail_bound = 0.0
-    value = acc.value()
-    cancel = acc.cancel_ratio() if alternating else 1.0
-    return value, n, tail_bound, cancel, max_logmag
-
-
-def _prabhakar_terms(eta, nu, tau, w):
-    """Signed log terms of sum_j (tau)_j w^j / (j! Gamma(eta j + nu))."""
-    logaw = math.log(abs(w)) if w != 0.0 else -math.inf
-    sign_w = 1.0 if w >= 0 else -1.0
-    logmag = -math.lgamma(nu)
-    sign = 1.0
-    j = 0
-    while True:
-        yield logmag, sign
-        if w == 0.0:
-            return
-        logmag += (
-            math.log(tau + j)
-            - math.log1p(j)
-            + logaw
-            + math.lgamma(eta * j + nu)
-            - math.lgamma(eta * (j + 1) + nu)
+        if method == "series":
+            raise ConvergenceError(f"{what}: no convergence within {MAX_TERMS} terms")
+        max_logmag = _scan_max_log(coef, z, what)
+    elif cancel <= (CANCEL_LIMIT if method == "series" else AUTO_CANCEL_LIMIT):
+        # the stopping term and the one before it, as the engine computed them
+        r = np.array([stop - 1.0, stop])
+        lm_prev, lm_stop = r * logz - coef(r)[0]
+        fall = lm_prev - lm_stop
+        log_tail = lm_stop - fall - math.log1p(-math.exp(-fall))
+        tail = math.exp(log_tail) if log_tail < 709.0 else math.inf
+        return SeriesValue(value, int(stop) + 1, tail)
+    elif method == "series":
+        raise CancellationError(
+            f"{what}: cancellation ratio {cancel:.2e} exceeds "
+            f"{CANCEL_LIMIT:.0e}; use the Monte Carlo path or method='auto'"
         )
-        sign *= sign_w
-        j += 1
+    value, n = resum(max_logmag)
+    return SeriesValue(value, n, abs(value) * 1e-15)
+
+
+def _prabhakar_coef(eta, nu, tau, w):
+    """(base, log_s, sign) of the Prabhakar series' term r for ``_series_rows``."""
+    lg_tau = math.lgamma(tau)
+
+    def coef(r):
+        base = sc.gammaln(r + 1.0) + sc.gammaln(eta * r + nu) - sc.gammaln(tau + r) + lg_tau
+        sign = np.where(r % 2.0 == 0.0, 1.0, -1.0) if w < 0 else np.ones_like(r)
+        return base, np.zeros_like(r), sign
+
+    return coef
 
 
 def _prabhakar_mp(eta, nu, tau, w, max_logmag):
@@ -228,6 +261,10 @@ def _prabhakar_mp(eta, nu, tau, w, max_logmag):
     precision is sized from the largest term magnitude seen in the float64
     scan.
     """
+    if w > 0:
+        # no cancellation is possible for positive arguments: the failure was
+        # genuine overflow of the value itself
+        raise EvaluationError("prabhakar_ml: value exceeds the float64 range")
     dps = int(max(max_logmag, 0.0) / math.log(10)) + 40
     if dps > MAX_DPS:
         raise EvaluationError(
@@ -272,72 +309,38 @@ def prabhakar_ml(eta: float, nu: float, tau: float, w: float, method: str = "aut
     if method not in ("auto", "series", "exact"):
         raise ValueError(f"unknown method {method!r}")
 
-    if method != "exact":
-        try:
-            value, n, tail, cancel, max_logmag = _sum_series(
-                _prabhakar_terms(eta, nu, tau, w),
-                alternating=w < 0,
-                what="prabhakar_ml",
-            )
-            if cancel <= (CANCEL_LIMIT if method == "series" else AUTO_CANCEL_LIMIT):
-                return SeriesValue(value, n, max(tail, 0.0))
-            if method == "series":
-                raise CancellationError(
-                    f"prabhakar_ml: cancellation ratio {cancel:.2e} exceeds "
-                    f"{CANCEL_LIMIT:.0e}; use the Monte Carlo path or method='auto'"
-                )
-        except EvaluationError:
-            if method == "series":
-                raise
-            max_logmag = _scan_prabhakar_max_log(eta, nu, tau, w)
-    else:
-        max_logmag = _scan_prabhakar_max_log(eta, nu, tau, w)
-
-    if w > 0:
-        # no cancellation is possible for positive arguments: the failure was
-        # genuine overflow of the value itself
-        raise EvaluationError("prabhakar_ml: value exceeds the float64 range")
-    value, n = _prabhakar_mp(eta, nu, tau, w, max_logmag)
-    return SeriesValue(value, n, abs(value) * 1e-15)
+    if w == 0.0:
+        return SeriesValue(math.exp(-math.lgamma(nu)), 1, 0.0)
+    return _series_or_resum(
+        "prabhakar_ml", method, _prabhakar_coef(eta, nu, tau, w), w,
+        lambda max_logmag: _prabhakar_mp(eta, nu, tau, w, max_logmag),
+    )
 
 
-def _scan_prabhakar_max_log(eta, nu, tau, w, block=4096, max_j=2_000_000):
-    """Largest log term magnitude of the Prabhakar series (vectorized scan)."""
-    logaw = math.log(abs(w)) if w != 0.0 else -math.inf
-    best = -math.inf
-    start = 0
-    lg_tau = math.lgamma(tau)
-    while start < max_j:
-        j = np.arange(start, start + block, dtype=float)
-        lm = (
-            sc.gammaln(tau + j)
-            - lg_tau
-            - sc.gammaln(j + 1.0)
-            + j * logaw
-            - sc.gammaln(eta * j + nu)
-        )
-        best = max(best, float(lm.max()))
-        if lm[-1] < best - 60.0:
-            return best
-        start += block
-    raise ConvergenceError("prabhakar_ml: magnitude scan exhausted its budget")
+def _wright_coef(xi, omega, z, r0):
+    """(base, log_s, sign) of the Wright series' term r0 + r for ``_series_rows``.
 
+    Where x = xi r + omega <= 0 the reciprocal gamma takes the reflection
+    form 1/Gamma(x) = Gamma(1 - x) sin(pi x) / pi, whose sine is exactly 0
+    at the poles.  Terms r0 on carry the factor z^r0 in ``base``.
+    """
+    log_pi = math.log(math.pi)
+    log_z0 = r0 * math.log(abs(z))
 
-def _wright_terms(xi, omega, z):
-    logaz = math.log(abs(z)) if z != 0.0 else -math.inf
-    sign_z = 1.0 if z >= 0 else -1.0
-    r = 0
-    lfact = 0.0
-    zsign = 1.0
-    while True:
-        lrg, srg = _log_rgamma_signed(xi * r + omega)
-        logmag = (r * logaz if z != 0.0 else (0.0 if r == 0 else -math.inf)) - lfact + lrg
-        yield logmag, srg * zsign
-        if z == 0.0 and r >= 1:
-            return
-        r += 1
-        lfact += math.log(r)
-        zsign *= sign_z
+    def coef(r):
+        r = r + r0
+        x = xi * r + omega
+        pos = x > 0.0
+        s = np.where(pos | (x == np.floor(x)), 0.0, np.sin(math.pi * x))
+        with np.errstate(divide="ignore"):
+            base = sc.gammaln(r + 1.0) + np.where(pos, sc.gammaln(x), -sc.gammaln(1.0 - x))
+            log_s = np.where(pos, 0.0, np.log(np.abs(s)) - log_pi)
+        sign = np.where(pos, 1.0, np.sign(s))
+        if z < 0:
+            sign *= np.where(r % 2.0 == 0.0, 1.0, -1.0)
+        return base - log_z0, log_s, sign
+
+    return coef
 
 
 def _wright_mp(xi, omega, z, max_logmag):
@@ -383,133 +386,36 @@ def wright_phi(xi: float, omega: float, z: float, method: str = "auto") -> Serie
         raise DomainError("wright_phi requires xi > -1")
     if method not in ("auto", "series"):
         raise ValueError(f"unknown method {method!r}")
-    max_logmag = None
-    try:
-        value, n, tail, cancel, max_logmag = _sum_series(
-            _wright_terms(xi, omega, z), alternating=(z < 0 or xi < 0), what="wright_phi"
-        )
-        if cancel <= (CANCEL_LIMIT if method == "series" else AUTO_CANCEL_LIMIT):
-            return SeriesValue(value, n, max(tail, 0.0))
-        if method == "series":
-            raise CancellationError(
-                f"wright_phi: cancellation ratio {cancel:.2e} exceeds {CANCEL_LIMIT:.0e}"
-            )
-    except EvaluationError:
-        if method == "series":
-            raise
-        if max_logmag is None:
-            max_logmag = _scan_wright_max_log(xi, omega, z)
-    value, n = _wright_mp(xi, omega, z, max_logmag)
-    return SeriesValue(value, n, abs(value) * 1e-15)
-
-
-def _scan_wright_max_log(xi, omega, z, block=4096, max_r=2_000_000):
-    logaz = math.log(abs(z)) if z != 0.0 else -math.inf
-    best = -math.inf
-    start = 0
-    while start < max_r:
-        r = np.arange(start, start + block, dtype=float)
-        arg = xi * r + omega
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lrg = np.where(
-                arg > 0,
-                -sc.gammaln(arg),
-                sc.gammaln(1.0 - arg) + np.log(np.abs(np.sin(np.pi * arg)) + 1e-320) - math.log(math.pi),
-            )
-        lm = r * logaz - sc.gammaln(r + 1.0) + lrg
-        best = max(best, float(np.nanmax(lm)))
-        if lm[-1] < best - 60.0:
-            return best
-        start += block
-    raise ConvergenceError("wright_phi: magnitude scan exhausted its budget")
-
-
-# Size of the vectorised reflection series' temporaries: blocks of j grow
-# to at most _M_WRIGHT_BLOCK terms, and each (rows x j) array has at most
-# _M_WRIGHT_BLOCK_CELLS cells, so node sets whose rows run to MAX_TERMS
-# stay within a few MB.
-_M_WRIGHT_BLOCK = 4096
-_M_WRIGHT_BLOCK_CELLS = 32_768
+    if z == 0.0:
+        return SeriesValue(reciprocal_gamma(omega), 1, 0.0)
+    # leading terms at the poles of Gamma vanish, but their reflection
+    # bound would set the scale of the stopping rule: start after them
+    r0 = 0
+    while r0 < MAX_TERMS and xi * r0 + omega <= 0.0 and (xi * r0 + omega) % 1.0 == 0.0:
+        r0 += 1
+    return _series_or_resum(
+        "wright_phi", method, _wright_coef(xi, omega, z, r0), z,
+        lambda max_logmag: _wright_mp(xi, omega, z, max_logmag),
+    )
 
 
 def _m_wright_series_rows(alpha, ys, max_terms=MAX_TERMS):
     """Reflection series of ``_m_wright_series`` for an array of y > 0.
 
-    All rows advance together through blocks of j: each row carries its
-    running maximum log-magnitude, previous term and its signed and absolute
-    sums (in a frame shifted by its largest added term) from block to block
-    and leaves at the first term that meets the stopping rule or overflows.
-    The blocks and every per-row reduction are the same whatever the other
-    rows, so a point gets the same bits alone as in any array.
-    Returns arrays (value, cancel_ratio, max_logmag).
+    The terms j = 1 .. max_terms - 1, as ``_series_rows`` terms r = j - 1
+    at z = -y.  Returns arrays (value, cancel_ratio, max_logmag).
     """
-    logy = np.log(ys)
-    n = len(ys)
-    max_lm = np.full(n, -math.inf)
-    prev = np.full(n, -math.inf)
-    shift = np.full(n, -math.inf)
-    acc = np.zeros(n)
-    abs_acc = np.zeros(n)
     log_pi = math.log(math.pi)
 
-    def advance(rows, j, base, log_s, sign):
-        """Add the block's terms to ``rows``; return which rows finished."""
-        lm = (j - 1.0) * logy[rows, None] - base
-        run_max = np.maximum.accumulate(lm, axis=1)
-        np.maximum(run_max, max_lm[rows, None], out=run_max)
-        falling = np.empty(lm.shape, dtype=bool)
-        falling[:, 0] = lm[:, 0] < prev[rows]
-        np.less(lm[:, 1:], lm[:, :-1], out=falling[:, 1:])
-        over = run_max > OVERFLOW_LOG
-        event = over | ((j > 8.0) & (lm < run_max - 46.0) & falling)
-        done = event.any(axis=1)
-        last = np.where(done, event.argmax(axis=1), len(j) - 1)
-        at_last = (np.arange(len(rows)), last)
-        overflow = over[at_last]
-        max_lm[rows] = run_max[at_last]
-        prev[rows] = lm[:, -1]
-        del run_max, falling, over, event
-        # in place from here: lm becomes the shifted terms; terms past a
-        # row's stopping term are not added
-        lm += log_s
-        lm[np.arange(len(j)) > last[:, None]] = -math.inf
-        new_shift = np.maximum(shift[rows], lm.max(axis=1))
-        with np.errstate(invalid="ignore"):
-            scale = np.where(shift[rows] > -math.inf, np.exp(shift[rows] - new_shift), 0.0)
-        lm -= new_shift[:, None]
-        t = np.exp(lm, out=lm)
-        abs_acc[rows] = abs_acc[rows] * scale + t.sum(axis=1)
-        t *= sign
-        acc[rows] = acc[rows] * scale + t.sum(axis=1)
-        shift[rows] = new_shift
-        acc[rows[done & overflow]] = math.nan
-        return done
-
-    rows = np.arange(n)
-    j0, width = 1, 16
-    while rows.size and j0 < max_terms:
-        # most rows stop within a few dozen terms: blocks start narrow and
-        # widen while rows run on
-        width = min(2 * width, _M_WRIGHT_BLOCK, max_terms - j0)
-        j = np.arange(j0, j0 + width, dtype=float)
-        base = sc.gammaln(j) - sc.gammaln(alpha * j)
+    def coef(r):
+        j = r + 1.0
         s = np.sin(math.pi * alpha * j)
         with np.errstate(divide="ignore"):
             log_s = np.log(np.abs(s)) - log_pi
-        sign = np.sign(s) * np.where(j % 2.0 == 1.0, 1.0, -1.0)
-        group = max(_M_WRIGHT_BLOCK_CELLS // width, 1)
-        done = np.concatenate([
-            advance(rows[g:g + group], j, base, log_s, sign)
-            for g in range(0, rows.size, group)
-        ])
-        rows = rows[~done]
-        j0 += width
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        value = np.where(acc != 0.0, np.sign(acc) * np.exp(shift + np.log(np.abs(acc))), 0.0)
-        floor = 5e-324 / np.maximum(np.exp(np.minimum(shift, 0.0)), 5e-324)
-        cancel = np.where(abs_acc == 0.0, 1.0, abs_acc / np.maximum(np.abs(acc), floor))
-    cancel[np.isnan(acc)] = math.inf
-    return value, cancel, max_lm
+        sign = np.sign(s) * np.where(r % 2.0 == 0.0, 1.0, -1.0)
+        return sc.gammaln(j) - sc.gammaln(alpha * j), log_s, sign
+
+    return _series_rows(np.log(ys), coef, max_terms - 1)[:3]
 
 
 def _m_wright_series(alpha, y, max_terms=MAX_TERMS):

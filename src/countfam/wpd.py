@@ -10,6 +10,7 @@ over- and underdispersion.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +21,7 @@ from scipy import special as sc
 
 from .errors import ConvergenceError, DomainError, EvaluationError
 from .moments import FactorialMomentSequence, SummaryStats, summary_from_factorial
-from .special import _SignedLogSum, trigamma
+from .special import trigamma
 
 _ETA_EPS = 0.9       # multiplier certificate threshold
 _ETA_BUDGET = 100_000
@@ -213,45 +214,39 @@ def _fold(shift: float, total: float, lt: np.ndarray, frame: float) -> float:
     return math.fsum([total * math.exp(shift - frame), *np.exp(lt - frame).tolist()])
 
 
-@lru_cache(maxsize=4096)
-def eta(p: WpdParams) -> EtaValue:
-    """Normalizing constant of the weighted law, with a certified truncation bound.
+def _certified_log_sum(log_terms, refuse_after_first=None):
+    """First certified stop of a sum of positive terms exp(lt(k)).
 
-    Terms are accumulated until the term multiplier is certified monotonically
-    decreasing below 0.9 and the geometric tail bound falls below 1e-15 of
-    the partial sum.  Raises ConvergenceError when the certificate cannot be
-    reached within budget (which happens when lam^(1/nu) is astronomically
-    large) and EvaluationError when the value itself overflows float64.
+    A step stops the sum once the term multiplier is certified
+    non-increasing below 0.9 and the geometric tail bound falls below 1e-15
+    of the partial sum.  Step k looks at term k + 1.  The steps run in
+    blocks, ``_ETA_FIRST`` wide and then doubling up to ``_ETA_BLOCK``;
+    ``log_terms(s, e)`` gives a block's log terms s .. e (fewer where the
+    terms run out, and a vanishing first term is left out).  Each block
+    finds its first stopping step with array operations, and carries the
+    partial sum (a total in the frame exp(shift)), the previous ratio, the
+    run of non-increasing ratios and the certificate to the next.
 
-    Step k looks at term k + 1.  The steps run in blocks, ``_ETA_FIRST``
-    wide and then doubling up to ``_ETA_BLOCK``; each block evaluates its
-    log terms with gammaln and finds its first stopping step with array
-    operations.  From block to block it carries the partial sum (a total
-    in the frame exp(shift)), the previous ratio, the run of non-increasing
-    ratios and the certificate.  Most sums stop inside the first block.  A
-    sum whose first block ends uncertified and that has no step up to the
-    budget with a ratio below 0.9 is refused there, without walking the
-    budget (``_never_certified``).
-
-    At nu = 0 the terms are lam^k Gamma(k + gamma) / k!, whose ratio rises
-    to lam: for lam >= 1 the sum diverges and is refused at once.
+    Returns (k, log of the sum through term k, log of the tail bound), or
+    None when the terms or the budget of ``_ETA_BUDGET`` steps run out, or
+    when the first block ends uncertified and ``refuse_after_first(s,
+    width)`` says no later step can certify.
     """
-    if p.nu == 0.0 and p.lam >= 1.0:
-        raise _eta_budget_error()
     log_tol = math.log(1e-15)
     s, width = 0, _ETA_FIRST
     shift, total = -math.inf, 0.0
     prev_ratio, dec_run, certified = math.inf, 0, False
     while s < _ETA_BUDGET:
-        k, log_fact = _block_grid(s, min(s + width, _ETA_BUDGET))
-        lt = _log_terms(p, k, log_fact)
+        lt = log_terms(s, min(s + width, _ETA_BUDGET))
+        if len(lt) < 2:  # the terms ran out
+            return None
         if s == 0:
-            if lt[0] == -math.inf:  # vanishing zero cell (beta = 0, nu > 1)
-                k, lt, s = k[1:], lt[1:], 1
+            if lt[0] == -math.inf:  # a vanishing first term
+                lt, s = lt[1:], 1
             shift, total = float(lt[0]), 1.0
         # the block's steps are s .. s + n - 1; lt[i] is term s + i
         n = len(lt) - 1
-        steps = k[:-1]
+        steps = np.arange(s, s + n, dtype=float)
         ratio = np.exp(np.minimum(lt[1:] - lt[:-1], 700.0))
         before = np.empty(n)
         before[0] = prev_ratio
@@ -266,7 +261,7 @@ def eta(p: WpdParams) -> EtaValue:
         reset = steps.copy()
         reset[steady] = s - 1.0 - dec_run
         np.maximum.accumulate(reset, out=reset)
-        low = steps.copy()
+        low = steps
         low[ratio >= _ETA_EPS] = s - 1.0 if certified else s - 1.0 - dec_run
         np.maximum.accumulate(low, out=low)
         cert = low >= reset + _DEC_RUN
@@ -283,20 +278,46 @@ def eta(p: WpdParams) -> EtaValue:
         if stop[i]:
             frame = float(log_part[i])
             log_sum = frame + math.log(_fold(shift, total, lt[1:i + 1], frame))
-            if log_sum > 709.0:
-                raise EvaluationError("eta overflows float64 (log eta = %.1f)" % log_sum)
-            lb = float(log_bound[i])
-            bound = math.exp(lb) if lb > -745.0 else 5e-324
-            return EtaValue(math.exp(log_sum) + bound, s + i, bound, log_sum)
+            return s + i, log_sum, float(log_bound[i])
         frame = float(log_part[-1])
         shift, total = frame, _fold(shift, total, lt[1:], frame)
         prev_ratio, dec_run, certified = float(ratio[-1]), s + n - 1 - int(reset[-1]), bool(cert[-1])
         s += n
         width = min(2 * width, _ETA_BLOCK)
         # the first block ends at _ETA_FIRST, with or without a vanishing zero cell
-        if s == _ETA_FIRST and not certified and _never_certified(p, s, width):
-            raise _eta_budget_error()
-    raise _eta_budget_error()
+        if (s == _ETA_FIRST and not certified and refuse_after_first is not None
+                and refuse_after_first(s, width)):
+            return None
+    return None
+
+
+@lru_cache(maxsize=4096)
+def eta(p: WpdParams) -> EtaValue:
+    """Normalizing constant of the weighted law, with a certified truncation bound.
+
+    ``_certified_log_sum`` sums blocks of log terms from gammaln; most sums
+    stop inside the first block.  Raises ConvergenceError when the
+    certificate cannot be reached within budget (which happens when
+    lam^(1/nu) is astronomically large), at once where no step up to the
+    budget has a ratio below 0.9 (``_never_certified``), and EvaluationError
+    when the value itself overflows float64.
+
+    At nu = 0 the terms are lam^k Gamma(k + gamma) / k!, whose ratio rises
+    to lam: for lam >= 1 the sum diverges and is refused at once.
+    """
+    if p.nu == 0.0 and p.lam >= 1.0:
+        raise _eta_budget_error()
+    found = _certified_log_sum(
+        lambda s, e: _log_terms(p, *_block_grid(s, e)),
+        lambda s, width: _never_certified(p, s, width),
+    )
+    if found is None:
+        raise _eta_budget_error()
+    k, log_sum, lb = found
+    if log_sum > 709.0:
+        raise EvaluationError("eta overflows float64 (log eta = %.1f)" % log_sum)
+    bound = math.exp(lb) if lb > -745.0 else 5e-324
+    return EtaValue(math.exp(log_sum) + bound, k, bound, log_sum)
 
 
 def _never_certified(p: WpdParams, s: int, width: int) -> bool:
@@ -660,36 +681,42 @@ def _as_weight_fn(w):
 
 
 def _shifted_series_log(wfn, lam, shift, limit):
-    """log sum_k lam^k w(k + shift) / k! with the eta-style stopping rule."""
-    acc = _SignedLogSum()
-    prev_ratio = math.inf
-    dec_run = 0
-    k = 0
-    lt = None
-    while True:
-        if limit is not None and k + shift >= limit:
-            raise ConvergenceError(
-                "weight sequence too short for the shifted series to converge"
-            )
-        wk = wfn(k + shift)
-        if wk < 0:
-            raise DomainError("weights must be non-negative")
-        new_lt = k * math.log(lam) - math.lgamma(k + 1) + (math.log(wk) if wk > 0 else -math.inf)
-        acc.add(new_lt, 1.0)
-        if lt is not None and new_lt > -math.inf and lt > -math.inf:
-            ratio = math.exp(min(new_lt - lt, 700.0))
-            dec_run = dec_run + 1 if ratio <= prev_ratio * (1.0 + 1e-12) else 0
-            if dec_run >= _DEC_RUN and ratio < _ETA_EPS:
-                if new_lt - math.log1p(-ratio) < math.log(1e-15) + acc.shift + math.log(
-                    max(acc.total_scaled, 1e-300)
-                ):
-                    return acc.shift + math.log(acc.total_scaled)
-            prev_ratio = ratio
-        if new_lt > -math.inf:
-            lt = new_lt
-        k += 1
-        if k > _ETA_BUDGET:
-            raise ConvergenceError("shifted weight series failed to converge in budget")
+    """log sum_k lam^k w(k + shift) / k!, summed by ``_certified_log_sum``.
+
+    The weights are read as the blocks need them, up to the end of a
+    sequence of ``limit`` weights.  Zero weights add no term, so the
+    certificate sees the ratio across them.  An error in reading a weight
+    (the callable raises, or the weight is negative) is raised only if the
+    sum needs that weight.
+    """
+    log_lam = math.log(lam)
+    n_read = _ETA_BUDGET + 1 if limit is None else min(_ETA_BUDGET + 1, limit - shift)
+
+    def nonzero():
+        for k in range(n_read):
+            wk = wfn(k + shift)
+            if wk < 0:
+                raise DomainError("weights must be non-negative")
+            if wk > 0:
+                yield k * log_lam - math.lgamma(k + 1) + math.log(wk)
+
+    stream, terms, failure = nonzero(), [], []
+
+    def log_terms(s, e):
+        try:
+            terms.extend(itertools.islice(stream, max(e + 1 - len(terms), 0)))
+        except Exception as exc:
+            failure.append(exc)
+        return np.array(terms[s:e + 1])
+
+    found = _certified_log_sum(log_terms)
+    if found is not None:
+        return found[1]
+    if failure:
+        raise failure[0]
+    if n_read <= _ETA_BUDGET:
+        raise ConvergenceError("weight sequence too short for the shifted series to converge")
+    raise ConvergenceError("shifted weight series failed to converge in budget")
 
 
 def turan_check(w, lam: float, rel_tol: float = 1e-10) -> str:

@@ -31,6 +31,9 @@ from countfam import (
 from countfam import gfpd
 from countfam.inference import _fpd_grid
 from countfam.special import (
+    MAX_TERMS,
+    OVERFLOW_LOG,
+    _M_WRIGHT_CANCEL,
     _m_wright_integral,
     _m_wright_integral_first,
     _m_wright_integral_rows,
@@ -83,6 +86,149 @@ def _m_wright_mp(alpha, y, floor=1e-100):
                 return float(total / mp.pi)
             power = power * yy / j
             j += 1
+
+
+# the block sizes of the loop below
+_M_WRIGHT_BLOCK = 4096
+_M_WRIGHT_BLOCK_CELLS = 32_768
+
+
+def _m_wright_series_rows_loop(alpha, ys, max_terms=MAX_TERMS):
+    """Reflection series of ``_m_wright_series`` for an array of y > 0, as
+    summed before the series engine served every series: the oracle that
+    ``_m_wright_series_rows`` and ``m_wright`` keep their bits against.
+
+    All rows advance together through blocks of j: each row carries its
+    running maximum log-magnitude, previous term and its signed and absolute
+    sums (in a frame shifted by its largest added term) from block to block
+    and leaves at the first term that meets the stopping rule or overflows.
+    The blocks and every per-row reduction are the same whatever the other
+    rows, so a point gets the same bits alone as in any array.
+    Returns arrays (value, cancel_ratio, max_logmag).
+    """
+    logy = np.log(ys)
+    n = len(ys)
+    max_lm = np.full(n, -math.inf)
+    prev = np.full(n, -math.inf)
+    shift = np.full(n, -math.inf)
+    acc = np.zeros(n)
+    abs_acc = np.zeros(n)
+    log_pi = math.log(math.pi)
+
+    def advance(rows, j, base, log_s, sign):
+        """Add the block's terms to ``rows``; return which rows finished."""
+        lm = (j - 1.0) * logy[rows, None] - base
+        run_max = np.maximum.accumulate(lm, axis=1)
+        np.maximum(run_max, max_lm[rows, None], out=run_max)
+        falling = np.empty(lm.shape, dtype=bool)
+        falling[:, 0] = lm[:, 0] < prev[rows]
+        np.less(lm[:, 1:], lm[:, :-1], out=falling[:, 1:])
+        over = run_max > OVERFLOW_LOG
+        event = over | ((j > 8.0) & (lm < run_max - 46.0) & falling)
+        done = event.any(axis=1)
+        last = np.where(done, event.argmax(axis=1), len(j) - 1)
+        at_last = (np.arange(len(rows)), last)
+        overflow = over[at_last]
+        max_lm[rows] = run_max[at_last]
+        prev[rows] = lm[:, -1]
+        del run_max, falling, over, event
+        # in place from here: lm becomes the shifted terms; terms past a
+        # row's stopping term are not added
+        lm += log_s
+        lm[np.arange(len(j)) > last[:, None]] = -math.inf
+        new_shift = np.maximum(shift[rows], lm.max(axis=1))
+        with np.errstate(invalid="ignore"):
+            scale = np.where(shift[rows] > -math.inf, np.exp(shift[rows] - new_shift), 0.0)
+        lm -= new_shift[:, None]
+        t = np.exp(lm, out=lm)
+        abs_acc[rows] = abs_acc[rows] * scale + t.sum(axis=1)
+        t *= sign
+        acc[rows] = acc[rows] * scale + t.sum(axis=1)
+        shift[rows] = new_shift
+        acc[rows[done & overflow]] = math.nan
+        return done
+
+    rows = np.arange(n)
+    j0, width = 1, 16
+    while rows.size and j0 < max_terms:
+        # most rows stop within a few dozen terms: blocks start narrow and
+        # widen while rows run on
+        width = min(2 * width, _M_WRIGHT_BLOCK, max_terms - j0)
+        j = np.arange(j0, j0 + width, dtype=float)
+        base = sc.gammaln(j) - sc.gammaln(alpha * j)
+        s = np.sin(math.pi * alpha * j)
+        with np.errstate(divide="ignore"):
+            log_s = np.log(np.abs(s)) - log_pi
+        sign = np.sign(s) * np.where(j % 2.0 == 1.0, 1.0, -1.0)
+        group = max(_M_WRIGHT_BLOCK_CELLS // width, 1)
+        done = np.concatenate([
+            advance(rows[g:g + group], j, base, log_s, sign)
+            for g in range(0, rows.size, group)
+        ])
+        rows = rows[~done]
+        j0 += width
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = np.where(acc != 0.0, np.sign(acc) * np.exp(shift + np.log(np.abs(acc))), 0.0)
+        floor = 5e-324 / np.maximum(np.exp(np.minimum(shift, 0.0)), 5e-324)
+        cancel = np.where(abs_acc == 0.0, 1.0, abs_acc / np.maximum(np.abs(acc), floor))
+    cancel[np.isnan(acc)] = math.inf
+    return value, cancel, max_lm
+
+
+def _bit_identity_set():
+    """(alpha, ys) pairs over the whole range of alpha and log y, with the
+    alphas where sin(pi alpha j) vanishes at every few j."""
+    rng = np.random.default_rng(20261019)
+    alphas = [0.25, 1.0 / 3.0, 0.5, *rng.uniform(0.01, 0.99, 37)]
+    return [(float(a), np.exp(rng.uniform(math.log(1e-4), math.log(400.0), 80))) for a in alphas]
+
+
+def _mp_series(term, n_terms, dps):
+    """sum_r term(r) and sum_r |term(r)| over r < n_terms in mpmath at
+    ``dps`` digits."""
+    with mp.workdps(dps):
+        terms = [term(r) for r in range(n_terms)]
+        return float(mp.fsum(terms)), float(mp.fsum(abs(t) for t in terms))
+
+
+def _oracle_terms(lm, zero=False):
+    """How many terms an oracle sums and at what precision, from float
+    bounds ``lm`` on the log-magnitudes of its first 3001 terms, of which
+    those marked ``zero`` vanish: up to 120 nats below the largest term
+    that does not vanish, or None where that is beyond the 3001."""
+    peak = int(np.argmax(np.where(zero, -math.inf, lm)))
+    past = np.flatnonzero((lm < lm[peak] - 120.0) & (np.arange(len(lm)) > peak))
+    if not len(past):
+        return None
+    return int(past[0]) + 1, int(max(lm[peak], 0.0) / math.log(10.0)) + 40
+
+
+def _prabhakar_oracle(eta, nu, tau, w):
+    r = np.arange(3001.0)
+    lm = (sc.gammaln(tau + r) - math.lgamma(tau) - sc.gammaln(r + 1.0) + r * math.log(abs(w))
+          - sc.gammaln(eta * r + nu))
+    plan = _oracle_terms(lm)
+    if plan is None:
+        return None
+    e_, n_, t_, w_ = (mp.mpf(v) for v in (eta, nu, tau, w))
+    return _mp_series(
+        lambda j: mp.rf(t_, j) * w_**j / mp.factorial(j) * mp.rgamma(e_ * j + n_), *plan
+    )
+
+
+def _wright_oracle(xi, omega, z):
+    r = np.arange(3001.0)
+    x = xi * r + omega
+    # reflection bound where x <= 0, so the magnitudes bound the terms; the
+    # terms at the poles of Gamma vanish
+    lrg = np.where(x > 0, -sc.gammaln(np.abs(x) + (x == 0)),
+                   sc.gammaln(1.0 - np.minimum(x, 0.0)))
+    poles = (x <= 0) & (x == np.floor(x))
+    plan = _oracle_terms(r * math.log(abs(z)) - sc.gammaln(r + 1.0) + lrg, poles)
+    if plan is None:
+        return None
+    x_, o_, z_ = (mp.mpf(v) for v in (xi, omega, z))
+    return _mp_series(lambda k: z_**k / mp.factorial(k) * mp.rgamma(x_ * k + o_), *plan)
 
 
 class TestLogGamma:
@@ -212,6 +358,18 @@ class TestWrightPhi:
                 lhs = wright_phi(-alpha, 1.0 - alpha, -float(y)).value
                 assert lhs == pytest.approx(m_wright(alpha, float(y)), abs=1e-9)
 
+    def test_leading_poles(self):
+        # the terms before xi r + omega > 0 sit on poles of Gamma and vanish;
+        # the sum starts after them, so their reflection bound (up to
+        # Gamma(41) at omega = -40) does not end it early
+        for xi, omega, z in ((1.0, -40.0, 3.0), (2.0, -7.0, -2.5)):
+            with mp.workdps(50):
+                ref = mp.fsum(mp.mpf(z) ** k / mp.factorial(k) * mp.rgamma(xi * k + omega)
+                              for k in range(200))
+            assert wright_phi(xi, omega, z).value == pytest.approx(float(ref), rel=1e-13)
+        # every term on a pole: Gamma(omega)^-1 e^z = 0
+        assert wright_phi(0.0, -1.0, 2.0).value == 0.0
+
     def test_domain(self):
         with pytest.raises(DomainError):
             wright_phi(-1.0, 1.0, 1.0)
@@ -326,6 +484,73 @@ class TestMWright:
         with pytest.raises(DomainError):
             m_wright(0.5, -1.0)
 
+
+
+# The float64 series' error against mpmath is at most _SERIES_C eps times
+# the sum of the terms' magnitudes (max(cancellation, 1) times the value).
+# A term is the exp of a log-magnitude whose parts (r log|z|, log Gamma)
+# run to several hundred and are each rounded, so a term carries up to a
+# few hundred eps of error: on the box below the series engine reaches 206
+# eps (Prabhakar) and 317 eps (Wright), and the per-term loop it replaced
+# 313 and 317 wherever it returned a value.
+_SERIES_C = 400.0
+
+
+def _check_series_value(f, args, oracle):
+    """f(*args) against the oracle's (sum, sum of magnitudes), within
+    _SERIES_C eps max(cancellation, 1); where the oracle would need more
+    than its budget of terms the value is not asked."""
+    ref = oracle(*args)
+    if ref is None:
+        return
+    total, magnitude = ref
+    sv = f(*args)
+    assert sv.terms_used >= 1
+    assert 0.0 <= sv.est_truncation_error
+    bound = _SERIES_C * 2.0**-52 * max(magnitude, abs(total))
+    assert abs(sv.value - total) <= bound, (args, sv, ref)
+
+
+class TestSeriesEngine:
+    def test_m_wright_rows_keep_their_bits(self):
+        overflow = cancelled = 0
+        for alpha, ys in _bit_identity_set():
+            want = _m_wright_series_rows_loop(alpha, ys)
+            got = _m_wright_series_rows(alpha, ys)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w, equal_nan=True), alpha
+            overflow += int(np.isnan(want[0]).sum())
+            cancelled += int((np.isfinite(want[1]) & (want[1] > _M_WRIGHT_CANCEL)).sum())
+        # the set holds rows that overflow and rows the cancellation cut refuses
+        assert overflow > 0 and cancelled > 0
+
+    def test_m_wright_keeps_its_bits(self):
+        # m_wright is the loop's series where its value is used, then the
+        # integral
+        for alpha, ys in _bit_identity_set():
+            value, cancel, _ = _m_wright_series_rows_loop(alpha, ys)
+            bad = ~np.isfinite(value) | (cancel > _M_WRIGHT_CANCEL) | (value < 0.0)
+            value[bad] = _m_wright_integral_rows(alpha, ys[bad])
+            assert np.array_equal(m_wright(alpha, ys), np.maximum(value, 0.0)), alpha
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        eta=st.floats(0.1, 4.0),
+        nu=st.floats(0.1, 4.0),
+        tau=st.floats(0.1, 4.0),
+        w=st.floats(-15.0, 15.0).filter(lambda v: v != 0.0),
+    )
+    def test_prabhakar_matches_mpmath(self, eta, nu, tau, w):
+        _check_series_value(prabhakar_ml, (eta, nu, tau, w), _prabhakar_oracle)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        xi=st.floats(-0.95, 2.0),
+        omega=st.floats(-2.0, 3.0),
+        z=st.floats(-15.0, 15.0).filter(lambda v: v != 0.0),
+    )
+    def test_wright_matches_mpmath(self, xi, omega, z):
+        _check_series_value(wright_phi, (xi, omega, z), _wright_oracle)
 
 def _series_refused(alpha, log_y):
     value, cancel, _ = _m_wright_series(alpha, math.exp(log_y))

@@ -31,7 +31,6 @@ from countfam import (
     wpd_pmf_table,
     wpd_summary,
 )
-from countfam.special import _SignedLogSum
 from countfam.wpd import pmf_multiplier
 
 
@@ -41,6 +40,54 @@ def brute_eta(p, kmax=400):
         for k in range(kmax)
         if log_weight(p, k) > -math.inf
     )
+
+
+class _SignedLogSum:
+    """Accumulates sum of sign_j * exp(logmag_j) in a max-shifted frame.
+
+    Uses Neumaier compensation; tracks the magnitude pile-up so the caller
+    can detect catastrophic cancellation.
+    """
+
+    def __init__(self):
+        self.shift = -math.inf
+        self.s = 0.0
+        self.comp = 0.0
+        self.abs_s = 0.0
+
+    def add(self, logmag: float, sign: float):
+        if sign == 0.0 or logmag == -math.inf:
+            return
+        if logmag > self.shift:
+            scale = math.exp(self.shift - logmag) if self.shift > -math.inf else 0.0
+            self.s *= scale
+            self.comp *= scale
+            self.abs_s *= scale
+            self.shift = logmag
+        t = sign * math.exp(logmag - self.shift)
+        new = self.s + t
+        if abs(self.s) >= abs(t):
+            self.comp += (self.s - new) + t
+        else:
+            self.comp += (t - new) + self.s
+        self.s = new
+        self.abs_s += abs(t)
+
+    @property
+    def total_scaled(self) -> float:
+        return self.s + self.comp
+
+    def value(self) -> float:
+        if self.shift == -math.inf:
+            return 0.0
+        t = self.total_scaled
+        return math.copysign(math.exp(self.shift + math.log(abs(t))), t) if t != 0.0 else 0.0
+
+    def cancel_ratio(self) -> float:
+        t = abs(self.total_scaled)
+        if self.abs_s == 0.0:
+            return 1.0
+        return self.abs_s / max(t, 5e-324 / max(math.exp(min(self.shift, 0.0)), 5e-324))
 
 
 def loop_eta(p):
@@ -552,6 +599,32 @@ class TestDispersion:
         assert turan_check(seq, 2.0) == "boundary"
         with pytest.raises(ConvergenceError):
             turan_check([1.0, 2.0, 4.0], 2.0)  # far too short
+
+    def test_turan_interior_zeros(self):
+        # a zero weight adds no term; the certificate sees the ratio across it
+        seq = [1.0, 2.0, 0.0, 0.0, 5.0, 1.0, 0.0, 2.0] + [1.0] * 60
+        assert turan_check(seq, 2.0) == "overdispersed"
+        assert turan_check(lambda k: 0.0 if k % 2 else float(k + 1), 1.5) == "underdispersed"
+
+    def test_turan_weight_errors(self):
+        # weights are read a block at a time; an error reading one is raised
+        # only if the sum needs that weight
+        def w(k, last):
+            if k > last:
+                raise OverflowError(k)
+            return 1.0
+
+        assert turan_check(lambda k: w(k, 70), 2.0) == "boundary"
+        with pytest.raises(OverflowError):
+            turan_check(lambda k: w(k, 10), 2.0)
+
+    def test_turan_shortest_sequence(self):
+        # 25 weights are the fewest with which the shifted series T^2 f
+        # stops; the weight blocks are clipped at the sequence's end
+        seq = [1.0 / (k + 1) for k in range(25)]
+        assert turan_check(seq, 2.0) == "overdispersed"
+        with pytest.raises(ConvergenceError):
+            turan_check(seq[:-1], 2.0)
 
     def test_sufficient_condition(self):
         assert sufficient_condition_check(lambda k: 1.0, 10) == "inconclusive"
