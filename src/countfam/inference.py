@@ -34,7 +34,7 @@ from .baselines import (  # noqa: F401
     negbinom_score,
     negbinom_skewness,
 )
-from .errors import DomainError, EvaluationError
+from .errors import ConvergenceError, DomainError, EvaluationError
 from .gfpd import GfpdParams, aa1_pmf_quadrature, fpd_pmf_quadrature, gfpd_summary
 from .moments import SummaryStats, summary_from_factorial
 from .sampling import sample_fpd, sample_wpd
@@ -306,7 +306,9 @@ def _init_model_ii2(data):
 
 def _adaptive(table):
     """A pmf route from a table route: without x_max the support runs until
-    the mass reaches 1 - 1e-10 (or 100,000 counts)."""
+    the mass reaches 1 - 1e-10.  A law whose first 100,000 counts hold less
+    mass than that is refused with ConvergenceError, as the adaptive gfpd
+    tables are refused at their row cap; x_max gives a fixed support."""
 
     def build(theta, x_max):
         if x_max is not None:
@@ -314,11 +316,15 @@ def _adaptive(table):
         n = 64
         while True:
             out = table(theta, n - 1)
-            reached = np.flatnonzero(np.cumsum(out) >= 1.0 - 1e-10)
+            mass = np.cumsum(out)
+            reached = np.flatnonzero(mass >= 1.0 - 1e-10)
             if len(reached):
                 return out[:reached[0] + 1]
             if n == 100_000:
-                return out
+                raise ConvergenceError(
+                    f"pmf table reached {n} counts with mass {mass[-1]:.6g}, short of "
+                    "1 - 1e-10; pass x_max (--x-max) for a fixed support"
+                )
             n = min(8 * n, 100_000)
 
     return build

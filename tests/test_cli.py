@@ -263,6 +263,15 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("error[5]: pmf table reached 100000 rows before 10 consecutive")
 
+    def test_adaptive_count_cap_refused(self, capsys):
+        # NB(1, 1e-6) holds mass 0.095 on its first 100,000 counts
+        code, out, err = run_cli(["pmf", "--model", "negbinom", "--r", "1", "--p", "1e-6"], capsys)
+        assert code == 5
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[5]: pmf table reached 100000 counts")
+        assert "--x-max" in err
+
     @pytest.mark.parametrize("alpha, mu", [("0.99", "0.5"), ("0.95", "0.05"), ("0.97", "1.0")])
     def test_adaptive_mass_refused(self, alpha, mu, capsys):
         code, out, err = run_cli(["pmf", "--model", "gfpd_aa1", "--alpha", alpha, "--mu", mu], capsys)

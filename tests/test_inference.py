@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 from countfam import (
+    ConvergenceError,
     CountData,
     DomainError,
     EvaluationError,
@@ -291,6 +292,20 @@ class TestFitSimplex:
             d = CountData.from_values(sample_wpd(p, 5000, RngStream(700 + i)).values)
             res = fit_simplex("model_i", d)
             assert res.loglik >= loglik("model_i", (1.0, 0.5, 0.1), d) - 2.0
+
+
+class TestAdaptivePmf:
+    def test_mass_reached(self):
+        table = MODELS["negbinom"].pmf((2.0, 0.3), None)
+        assert 1.0 - 1e-10 <= table.sum() <= 1.0 + 1e-12
+        assert table[:-1].sum() < 1.0 - 1e-10
+
+    def test_refused_at_the_cap(self):
+        # NB(1, 1e-6) is geometric with mean 1e6: its first 100,000 counts
+        # hold mass 1 - (1 - 1e-6)^1e5 ~ 0.095
+        with pytest.raises(ConvergenceError, match="x_max"):
+            MODELS["negbinom"].pmf((1.0, 1e-6), None)
+        assert len(MODELS["negbinom"].pmf((1.0, 1e-6), 10)) == 11
 
 
 class TestGof:
