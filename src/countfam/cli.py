@@ -142,8 +142,6 @@ def _cmd_pmf(args, out):
 def _cmd_sample(args, out):
     rng = RngStream(args.seed)
     spec = LAWS[args.model]
-    if spec.sample is None:
-        raise CliError(EXIT_USAGE, f"sampling not available for model {args.model!r}")
     batch = spec.sample(_theta(args, spec), args.n, rng)
     for v in batch.values:
         out.write(f"{int(v)}\n")

@@ -32,18 +32,18 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special as sc
 
 from .errors import CancellationError, ConvergenceError, DomainError, EvaluationError
-from .moments import FactorialMomentSequence, SummaryStats, skewness_from_factorial
+from .moments import (
+    TAIL_TOL,
+    FactorialMomentSequence,
+    SummaryStats,
+    adaptive_pmf_table,
+    skewness_from_factorial,
+)
 from .special import MAX_DPS, _leggauss, m_wright
 
 # Above this log-magnitude of the largest series term, a float64 row of the
 # pmf table is recomputed in high precision (absolute noise ~ e^6 * 1e-15).
 _F64_MAXLOG = 6.0
-_TAIL_TOL = 1e-14
-_TAIL_RUN = 10
-# an adaptive table is refused once it holds this many rows without meeting
-# its tail rule, or when its mass is further than _MASS_TOL from 1
-_ROW_CAP = 100_000
-_MASS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -337,7 +337,7 @@ def gfpd_pmf(p: GfpdParams, x: int, method: str = "auto") -> float:
     return float(_pmf_rows(p, np.array([x]), method=method)[0])
 
 
-# tables by (params, x_max, method, tail_tol, tail_run), least recently used first
+# tables by (params, x_max, method, tail_tol), least recently used first
 _TABLE_CACHE: dict = {}
 _TABLE_CACHE_MAX = 1024
 
@@ -346,29 +346,19 @@ def gfpd_pmf_table(
     p: GfpdParams,
     x_max: int | None = None,
     method: str = "auto",
-    tail_tol: float = _TAIL_TOL,
-    tail_run: int = _TAIL_RUN,
+    tail_tol: float = TAIL_TOL,
 ) -> np.ndarray:
     """pmf on 0..x_max as a read-only array (tables are cached per parameter set).
 
-    With ``x_max=None`` the support is extended adaptively and the table ends
-    at the first x that completes a run of ``tail_run`` consecutive values
-    below ``tail_tol`` after a value at or above it (values below ``tail_tol``
-    before the bulk of the law, as for a Poisson of large mu, start no run).
-    That table is refused with `ConvergenceError` when it reaches 100,000
-    rows without meeting the rule, and with `EvaluationError` when its sum is
-    further than 1e-8 from 1 (so a ``tail_tol`` loose enough to leave more
-    mass than that behind is refused too).  A fixed ``x_max`` table may hold
-    less than the whole mass and is not checked.
+    With ``x_max=None`` the support is extended adaptively and ends, or is
+    refused, by `adaptive_pmf_table`'s rule at ``tail_tol``.
     """
     if x_max is not None and x_max < 0:
         raise DomainError(f"x_max must be >= 0, got {x_max}")
-    if tail_run < 1:
-        raise DomainError(f"tail_run must be >= 1, got {tail_run}")
-    key = (p, x_max, method, tail_tol, tail_run)
+    key = (p, x_max, method, tail_tol)
     table = _TABLE_CACHE.pop(key, None)
     if table is None:
-        table = _build_pmf_table(p, x_max, method, tail_tol, tail_run)
+        table = _build_pmf_table(p, x_max, method, tail_tol)
         table.setflags(write=False)
         if len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
             # evict the least recently used table (dicts keep insertion order)
@@ -377,7 +367,7 @@ def gfpd_pmf_table(
     return table
 
 
-def _build_pmf_table(p, x_max, method, tail_tol, tail_run) -> np.ndarray:
+def _build_pmf_table(p, x_max, method, tail_tol) -> np.ndarray:
     # evaluate(xs, x_end) gives the rows xs of a chunk that spans up to x_end;
     # only the quadrature reads x_end, to pick its node set
     if p.geometric_limit or p.alpha == 1.0:
@@ -393,66 +383,20 @@ def _build_pmf_table(p, x_max, method, tail_tol, tail_run) -> np.ndarray:
     else:
         evaluate = lambda xs, x_end: _pmf_rows(p, xs, method=method)
     try:
-        table = _run_adaptive(evaluate, x_max, tail_tol, tail_run)
+        return adaptive_pmf_table(evaluate, x_max, tail_tol)
     except ConvergenceError:
         # the row cap: another route would walk the same support
         raise
     except EvaluationError:
         if not (method == "auto" and p.is_fpd and 0.0 < p.alpha < 1.0):
             raise
-        # series route infeasible even in high precision (small alpha,
-        # larger mu): the positive mixture quadrature still applies
-        ev = lambda xs, x_end: _mixture_pmf(
-            p.alpha, p.mu, xs, y_power=0, n_panels=4, n_nodes=80, x_max=x_end
-        )
-        table = _run_adaptive(ev, x_max, tail_tol, tail_run)
-    if x_max is None:
-        total = math.fsum(table)
-        if not abs(total - 1.0) <= _MASS_TOL:
-            raise EvaluationError(
-                f"adaptive pmf table over 0..{len(table) - 1} sums to {total:.10g}, "
-                f"more than {_MASS_TOL:g} from 1"
-            )
-    return table
-
-
-def _run_adaptive(evaluate, x_max, tail_tol, tail_run) -> np.ndarray:
-    if x_max is not None:
-        return evaluate(np.arange(int(x_max) + 1), int(x_max))
-    # the rule counts values below tail_tol only once the table has held one
-    # at or above it, so a low region before the bulk (a Poisson of large mu)
-    # does not end the table
-    chunks = []
-    start = 0
-    end = -1
-    size = 64
-    run = 0
-    risen = False
-    while start < _ROW_CAP:
-        if start > end:
-            # the next chunk of the 64, 128, ... 1024-row doubling
-            end = start + size - 1
-            size = min(2 * size, 1024)
-        # rows are taken from the chunk, and evaluated with its node set, up
-        # to its end or, inside a run, up to the row that would complete it
-        stop = min(end + 1, _ROW_CAP)
-        if run:
-            stop = min(stop, start + tail_run - run)
-        vals = evaluate(np.arange(start, stop), end)
-        for i, v in enumerate(vals):
-            if not v < tail_tol:
-                run, risen = 0, True
-            elif risen:
-                run += 1
-                if run >= tail_run:
-                    chunks.append(vals[: i + 1])
-                    return np.concatenate(chunks)
-        chunks.append(vals)
-        start = stop
-    raise ConvergenceError(
-        f"pmf table reached {_ROW_CAP} rows before {tail_run} consecutive values "
-        f"fell below {tail_tol:g}; pass x_max for a fixed support"
+    # series route infeasible even in high precision (small alpha, larger
+    # mu), or its table's mass is off: the positive mixture quadrature still
+    # applies
+    ev = lambda xs, x_end: _mixture_pmf(
+        p.alpha, p.mu, xs, y_power=0, n_panels=4, n_nodes=80, x_max=x_end
     )
+    return adaptive_pmf_table(ev, x_max, tail_tol)
 
 
 def fpd_pmf(alpha: float, mu: float, x: int, method: str = "auto") -> float:

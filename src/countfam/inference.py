@@ -34,10 +34,10 @@ from .baselines import (  # noqa: F401
     negbinom_score,
     negbinom_skewness,
 )
-from .errors import ConvergenceError, DomainError, EvaluationError
+from .errors import DomainError, EvaluationError
 from .gfpd import GfpdParams, aa1_pmf_quadrature, fpd_pmf_quadrature, gfpd_summary
-from .moments import SummaryStats, summary_from_factorial
-from .sampling import sample_fpd, sample_wpd
+from .moments import SummaryStats, adaptive_pmf_table, summary_from_factorial
+from .sampling import _inverse_cdf, sample_fpd
 from .special import chi2_sf
 from .wpd import (
     SLICE_PARAMS,
@@ -171,7 +171,8 @@ class ModelSpec:
     the score returns the log likelihood, its gradient and the observed
     information (minus the Hessian) in the free parameters, and raises
     DomainError or EvaluationError where ``loglik`` would fail.  Any other
-    law is fitted by the simplex.
+    law is fitted by the simplex.  Without a ``sample`` a law is sampled by
+    inverse-CDF lookup over its adaptive ``pmf`` table.
     """
 
     name: str
@@ -185,6 +186,12 @@ class ModelSpec:
     grid: Callable | None = None  # CountData -> iterable of theta
     score: Callable | None = None  # (theta, CountData) -> (loglik, gradient, information)
     face_start: Callable | None = None  # CountData -> theta on the face holding the maximum | None
+
+    def __post_init__(self):
+        if self.sample is None:
+            pmf = self.pmf
+            sample = lambda theta, n, rng: _inverse_cdf(pmf(theta, None), n, rng)
+            object.__setattr__(self, "sample", sample)
 
 
 def _poisson_table(theta, x_max):
@@ -304,30 +311,11 @@ def _init_model_ii2(data):
     return (min(max(var / mean, 0.05), 50.0), 1.0)
 
 
-def _adaptive(table):
-    """A pmf route from a table route: without x_max the support runs until
-    the mass reaches 1 - 1e-10.  A law whose first 100,000 counts hold less
-    mass than that is refused with ConvergenceError, as the adaptive gfpd
-    tables are refused at their row cap; x_max gives a fixed support."""
-
-    def build(theta, x_max):
-        if x_max is not None:
-            return table(theta, int(x_max))
-        n = 64
-        while True:
-            out = table(theta, n - 1)
-            mass = np.cumsum(out)
-            reached = np.flatnonzero(mass >= 1.0 - 1e-10)
-            if len(reached):
-                return out[:reached[0] + 1]
-            if n == 100_000:
-                raise ConvergenceError(
-                    f"pmf table reached {n} counts with mass {mass[-1]:.6g}, short of "
-                    "1 - 1e-10; pass x_max (--x-max) for a fixed support"
-                )
-            n = min(8 * n, 100_000)
-
-    return build
+def _pmf_route(table):
+    """The pmf route of a table route: ``x_max=None`` takes the adaptive support."""
+    return lambda theta, x_max: adaptive_pmf_table(
+        lambda xs, x_end: table(theta, x_end)[xs], x_max
+    )
 
 
 def _gfpd_routes(law):
@@ -368,7 +356,6 @@ def _slice(tag, bounds=None, init=None, table=None):
         tag.value, names,
         pmf=lambda theta, x_max: wpd_pmf_table(law(theta), x_max=x_max),
         summary=lambda theta: wpd_summary(law(theta)),
-        sample=lambda theta, n, rng: sample_wpd(law(theta), n, rng),
         table=table, bounds=bounds, init=init, score=score,
     )
 
@@ -390,13 +377,13 @@ LAWS = {s.name: s for s in (
         grid=_aa1_grid,
     ),
     ModelSpec(
-        "negbinom", ("r", "p"), _adaptive(_negbinom_table), summary=_negbinom_summary,
+        "negbinom", ("r", "p"), _pmf_route(_negbinom_table), summary=_negbinom_summary,
         table=_negbinom_table, bounds=(_POS, (1e-9, 1.0 - 1e-9)), init=_init_negbinom,
         score=lambda theta, data: negbinom_score(NegBinomParams(*theta), data.values, data.freqs),
         face_start=_face_negbinom,
     ),
     ModelSpec(
-        "genpoisson", ("lambda1", "lambda2"), _adaptive(_genpoisson_table),
+        "genpoisson", ("lambda1", "lambda2"), _pmf_route(_genpoisson_table),
         summary=lambda theta: summary_from_factorial(
             genpoisson_factorial_moments(GenPoissonParams(*theta), 3)),
         table=_genpoisson_table, bounds=(_POS, (-1.0 + 1e-9, 1.0 - 1e-9)),

@@ -1,9 +1,10 @@
-"""Factorial-moment framework shared by every distribution family.
+"""Factorial-moment framework and support rule shared by every distribution family.
 
 A factorial-moment sequence a_0, a_1, ... (a_0 = 1) determines raw moments
 through Stirling numbers, the skewness through the first three entries, and
 for sufficiently fast-decaying tails the pmf itself through an alternating
-inversion, which the test-suite uses as a family-independent oracle.
+inversion, which the test-suite uses as a family-independent oracle.  Every
+adaptive pmf table ends by ``adaptive_pmf_table``'s rule.
 """
 
 from __future__ import annotations
@@ -12,8 +13,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConvergenceError, DomainError
+import numpy as np
+
+from .errors import ConvergenceError, DomainError, EvaluationError
 from .special import CONSECUTIVE, REL_TOL, stirling2
+
+TAIL_TOL = 1e-14
+_TAIL_RUN = 10
+# an adaptive table is refused once it holds this many rows without meeting
+# its tail rule, or when its mass is further than _MASS_TOL from 1
+_ROW_CAP = 100_000
+_MASS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -110,3 +120,64 @@ def pmf_from_factorial(a: Sequence[float] | FactorialMomentSequence, x: int) -> 
             "factorial moment sequence too short for the inversion to converge"
         )
     return math.fsum(terms) / math.factorial(x)
+
+
+def adaptive_pmf_table(evaluate, x_max: int | None = None, tail_tol: float = TAIL_TOL) -> np.ndarray:
+    """pmf on 0..x_max, or on an adaptive support when ``x_max`` is None.
+
+    ``evaluate(xs, x_end)`` gives the rows ``xs`` of a chunk that spans up to
+    ``x_end``.  The adaptive table ends at the first x that completes a run
+    of 10 values below ``tail_tol`` after one at or above it (so a low head
+    before the bulk starts no run).  It is refused with ConvergenceError at
+    100,000 rows and with EvaluationError when its sum is further than 1e-8
+    from 1; a fixed ``x_max`` table may hold less mass and is not checked.
+    """
+    table = _run_adaptive(evaluate, x_max, tail_tol, _TAIL_RUN)
+    if x_max is None:
+        total = math.fsum(table)
+        if not abs(total - 1.0) <= _MASS_TOL:
+            raise EvaluationError(
+                f"adaptive pmf table over 0..{len(table) - 1} sums to {total:.10g}, "
+                f"more than {_MASS_TOL:g} from 1"
+            )
+    return table
+
+
+def _run_adaptive(evaluate, x_max, tail_tol, tail_run) -> np.ndarray:
+    if x_max is not None:
+        return evaluate(np.arange(int(x_max) + 1), int(x_max))
+    # the rule counts values below tail_tol only once the table has held one
+    # at or above it, so a low region before the bulk (a Poisson of large mu)
+    # does not end the table
+    chunks = []
+    start = 0
+    end = -1
+    size = 64
+    run = 0
+    risen = False
+    while start < _ROW_CAP:
+        if start > end:
+            # the next chunk of the 64, 128, ... 1024-row doubling
+            end = start + size - 1
+            size = min(2 * size, 1024)
+        # rows are taken from the chunk, and evaluated with its x_end (a
+        # quadrature's node set), up to its end or, inside a run, up to the
+        # row that would complete it
+        stop = min(end + 1, _ROW_CAP)
+        if run:
+            stop = min(stop, start + tail_run - run)
+        vals = evaluate(np.arange(start, stop), end)
+        for i, v in enumerate(vals):
+            if not v < tail_tol:
+                run, risen = 0, True
+            elif risen:
+                run += 1
+                if run >= tail_run:
+                    chunks.append(vals[: i + 1])
+                    return np.concatenate(chunks)
+        chunks.append(vals)
+        start = stop
+    raise ConvergenceError(
+        f"pmf table reached {_ROW_CAP} rows before {tail_run} consecutive values "
+        f"fell below {tail_tol:g}; pass x_max (--x-max) for a fixed support"
+    )

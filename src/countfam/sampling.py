@@ -3,8 +3,8 @@
 One-sided stable variates come from the sine-product formula driven by two
 open-interval uniforms; fractional-Poisson counts from one mixed Poisson
 draw, Poisson(mu S^(-alpha)) with S stable (Meerschaert, Nane & Vellaisamy
-2011), so a variate costs the same at every mu; weighted-Poisson counts from
-inverse-CDF lookup over the recursion-built pmf table.
+2011), so a variate costs the same at every mu; counts of any other law from
+inverse-CDF lookup over its adaptive pmf table.
 """
 
 from __future__ import annotations
@@ -117,13 +117,15 @@ def sample_fpd(alpha: float, mu: float, n: int, rng: RngStream) -> SampleBatch:
 
 
 def sample_wpd(p: WpdParams, n: int, rng: RngStream) -> SampleBatch:
-    """Weighted-Poisson counts by inverse-CDF over the pmf table.
+    """Weighted-Poisson counts by inverse-CDF lookup over the adaptive pmf table."""
+    return _inverse_cdf(wpd_pmf_table(p), n, rng)
 
-    The table is extended until its cumulative mass exceeds 1 - 1e-12.
-    """
+
+def _inverse_cdf(table: np.ndarray, n: int, rng: RngStream) -> SampleBatch:
+    """n counts by inverse-CDF lookup over a pmf table; a uniform past the
+    table's cumulative mass draws its last count."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    table = wpd_pmf_table(p)
     cdf = np.cumsum(table)
     u = rng.uniforms(n)
     x = np.searchsorted(cdf, u, side="left")

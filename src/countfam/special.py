@@ -41,6 +41,7 @@ AUTO_CANCEL_LIMIT = 1e4
 OVERFLOW_LOG = 690.0
 # Arbitrary-precision fallback budget (decimal digits).
 MAX_DPS = 1200
+_MP_KEEP = 20  # digits a high-precision re-sum keeps past its cancellation
 
 
 @dataclass(frozen=True)
@@ -254,40 +255,56 @@ def _prabhakar_coef(eta, nu, tau, w):
     return coef
 
 
+def _mp_resum(what, max_logmag, series):
+    """Re-sum in high precision; ``series(dps)`` returns (total, largest
+    term magnitude, terms used) summed at ``dps`` digits.  The first sum
+    works 40 digits past ``max_logmag``; a total left with fewer than
+    _MP_KEEP digits is summed again with the lost digits added, up to MAX_DPS.
+    """
+    dps = int(max(max_logmag, 0.0) / math.log(10)) + 40
+    while dps <= MAX_DPS:
+        with mp.workdps(dps):
+            total, peak, n = series(dps)
+            # a total that cancels to 0 lost every digit
+            lost = float(mp.log10(peak / abs(total))) if total else dps
+        if dps - lost >= _MP_KEEP:
+            return float(total), n
+        dps = int(lost) + 40
+    raise EvaluationError(
+        f"{what}: cancellation beyond the high-precision budget "
+        f"(would need ~{dps} digits); use the Monte Carlo path"
+    )
+
+
 def _prabhakar_mp(eta, nu, tau, w, max_logmag):
     """Re-sum the three-parameter Mittag-Leffler series in high precision.
 
-    Only reached when float64 cancellation ruins the direct sum; the working
-    precision is sized from the largest term magnitude seen in the float64
-    scan.
+    Reached when float64 cancellation ruins the direct sum, or at once for
+    method="exact".  For w > 0 every term is positive, so a largest term
+    past the float64 budget means the value itself overflows.
     """
-    if w > 0:
-        # no cancellation is possible for positive arguments: the failure was
-        # genuine overflow of the value itself
+    if w > 0 and max_logmag > OVERFLOW_LOG:
         raise EvaluationError("prabhakar_ml: value exceeds the float64 range")
-    dps = int(max(max_logmag, 0.0) / math.log(10)) + 40
-    if dps > MAX_DPS:
-        raise EvaluationError(
-            "series cancellation beyond the high-precision budget "
-            f"(would need ~{dps} digits); use the Monte Carlo path"
-        )
-    with mp.workdps(dps):
+
+    def series(dps):
         e_, n_, t_, w_ = mp.mpf(eta), mp.mpf(nu), mp.mpf(tau), mp.mpf(w)
         term = mp.exp(-mp.loggamma(n_))
         total = term
+        peak = abs(term)
         j = 0
         lg_prev = mp.loggamma(n_)
         while j < 2 * MAX_TERMS:
             lg_next = mp.loggamma(e_ * (j + 1) + n_)
             term = term * (t_ + j) * w_ / (j + 1) * mp.exp(lg_prev - lg_next)
             total += term
+            peak = max(peak, abs(term))
             lg_prev = lg_next
             j += 1
             if j > 8 and abs(term) < mp.mpf(10) ** (-dps) * abs(total) + mp.mpf(10) ** (-dps - 30):
-                break
-        else:
-            raise ConvergenceError("high-precision series did not converge")
-        return float(total), j + 1
+                return total, peak, j + 1
+        raise ConvergenceError("high-precision series did not converge")
+
+    return _mp_resum("prabhakar_ml", max_logmag, series)
 
 
 def prabhakar_ml(eta: float, nu: float, tau: float, w: float, method: str = "auto") -> SeriesValue:
@@ -344,13 +361,7 @@ def _wright_coef(xi, omega, z, r0):
 
 
 def _wright_mp(xi, omega, z, max_logmag):
-    dps = int(max(max_logmag, 0.0) / math.log(10)) + 40
-    if dps > MAX_DPS:
-        raise EvaluationError(
-            "wright_phi: cancellation beyond the high-precision budget "
-            f"(would need ~{dps} digits)"
-        )
-    with mp.workdps(dps):
+    def series(dps):
         x_, o_, z_ = mp.mpf(xi), mp.mpf(omega), mp.mpf(z)
         total = mp.mpf(0)
         zr = mp.mpf(1)
@@ -366,12 +377,14 @@ def _wright_mp(xi, omega, z, max_logmag):
             if abs(term) < mp.mpf(10) ** (-dps) * (abs(total) + peak * mp.mpf(10) ** 10):
                 small_run += 1
                 if small_run >= CONSECUTIVE and r > 8:
-                    return float(total), r + 1
+                    return total, peak, r + 1
             else:
                 small_run = 0
             zr *= z_
             fact *= r + 1
         raise ConvergenceError("wright_phi: high-precision series did not converge")
+
+    return _mp_resum("wright_phi", max_logmag, series)
 
 
 def wright_phi(xi: float, omega: float, z: float, method: str = "auto") -> SeriesValue:

@@ -20,7 +20,13 @@ import numpy as np
 from scipy import special as sc
 
 from .errors import ConvergenceError, DomainError, EvaluationError
-from .moments import FactorialMomentSequence, SummaryStats, summary_from_factorial
+from .moments import (
+    TAIL_TOL,
+    FactorialMomentSequence,
+    SummaryStats,
+    adaptive_pmf_table,
+    summary_from_factorial,
+)
 from .special import trigamma
 
 _ETA_EPS = 0.9       # multiplier certificate threshold
@@ -482,16 +488,12 @@ def pmf_multiplier(p: WpdParams, x):
     raise DomainError(f"no pmf recursion for tag {tag!r}")
 
 
-def _check_zero_cell(p: WpdParams):
-    if p.beta == 0.0 and p.nu != 1.0:
-        raise DomainError("no pmf recursion from a vanishing zero cell (beta = 0, nu > 1)")
-
-
 def wpd_pmf_recursive(p: WpdParams, x_max: int) -> np.ndarray:
     """pmf on 0..x_max built from P(0) = w(0)/eta and the tag's multiplier."""
     if p.tag not in _RECURSIVE_TAGS:
         raise DomainError(f"no pmf recursion for tag {p.tag!r}")
-    _check_zero_cell(p)
+    if p.beta == 0.0 and p.nu != 1.0:
+        raise DomainError("no pmf recursion from a vanishing zero cell (beta = 0, nu > 1)")
     out = np.empty(x_max + 1)
     out[0] = math.exp(log_weight(p, 0) - log_eta(p))
     out[1:] = pmf_multiplier(p, np.arange(float(x_max)))
@@ -499,33 +501,14 @@ def wpd_pmf_recursive(p: WpdParams, x_max: int) -> np.ndarray:
     return np.multiply.accumulate(out, out=out)
 
 
-def wpd_pmf_table(p: WpdParams, x_max: int | None = None, cum_target: float = 1.0 - 1e-12) -> np.ndarray:
-    """pmf table, extended until the cumulative mass exceeds ``cum_target``.
-
-    Uses the tag recursion when available, the direct formula otherwise.
-    """
-    if x_max is not None:
-        if p.tag in _RECURSIVE_TAGS:
-            return wpd_pmf_recursive(p, x_max)
-        return np.array([wpd_pmf(p, x) for x in range(x_max + 1)])
+def wpd_pmf_table(p: WpdParams, x_max: int | None = None, tail_tol: float = TAIL_TOL) -> np.ndarray:
+    """pmf on 0..x_max, or on `adaptive_pmf_table`'s support at ``tail_tol``;
+    from the tag recursion where there is one, the direct formula otherwise."""
     if p.tag in _RECURSIVE_TAGS:
-        _check_zero_cell(p)
-    le = log_eta(p)
-    out = [math.exp(log_weight(p, 0) - le)]
-    cum = out[0]
-    x = 0
-    while cum < cum_target:
-        if p.tag in _RECURSIVE_TAGS:
-            nxt = out[x] * pmf_multiplier(p, x)
-        else:
-            lp = _log_term(p, x + 1) - le
-            nxt = math.exp(lp) if lp > -745.0 else 0.0
-        out.append(nxt)
-        cum += nxt
-        x += 1
-        if x > 10_000_000:
-            raise ConvergenceError("pmf table extension budget exceeded")
-    return np.asarray(out)
+        evaluate = lambda xs, x_end: wpd_pmf_recursive(p, x_end)[xs]
+    else:
+        evaluate = lambda xs, x_end: np.array([wpd_pmf(p, int(x)) for x in xs])
+    return adaptive_pmf_table(evaluate, x_max, tail_tol)
 
 
 def wpd_factorial_moments(p: WpdParams, R: int) -> FactorialMomentSequence:

@@ -123,7 +123,7 @@ def test_criterion_04_normalization():
     worst_w = 0.0
     for lam in (0.5, 2.0, 5.0):
         for p in wpd_catalog(lam):
-            total = float(wpd_pmf_table(p, cum_target=1.0 - 1e-13).sum())
+            total = float(wpd_pmf_table(p, tail_tol=1e-16).sum())
             worst_w = max(worst_w, abs(total - 1.0))
     ok = worst_g < 1e-8 and worst_w < 1e-8
     _report(4, "pmf normalization (54-point grid + tag catalog)", ok,
@@ -163,7 +163,7 @@ def test_criterion_06_factorial_moment_consistency():
     for lam in (0.5, 2.0):
         for p in wpd_catalog(lam):
             a = wpd_factorial_moments(p, 4)
-            table = wpd_pmf_table(p, cum_target=1.0 - 1e-15)
+            table = wpd_pmf_table(p, tail_tol=1e-16)
             xs = np.arange(len(table), dtype=float)
             for k in range(1, 5):
                 ff = np.ones_like(xs)

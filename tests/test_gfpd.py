@@ -36,7 +36,7 @@ from countfam import (
     prabhakar_ml,
     sample_fpd,
 )
-from countfam import gfpd
+from countfam import gfpd, moments
 from countfam.gfpd import _mp_plan, _rows_mp
 from countfam.inference import _fpd_grid
 from test_sampling import renewal_fpd
@@ -374,7 +374,7 @@ class TestAdaptiveCut:
 
     def test_grid_evaluates_nothing_past_a_finished_run(self, monkeypatch):
         monkeypatch.setattr(gfpd, "_TABLE_CACHE", {})
-        real = gfpd._run_adaptive
+        real = moments._run_adaptive
         seen = []
 
         def spy(evaluate, x_max, tail_tol, tail_run):
@@ -389,7 +389,7 @@ class TestAdaptiveCut:
             seen.append((evaluate, chunks, ends))
             return real(logged, x_max, tail_tol, tail_run)
 
-        monkeypatch.setattr(gfpd, "_run_adaptive", spy)
+        monkeypatch.setattr(moments, "_run_adaptive", spy)
         tables = [gfpd_pmf_table(p) for p in TABLE_GRID]
         assert len(seen) == len(TABLE_GRID) == 51
         for p, table, (evaluate, chunks, ends) in zip(TABLE_GRID, tables, seen):
@@ -417,7 +417,7 @@ class TestAdaptiveCut:
             calls.append((xs[0], len(xs), x_end))
             return np.array([0.0 if x in below else 1.0 for x in xs])
 
-        table = gfpd._run_adaptive(evaluate, None, 1e-14, 10)
+        table = moments._run_adaptive(evaluate, None, 1e-14, 10)
         # 64 rows end in a run of 3; 7 rows break it and end in a run of 4;
         # 6 rows break that; the rest of the 128-row chunk 64..191 follows.
         # Every piece is evaluated with the node set of that chunk.
@@ -446,7 +446,7 @@ class TestAdaptiveCut:
             calls.append((xs, x_end))
             return values(xs)
 
-        table = gfpd._run_adaptive(evaluate, None, 1e-14, tail_run)
+        table = moments._run_adaptive(evaluate, None, 1e-14, tail_run)
         xs = np.concatenate([c[0] for c in calls])
         assert np.array_equal(xs, np.arange(len(xs)))
         assert len(table) == _rule_end(values(xs), 1e-14, tail_run) + 1
@@ -471,8 +471,8 @@ class TestAdaptiveCut:
             return np.full(len(xs), 1e-3)
 
         with pytest.raises(ConvergenceError, match=r"100000 rows .* 10 consecutive .* 1e-14"):
-            gfpd._run_adaptive(flat, None, 1e-14, 10)
-        assert np.array_equal(np.concatenate(asked), np.arange(gfpd._ROW_CAP))
+            moments._run_adaptive(flat, None, 1e-14, 10)
+        assert np.array_equal(np.concatenate(asked), np.arange(moments._ROW_CAP))
 
     def test_row_cap_skips_quadrature_fallback(self, monkeypatch):
         monkeypatch.setattr(gfpd, "_TABLE_CACHE", {})
@@ -504,10 +504,6 @@ class TestAdaptiveCut:
             gfpd_pmf_table(p)
         # a fixed support may hold less than the whole mass and is not checked
         assert len(gfpd_pmf_table(p, x_max=40)) == 41
-
-    def test_tail_run_must_be_positive(self):
-        with pytest.raises(DomainError, match="tail_run"):
-            gfpd_pmf_table(GfpdParams.fpd(0.5, 2.0), tail_run=0)
 
 
 class TestQuadratureRoutes:

@@ -294,11 +294,54 @@ class TestFitSimplex:
             assert res.loglik >= loglik("model_i", (1.0, 0.5, 0.1), d) - 2.0
 
 
+# a small box per law that is not fractional, in the registry's parameter
+# order, where every adaptive table meets its tail rule
+PMF_BOX = {
+    "negbinom": ((0.5, 20.0), (0.05, 0.95)),
+    "genpoisson": ((0.5, 10.0), (0.0, 0.9)),
+    "poisson": ((0.1, 30.0),),
+    "com_poisson": ((0.1, 10.0), (0.5, 3.0)),
+    "hyper_poisson": ((0.1, 10.0), (0.2, 5.0)),
+    "alt_mittag_leffler": ((0.1, 3.0), (0.5, 1.5), (0.5, 2.0)),
+    "fractional_com_poisson": ((0.1, 3.0), (0.5, 1.5), (0.5, 2.0), (0.8, 2.0)),
+    "alt_generalized_ml": ((0.1, 3.0), (0.5, 1.5), (0.5, 2.0), (0.5, 2.0)),
+    "model_i": ((0.1, 5.0), (0.1, 3.0), (0.5, 2.0)),
+    "model_i_2param": ((0.1, 5.0), (0.2, 3.0)),
+    "model_ii": ((0.1, 5.0), (0.2, 3.0), (0.2, 3.0)),
+    "model_ii_2param": ((0.2, 3.0), (0.2, 3.0)),
+}
+
+
+def _check_adaptive_is_fixed_support(model, theta):
+    pmf = inference.LAWS[model].pmf
+    table = pmf(theta, None)
+    assert np.array_equal(table, pmf(theta, len(table) - 1)), (model, theta)
+    # it ends at the first run of 10 values below 1e-14 after the bulk
+    below = table < 1e-14
+    assert below[-10:].all() and not below[-11], (model, theta)
+
+
 class TestAdaptivePmf:
+    def test_laws_in_the_box(self):
+        assert set(PMF_BOX) == set(inference.LAWS) - {"fpd", "gfpd", "gfpd_aa1"}
+
+    @pytest.mark.parametrize("model", sorted(PMF_BOX))
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_adaptive_is_fixed_support(self, model, data):
+        theta = tuple(data.draw(st.floats(lo, hi)) for lo, hi in PMF_BOX[model])
+        _check_adaptive_is_fixed_support(model, theta)
+
+    @pytest.mark.parametrize("theta", [(1.0, 0.5, 0.1), (5.0, 0.5, 0.5)])
+    def test_model_i_adaptive_is_its_recursion(self, theta):
+        # a scalar step P(x) m(x) and the vectorised recursion differ here by
+        # up to 1.05e-15 relative
+        _check_adaptive_is_fixed_support("model_i", theta)
+
     def test_mass_reached(self):
         table = MODELS["negbinom"].pmf((2.0, 0.3), None)
-        assert 1.0 - 1e-10 <= table.sum() <= 1.0 + 1e-12
-        assert table[:-1].sum() < 1.0 - 1e-10
+        assert abs(math.fsum(table) - 1.0) <= 1e-8
+        assert table[-1] < 1e-14 <= table[-11]
 
     def test_refused_at_the_cap(self):
         # NB(1, 1e-6) is geometric with mean 1e6: its first 100,000 counts

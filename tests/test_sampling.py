@@ -27,7 +27,7 @@ from countfam import (
     wpd_summary,
 )
 from countfam.gfpd import fpd_pmf_quadrature
-from countfam.inference import _pooled_cells
+from countfam.inference import LAWS, _pooled_cells
 from countfam.sampling import SampleBatch
 
 
@@ -236,6 +236,24 @@ class TestWpdSampler:
         b1 = sample_wpd(p, 200, RngStream(5))
         b2 = sample_wpd(p, 200, RngStream(5))
         np.testing.assert_array_equal(b1.values, b2.values)
+
+
+class TestTableSampler:
+    """Laws without a sampler of their own draw by inverse-CDF lookup over
+    their adaptive pmf table."""
+
+    @pytest.mark.parametrize("model, theta", [
+        ("gfpd", (0.6, 0.9, 1.0, 2.0)),
+        ("gfpd_aa1", (0.8, 1.0)),
+        ("negbinom", (3.0, 0.4)),
+        ("genpoisson", (2.0, 0.3)),
+        ("genpoisson", (2.0, -0.1)),
+    ])
+    def test_chi2_against_table(self, model, theta):
+        spec = LAWS[model]
+        batch = spec.sample(theta, 100_000, RngStream(83))
+        assert batch.n == 100_000 and batch.seed == 83
+        assert chi2_p_value(batch.values, spec.pmf(theta, None)) > 1e-3
 
 
 class TestMcMoment:

@@ -552,6 +552,22 @@ class TestSeriesEngine:
     def test_wright_matches_mpmath(self, xi, omega, z):
         _check_series_value(wright_phi, (xi, omega, z), _wright_oracle)
 
+    def test_prabhakar_exact_positive_argument(self):
+        # every term is positive, so the exact path re-sums instead of
+        # refusing as if the value overflowed
+        args = (0.5, 1.0, 1.0, 2.0)
+        total, _ = _prabhakar_oracle(*args)
+        assert prabhakar_ml(*args, method="exact").value == pytest.approx(total, rel=1e-14)
+        assert prabhakar_ml(*args).value == pytest.approx(total, rel=1e-14)
+
+    def test_wright_far_below_its_largest_term(self):
+        # the largest term is 6.7e48 and the value 2.9e-42: a re-sum 40 digits
+        # past the largest term keeps none of the value's digits
+        args = (-0.6482703794099589, -1.5086752490177688, -9.856990511041374)
+        x_, o_, z_ = (mp.mpf(v) for v in args)
+        ref, _ = _mp_series(lambda k: z_**k / mp.factorial(k) * mp.rgamma(x_ * k + o_), 2000, 150)
+        assert wright_phi(*args).value == pytest.approx(ref, rel=1e-10)
+
 def _series_refused(alpha, log_y):
     value, cancel, _ = _m_wright_series(alpha, math.exp(log_y))
     return not math.isfinite(value) or cancel > 1e6 or value < 0.0

@@ -524,14 +524,14 @@ class TestFactorialMoments:
     def test_model_ii_first_moment_vs_pmf(self):
         p = make_special_case("model_ii", lam=1.0, beta=1.0, gamma=0.5)
         a = wpd_factorial_moments(p, 1)
-        table = wpd_pmf_table(p, cum_target=1.0 - 1e-14)
+        table = wpd_pmf_table(p, tail_tol=1e-16)
         direct = float(np.sum(np.arange(len(table)) * table))
         assert a[1] == pytest.approx(direct, rel=1e-9)
 
     @pytest.mark.parametrize("p", CATALOG[:8], ids=lambda p: f"{p.tag}-{p.lam}-{p.nu}")
     def test_vs_pmf_sums(self, p):
         a = wpd_factorial_moments(p, 4)
-        table = wpd_pmf_table(p, cum_target=1.0 - 1e-15)
+        table = wpd_pmf_table(p, tail_tol=1e-16)
         xs = np.arange(len(table), dtype=float)
         for k in range(1, 5):
             ff = np.ones_like(xs)
