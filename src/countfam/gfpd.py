@@ -615,16 +615,19 @@ def _mixture_node_sets(alpha, steps, n_panels, n_nodes):
     density values, for each of the distinct cutoff ``steps``.
 
     The sets missing from the cache are tabulated by one ``m_wright`` call
-    over all their nodes; every row of it gets the same bits as alone, so a
-    set is the same whatever other sets share its call.  The sets then
-    enter the cache, or move to its recent end, in the order of ``steps``.
+    over their distinct nodes; every row of it gets the same bits as alone,
+    so a set is the same whatever other sets share its call.  The first
+    panel, (0, 0.25], is the same in every set, so it is tabulated once.
+    The sets then enter the cache, or move to its recent end, in the order
+    of ``steps``.
     """
     keys = [(round(alpha, 12), round(1.3**step, 6), n_panels, n_nodes) for step in steps]
     sets = [_MIXTURE_CACHE.get(key) for key in keys]
     missing = [i for i, hit in enumerate(sets) if hit is None]
     if missing:
         nodes = [_panel_nodes(1.3 ** steps[i], n_panels, n_nodes) for i in missing]
-        density = m_wright(alpha, np.concatenate([ys for ys, _ in nodes]))
+        distinct, where = np.unique(np.concatenate([ys for ys, _ in nodes]), return_inverse=True)
+        density = m_wright(alpha, distinct)[where]
         for i, (ys, ws), m in zip(missing, nodes, np.split(density, len(missing))):
             sets[i] = (ys, ws * m)
     for key, node_set in zip(keys, sets):

@@ -86,11 +86,12 @@ def digamma(x: float) -> float:
 
 
 def trigamma(z):
-    """psi'(z) = sum_{r>=0} (z+r)^-2 for z > 0, scalar or array."""
+    """psi'(z) = sum_{r>=0} (z+r)^-2 for z > 0, scalar or array: the Hurwitz
+    zeta function zeta(2, z), which SciPy's polygamma(1, z) also returns."""
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0):
         raise DomainError("trigamma requires z > 0")
-    out = sc.polygamma(1, z)
+    out = sc.zeta(2.0, z)
     return float(out) if out.ndim == 0 else out
 
 
@@ -449,6 +450,12 @@ _leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 # far below the peak (in nats) the integrand is cut.
 _KANTER_NODES = 32
 _KANTER_DEPTH = 46.0
+# Where the Kanter integral inverts log a(s): below s = -40, pi - e^s rounds
+# to pi and log a is linear in s, so 64 points cover [-700, -40) and 960 the
+# rest, up to s = log pi (u = 0).
+_KANTER_TABLE = np.concatenate([
+    np.linspace(-700.0, -40.0, 64, endpoint=False), np.linspace(-40.0, math.log(math.pi), 960)
+])
 
 
 def _m_wright_integral_rows(alpha, ys):
@@ -456,20 +463,32 @@ def _m_wright_integral_rows(alpha, ys):
 
     Obtained from the Kanter representation of the one-sided stable law: with
     a(u) = sin((1-a)u) sin(a u)^(a/(1-a)) / sin(u)^(1/(1-a)), increasing on
-    (0, pi) from a(0+) = (1-a) a^(a/(1-a)), and Y = y^(1/(1-a)), the density
-    is (1/pi) int a(u) Y exp(-a(u) Y) du / ((1-a) y).  No cancellation at any
-    y, so it serves as the large-argument branch.
+    (0, pi) from a(0+) = a0 = (1-a) a^(a/(1-a)), and Y = y^(1/(1-a)), the
+    density is (1/pi) int a(u) Y exp(-a(u) Y) du / ((1-a) y).  No
+    cancellation at any y, so it serves as the large-argument branch.
 
-    The integrand peaks where a(u) Y = 1 (at u = 0 once a(0+) Y >= 1).  Each
+    The integrand peaks where a(u) Y = 1 (at u = 0 once a0 Y >= 1).  Each
     side of the peak, down to where the integrand is e^-46 of its peak, gets
     one Gauss-Legendre rule in s = log(pi - u), which spreads out both the
-    bell at small u and the wall that a(u) raises in front of u = pi.  The
-    peak and the cuts are found by bisection in s, for all rows at once.
+    bell at small u and the wall that a(u) raises in front of u = pi.
+
+    No bisection places the peak and the cuts.  In z = log(a Y) the peak is
+    at z = max(log(a0 Y), 0), and the cuts are the two roots of
+    z - e^z = k, k being the peak's z - e^z less 46; a few fixed-point steps
+    find them.  Each is then a root of log a(s) = z - log Y.  log a falls in
+    s, from linear in s at u -> pi to flat like u^2 at u = 0, where
+    h(s) = sqrt(log a(s) - log a0) is nearly linear instead.  So h is
+    tabulated once per call on _KANTER_TABLE and inverted by linear
+    interpolation.  That places the roots within about 2e-4 in s, closer
+    than the rules' values can tell apart: the cuts lie e^-46 below the
+    peak, and a split near the peak serves as well as one on it.  A piece of zero width (the second,
+    once the peak is at u = 0) adds nothing and is skipped.  Values below
+    the smallest normal double are returned as 0.
     """
     c = 1.0 / (1.0 - alpha)
-    logy = np.log(ys)[:, None]
-    log_yc = c * logy
+    log_yc = c * np.log(ys)
     log_a0 = alpha * c * math.log(alpha) + math.log(1.0 - alpha)
+    s_max = math.log(math.pi)
 
     def log_a(s):
         eps = np.exp(s)
@@ -482,38 +501,45 @@ def _m_wright_integral_rows(alpha, ys):
             - c * np.log(np.sin(np.minimum(u, eps)))
         )
 
-    def log_f(la):
-        # log of a Y exp(-a Y) / Y
-        return la - np.exp(np.minimum(la + log_yc, OVERFLOW_LOG))
+    h_tab = np.sqrt(np.maximum(log_a(_KANTER_TABLE) - log_a0, 0.0))
 
-    def bisect(lo, hi, rises):
-        """Where ``rises(s)`` turns False, for each row; it must hold at lo."""
-        # 32 halvings of a bracket at most 700 wide: the cuts and the split
-        # at the peak need no more than that
-        for _ in range(32):
-            mid = 0.5 * (lo + hi)
-            up = rises(mid)
-            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-        return 0.5 * (lo + hi)
+    def invert(target):
+        """The s where log a(s) = target, for each row (h falls in s)."""
+        return np.interp(-np.sqrt(np.maximum(target - log_a0, 0.0)), -h_tab, _KANTER_TABLE)
 
-    s_min = np.full(log_yc.shape, -700.0)
-    s_max = np.full(log_yc.shape, math.log(math.pi))
-    interior = log_a0 + log_yc < 0.0
-    s_peak = np.where(interior, bisect(s_min, s_max, lambda s: log_a(s) + log_yc > 0.0), s_max)
-    log_f0 = log_f(log_a0)
-    cut = np.where(interior, -1.0 - log_yc, log_f0) - _KANTER_DEPTH
-    s_right = bisect(s_min, s_peak, lambda s: log_f(log_a(s)) < cut)
-    s_left = np.where(
-        log_f0 >= cut, s_max, bisect(s_peak, s_max, lambda s: log_f(log_a(s)) >= cut)
-    )
+    z0 = log_a0 + log_yc
+    z_peak = np.maximum(z0, 0.0)
+    k = z_peak - np.exp(np.minimum(z_peak, OVERFLOW_LOG)) - _KANTER_DEPTH
+    # above the peak z = log(z - k) contracts by 1/(z - k) <= 1/46 a step;
+    # below it z = k + e^z with k <= -46 is settled in one
+    z_hi = z_peak + 1.0
+    for _ in range(6):
+        z_hi = np.log(z_hi - k)
+    z_lo = k + np.exp(k)
+    s_right = invert(z_hi - log_yc)
+    s_peak = np.full(ys.shape, s_max)
+    inner = np.flatnonzero(z0 < 0.0)
+    s_peak[inner] = invert(-log_yc[inner])
+    s_left = np.full(ys.shape, s_max)
+    left = np.flatnonzero(z0 < z_lo)
+    s_left[left] = invert(z_lo[left] - log_yc[left])
+
     x, w = _leggauss(_KANTER_NODES)
-    total = 0.0
+    total = np.zeros(ys.shape)
     for lo, hi in ((s_right, s_peak), (s_peak, s_left)):
-        half = 0.5 * (hi - lo)
-        s = half * x + (lo + half)
-        # ds = du / (pi - u), and pi - u = e^s
-        total = total + (np.exp(log_f(log_a(s)) + log_yc + s) * (half * w)).sum(axis=1)
-    return total / (math.pi * (1.0 - alpha) * ys)
+        rows = np.flatnonzero(hi > lo)
+        half = 0.5 * (hi[rows] - lo[rows])[:, None]
+        s = half * x + (lo[rows, None] + half)
+        # log of a Y exp(-a Y) / Y, then ds = du / (pi - u), and pi - u = e^s
+        la = log_a(s)
+        lyc = log_yc[rows, None]
+        log_f = la - np.exp(np.minimum(la + lyc, OVERFLOW_LOG))
+        total[rows] += (np.exp(log_f + lyc + s) * (half * w)).sum(axis=1)
+    value = total / (math.pi * (1.0 - alpha) * ys)
+    # a subnormal value has lost digits to gradual underflow, and which of
+    # them survive depends on where the nodes fall
+    value[value < np.finfo(float).tiny] = 0.0
+    return value
 
 
 def _m_wright_integral(alpha, y):
@@ -526,6 +552,25 @@ def _m_wright_integral(alpha, y):
 # sent to the integral without summing (``_m_wright_integral_first``).
 _M_WRIGHT_CANCEL = 1e6
 _ROUTE_WINDOW = 9
+# Rows whose density bound lies below e^_M_WRIGHT_ZERO_LOG are 0: every
+# node of their Kanter integral underflows.
+_M_WRIGHT_ZERO_LOG = -800.0
+
+
+def _m_wright_log_bound(alpha, logy):
+    """log of an upper bound on M_a(y), from log y (an array, +inf allowed).
+
+    In the Kanter form of ``_m_wright_integral_rows`` the density is the mean
+    over u in (0, pi) of g(a(u) Y) / ((1-a) y), with g(t) = t e^-t.  g is at
+    most g(1) = 1/e and falls for t >= 1, and a(u) >= a0, so
+    M_a(y) <= g(max(a0 Y, 1)) / ((1-a) y): 1/(e (1-a) y) while a0 Y < 1,
+    then the stretched-exponential tail a0 Y e^(-a0 Y) / ((1-a) y).  Holding
+    log(a0 Y) at OVERFLOW_LOG only raises the bound.
+    """
+    c = 1.0 / (1.0 - alpha)
+    log_a0 = alpha * c * math.log(alpha) + math.log(1.0 - alpha)
+    log_t = np.clip(log_a0 + c * logy, 0.0, OVERFLOW_LOG)
+    return log_t - np.exp(log_t) - math.log(1.0 - alpha) - logy
 
 
 def _m_wright_integral_first(alpha, ys):
@@ -548,13 +593,13 @@ def _m_wright_integral_first(alpha, ys):
     - The series' absolute sum holds every term it reaches, so it is at
       least the largest counted term.  A counted lm above OVERFLOW_LOG
       makes the series overflow, which it reports as NaN.
-    - The density is M_a(y) <= 1/(e (1-a) y), because the integrand
-      a Y e^(-a Y) of ``_m_wright_integral_rows`` is at most 1/e.  The
-      signed sum misses M_a(y) by at most its truncation tail (e^-46 of the
-      largest term) and rounding (below 1e-9 of the absolute sum even at
-      j ~ 1e5).  Where the largest counted term exceeds 10 _M_WRIGHT_CANCEL
-      times the bound, the signed sum is therefore below 1/_M_WRIGHT_CANCEL
-      of the absolute sum, and the series' ratio exceeds the cut.
+    - ``_m_wright_log_bound`` bounds the density: 1/(e (1-a) y), and its
+      stretched-exponential tail once a0 Y >= 1.  The signed sum misses
+      M_a(y) by at most its truncation tail (e^-46 of the largest term) and
+      rounding (below 1e-9 of the absolute sum even at j ~ 1e5).  Where the
+      largest counted term exceeds 10 _M_WRIGHT_CANCEL times the bound, the
+      signed sum is therefore below 1/_M_WRIGHT_CANCEL of the absolute sum,
+      and the series' ratio exceeds the cut.
     """
     logy = np.log(ys)
     log_peak = np.minimum((alpha * math.log(alpha) + logy) / (1.0 - alpha), math.log(MAX_TERMS))
@@ -569,7 +614,7 @@ def _m_wright_integral_first(alpha, ys):
     with np.errstate(divide="ignore"):
         log_term = lm + np.log(np.abs(np.sin(math.pi * alpha * j))) - math.log(math.pi)
     log_term[~counted] = -math.inf
-    log_bound = -1.0 - math.log(1.0 - alpha) - logy
+    log_bound = _m_wright_log_bound(alpha, logy)
     over = (counted & (lm > OVERFLOW_LOG)).any(axis=1)
     return over | (log_term.max(axis=1) - log_bound > math.log(10.0 * _M_WRIGHT_CANCEL))
 
@@ -586,20 +631,25 @@ def m_wright(alpha: float, y):
     from the series' largest terms and the density's size shows to be
     past that cut go to the integral without summing the series
     (``_m_wright_integral_first``); every point gets the value it would get
-    after summing, bit for bit.
+    after summing, bit for bit.  Points where ``_m_wright_log_bound`` puts
+    the density below e^-800, +inf among them, are 0 without either: the
+    series refuses them and their integral underflows to 0.  NaN and
+    negative y raise DomainError.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError("m_wright requires alpha in (0, 1)")
     y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
-        raise DomainError("m_wright requires y >= 0")
+    if not np.all(y >= 0.0):
+        raise DomainError("m_wright requires y >= 0 (not NaN)")
     flat = y.ravel()
     out = np.full(flat.shape, 1.0 / math.gamma(1.0 - alpha))
     pos = np.flatnonzero(flat > 0.0)
     ys = flat[pos]
+    value = np.zeros(ys.shape)
+    live = np.flatnonzero(_m_wright_log_bound(alpha, np.log(ys)) >= _M_WRIGHT_ZERO_LOG)
     # NaN marks the rows the integral serves
-    value = np.full(ys.shape, math.nan)
-    summed = np.flatnonzero(~_m_wright_integral_first(alpha, ys))
+    value[live] = math.nan
+    summed = live[~_m_wright_integral_first(alpha, ys[live])]
     series, cancel, _ = _m_wright_series_rows(alpha, ys[summed])
     series[~np.isfinite(series) | (cancel > _M_WRIGHT_CANCEL) | (series < 0.0)] = math.nan
     value[summed] = series

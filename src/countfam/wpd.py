@@ -392,14 +392,14 @@ def _log_term_derivatives(p: WpdParams, used: np.ndarray, k: np.ndarray):
     if used[1]:
         psi_b = sc.digamma(k + p.beta)
         first[1] = -p.nu * psi_b
-        second.append(((1, 1), -p.nu * sc.polygamma(1, k + p.beta)))
+        second.append(((1, 1), -p.nu * sc.zeta(2.0, k + p.beta)))
         if used[3]:
             second.append(((1, 3), -psi_b))
     if used[3]:
         first[3] = -sc.gammaln(k + p.beta)
     if used[2]:
         first[2] = sc.digamma(k + p.gamma)
-        second.append(((2, 2), sc.polygamma(1, k + p.gamma)))
+        second.append(((2, 2), sc.zeta(2.0, k + p.gamma)))
     return first, second
 
 

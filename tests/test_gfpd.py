@@ -620,8 +620,9 @@ class TestMixtureNodes:
     def test_cold_quadrature_tabulates_once(self, monkeypatch):
         # the grid's mus at alpha = 0.99 on the renewal draw for criterion 12's
         # first seed need several node sets; a cold quadrature call
-        # tabulates them with one m_wright call, within the memory of one
-        # set, and caches each set as it would be built alone
+        # tabulates their distinct nodes (the first panel once) with one
+        # m_wright call, within the memory of one set, and caches each set as
+        # it would be built and tabulated alone
         data = CountData.from_values(renewal_fpd(0.85, 3.6, 5000, RngStream(1000)).values)
         mus = [m for a, m in _fpd_grid(data) if a == 0.99]
         steps = gfpd._cutoff_step(0.99, np.array(mus), data.max_value)
@@ -641,7 +642,7 @@ class TestMixtureNodes:
         finally:
             tracemalloc.stop()
         distinct = sorted(set(steps.tolist()), reverse=True)
-        assert calls == [320 * len(distinct)]
+        assert calls == [80 + 240 * len(distinct)]
         assert peak < 4e6
         batched = gfpd._MIXTURE_CACHE
         assert [key[1] for key in batched] == [round(1.3**step, 6) for step in distinct]
@@ -651,6 +652,8 @@ class TestMixtureNodes:
             (key,) = gfpd._MIXTURE_CACHE
             assert np.array_equal(ys, batched[key][0])
             assert np.array_equal(wm, batched[key][1])
+            ys, ws = gfpd._panel_nodes(1.3**step, 4, 80)
+            assert np.array_equal(ws * m_wright(0.99, ys), batched[key][1])
 
     def test_cache_evicts_oldest(self, monkeypatch):
         monkeypatch.setattr(gfpd, "_MIXTURE_CACHE", {})

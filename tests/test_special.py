@@ -1,6 +1,7 @@
 """Special-function tests against closed forms and brute-force oracles."""
 
 import math
+import warnings
 from itertools import combinations
 
 import mpmath as mp
@@ -34,9 +35,14 @@ from countfam.special import (
     MAX_TERMS,
     OVERFLOW_LOG,
     _M_WRIGHT_CANCEL,
+    _KANTER_DEPTH,
+    _KANTER_NODES,
+    _M_WRIGHT_ZERO_LOG,
+    _leggauss,
     _m_wright_integral,
     _m_wright_integral_first,
     _m_wright_integral_rows,
+    _m_wright_log_bound,
     _m_wright_series,
     _m_wright_series_rows,
 )
@@ -175,6 +181,62 @@ def _m_wright_series_rows_loop(alpha, ys, max_terms=MAX_TERMS):
     return value, cancel, max_lm
 
 
+def _kanter_rows_bisect(alpha, ys):
+    """The Kanter integral of ``_m_wright_integral_rows`` with its peak and
+    cuts found by bisection in s, for all rows at once, as it placed them
+    before it read them off a table: the oracle the table-inverted integral
+    is held to.
+    """
+    c = 1.0 / (1.0 - alpha)
+    logy = np.log(ys)[:, None]
+    log_yc = c * logy
+    log_a0 = alpha * c * math.log(alpha) + math.log(1.0 - alpha)
+
+    def log_a(s):
+        eps = np.exp(s)
+        u = np.maximum(math.pi - eps, 1e-300)
+        return (
+            (alpha * c) * np.log(np.sin(alpha * u))
+            + np.log(np.sin((1.0 - alpha) * u))
+            - c * np.log(np.sin(np.minimum(u, eps)))
+        )
+
+    def log_f(la):
+        return la - np.exp(np.minimum(la + log_yc, OVERFLOW_LOG))
+
+    def bisect(lo, hi, rises):
+        for _ in range(32):
+            mid = 0.5 * (lo + hi)
+            up = rises(mid)
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        return 0.5 * (lo + hi)
+
+    s_min = np.full(log_yc.shape, -700.0)
+    s_max = np.full(log_yc.shape, math.log(math.pi))
+    interior = log_a0 + log_yc < 0.0
+    s_peak = np.where(interior, bisect(s_min, s_max, lambda s: log_a(s) + log_yc > 0.0), s_max)
+    log_f0 = log_f(log_a0)
+    cut = np.where(interior, -1.0 - log_yc, log_f0) - _KANTER_DEPTH
+    s_right = bisect(s_min, s_peak, lambda s: log_f(log_a(s)) < cut)
+    s_left = np.where(
+        log_f0 >= cut, s_max, bisect(s_peak, s_max, lambda s: log_f(log_a(s)) >= cut)
+    )
+    x, w = _leggauss(_KANTER_NODES)
+    total = 0.0
+    for lo, hi in ((s_right, s_peak), (s_peak, s_left)):
+        half = 0.5 * (hi - lo)
+        s = half * x + (lo + half)
+        total = total + (np.exp(log_f(log_a(s)) + log_yc + s) * (half * w)).sum(axis=1)
+    return total / (math.pi * (1.0 - alpha) * ys)
+
+
+def _kanter_ys(alpha, z0):
+    """The y where log(a0 Y) = z0, with a0 = (1-a) a^(a/(1-a)) and
+    Y = y^(1/(1-a)) as in the Kanter form."""
+    log_a0 = alpha / (1.0 - alpha) * math.log(alpha) + math.log(1.0 - alpha)
+    return np.exp((np.asarray(z0, dtype=float) - log_a0) * (1.0 - alpha))
+
+
 def _bit_identity_set():
     """(alpha, ys) pairs over the whole range of alpha and log y, with the
     alphas where sin(pi alpha j) vanishes at every few j."""
@@ -292,6 +354,12 @@ class TestTrigamma:
         out = trigamma(zs)
         assert out.shape == zs.shape
         assert out[0] > out[1] > out[2]
+
+    def test_is_scipy_polygamma(self):
+        # zeta(2, z) is what SciPy's polygamma(1, z) returns, bit for bit
+        rng = np.random.default_rng(4)
+        zs = np.concatenate([np.exp(rng.uniform(-20.0, 20.0, 4000)), np.arange(1.0, 400.0) + 0.37])
+        assert np.array_equal(trigamma(zs), sc.polygamma(1, zs))
 
 
 class TestPrabhakar:
@@ -471,12 +539,70 @@ class TestMWright:
         assert np.array_equal(m_wright(alpha, ys), np.maximum(value, 0.0))
 
     def test_density_bound(self):
-        # M_a(y) <= 1 / (e (1 - a) y): the Kanter integrand is at most 1/e
+        # M_a(y) <= 1 / (e (1 - a) y): the Kanter integrand is at most 1/e;
+        # and once a0 Y >= 1, the tail bound of _m_wright_log_bound
         rng = np.random.default_rng(11)
         for alpha in rng.uniform(0.01, 0.99, 40):
             ys = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 50))
+            value = _m_wright_integral_rows(alpha, ys)
             bound = 1.0 / (math.e * (1.0 - alpha) * ys)
-            assert np.all(_m_wright_integral_rows(alpha, ys) <= bound * (1.0 + 1e-12))
+            assert np.all(value <= bound * (1.0 + 1e-12))
+            tail = np.exp(_m_wright_log_bound(alpha, np.log(ys)))
+            assert np.all(tail <= bound * (1.0 + 1e-12))
+            assert np.all(value <= tail * (1.0 + 1e-12))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        alpha=st.floats(0.01, 0.99),
+        z0=st.lists(st.floats(-4.0, 8.0), min_size=1, max_size=40),
+    )
+    def test_integral_matches_bisection(self, alpha, z0):
+        # z0 = log(a0 Y) spans the Kanter domain: m_wright sends no row with
+        # z0 below about 1.8 to the integral, values fall below 1e-290 near
+        # z0 = 6.6, and the bound certifies 0 from about 6.7.  Beyond 1e-11,
+        # both sides carry the rounding of log a, a difference of terms of
+        # size c = 1/(1-a): the integrand's factor e^(-a Y) turns an error d
+        # in log a into a relative error a Y d, with a Y ~ e^z0
+        z0 = np.array(z0)
+        ys = _kanter_ys(alpha, z0)
+        ref = _kanter_rows_bisect(alpha, ys)
+        got = _m_wright_integral_rows(alpha, ys)
+        assert np.all(got[ref == 0.0] == 0.0)
+        keep = ref > 1e-290
+        tol = 1e-11 + 4.0 * np.exp(np.maximum(z0, 0.0)) / (1.0 - alpha) * 2.0**-52
+        assert np.all(np.abs(got - ref)[keep] <= (tol * ref)[keep])
+
+    def test_integral_returns_no_subnormals(self):
+        # past the underflow the nodes' rounding decides which subnormal
+        # survives: such values come back as 0
+        for alpha in (0.2, 0.5, 0.77, 0.95):
+            got = _m_wright_integral_rows(alpha, _kanter_ys(alpha, np.linspace(6.5, 6.8, 400)))
+            assert (got == 0.0).any() and (got > 1e-300).any()
+            assert not np.any((got > 0.0) & (got < np.finfo(float).tiny))
+
+    def test_certified_zeros_are_oracle_zeros(self):
+        # rows the bound puts below e^-800 are 0 without the series or the
+        # integral: the series refuses them and the bisection oracle gives
+        # them 0
+        rng = np.random.default_rng(7)
+        for alpha in rng.uniform(0.01, 0.99, 40):
+            ys = _kanter_ys(alpha, rng.uniform(5.0, 12.0, 50))
+            zero = _m_wright_log_bound(alpha, np.log(ys)) < _M_WRIGHT_ZERO_LOG
+            assert zero.any() and not zero.all()
+            value, cancel, _ = _m_wright_series_rows(alpha, ys[zero])
+            assert np.all(~np.isfinite(value) | (cancel > _M_WRIGHT_CANCEL) | (value < 0.0))
+            assert np.all(_kanter_rows_bisect(alpha, ys)[zero] == 0.0)
+            assert np.all(m_wright(alpha, ys)[zero] == 0.0)
+
+    def test_nan_refused_inf_is_zero(self):
+        for y in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(DomainError):
+                m_wright(0.5, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert m_wright(0.5, math.inf) == 0.0
+            got = m_wright(0.3, np.array([2.0, math.inf, 0.0]))
+        assert np.array_equal(got, [m_wright(0.3, 2.0), 0.0, m_wright(0.3, 0.0)])
 
     def test_domain(self):
         with pytest.raises(DomainError):
