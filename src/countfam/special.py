@@ -474,16 +474,17 @@ def _m_wright_integral_rows(alpha, ys):
 
     No bisection places the peak and the cuts.  In z = log(a Y) the peak is
     at z = max(log(a0 Y), 0), and the cuts are the two roots of
-    z - e^z = k, k being the peak's z - e^z less 46; a few fixed-point steps
-    find them.  Each is then a root of log a(s) = z - log Y.  log a falls in
-    s, from linear in s at u -> pi to flat like u^2 at u = 0, where
-    h(s) = sqrt(log a(s) - log a0) is nearly linear instead.  So h is
-    tabulated once per call on _KANTER_TABLE and inverted by linear
-    interpolation.  That places the roots within about 2e-4 in s, closer
-    than the rules' values can tell apart: the cuts lie e^-46 below the
-    peak, and a split near the peak serves as well as one on it.  A piece of zero width (the second,
-    once the peak is at u = 0) adds nothing and is skipped.  Values below
-    the smallest normal double are returned as 0.
+    z - e^z = k, k being the peak's z - e^z less 46: fixed-point steps find
+    the upper one, and the lower one is k itself in float64.  Each is then a
+    root of log a(s) = z - log Y.  log a falls in s, from linear in s at
+    u -> pi to flat like u^2 at u = 0, where h(s) = sqrt(log a(s) - log a0)
+    is nearly linear instead.  So h is tabulated once per call on
+    _KANTER_TABLE and inverted by linear interpolation.  That places the
+    roots within about 2e-4 in s, closer than the rules' values can tell
+    apart: the cuts lie e^-46 below the peak, and a split near the peak
+    serves as well as one on it.  A piece of zero width (the second, once
+    the peak is at u = 0) adds nothing and is skipped.  Values below the
+    smallest normal double are returned as 0.
     """
     c = 1.0 / (1.0 - alpha)
     log_yc = c * np.log(ys)
@@ -511,18 +512,13 @@ def _m_wright_integral_rows(alpha, ys):
     z_peak = np.maximum(z0, 0.0)
     k = z_peak - np.exp(np.minimum(z_peak, OVERFLOW_LOG)) - _KANTER_DEPTH
     # above the peak z = log(z - k) contracts by 1/(z - k) <= 1/46 a step;
-    # below it z = k + e^z with k <= -46 is settled in one
+    # below it z = k + e^z is k, as e^k <= e^-46 is below k's rounding
     z_hi = z_peak + 1.0
     for _ in range(6):
         z_hi = np.log(z_hi - k)
-    z_lo = k + np.exp(k)
     s_right = invert(z_hi - log_yc)
-    s_peak = np.full(ys.shape, s_max)
-    inner = np.flatnonzero(z0 < 0.0)
-    s_peak[inner] = invert(-log_yc[inner])
-    s_left = np.full(ys.shape, s_max)
-    left = np.flatnonzero(z0 < z_lo)
-    s_left[left] = invert(z_lo[left] - log_yc[left])
+    s_peak = np.where(z0 < 0.0, invert(-log_yc), s_max)
+    s_left = np.where(z0 < k, invert(k - log_yc), s_max)
 
     x, w = _leggauss(_KANTER_NODES)
     total = np.zeros(ys.shape)
