@@ -499,9 +499,10 @@ def fpd_pmf_quadrature(alpha: float, mu, xs, n_panels: int = 4, n_nodes: int = 8
     """Classical fractional pmf on an array of x values by mixture quadrature.
 
     Positive integrand (Poisson kernel times the inverse-stable density), so
-    there is no cancellation at any parameter point; used as the workhorse of
-    grid fitting and as an independent cross-check on the series.  ``mu`` is
-    a scalar (one pmf row) or a 1-D array (one row per value).
+    there is no cancellation at any parameter point; an independent
+    cross-check on the series, whose log kernel (``_mixture_logpmf``) also
+    scores grid fits.  ``mu`` is a scalar (one pmf row) or a 1-D array (one
+    row per value).
     """
     return _mixture_pmf(alpha, mu, xs, y_power=0, n_panels=n_panels, n_nodes=n_nodes)
 
@@ -528,10 +529,17 @@ _SPREAD_MAX = 300.0
 
 
 def _mixture_pmf(alpha, mu, xs, y_power, n_panels, n_nodes, x_max=None):
-    """sum_j w_j y_j^y_power Poisson(x; mu y_j) over the mixing nodes; one row per mu.
+    """exp of ``_mixture_logpmf``: the pmf rows of the quadrature's tables."""
+    return np.exp(_mixture_logpmf(alpha, mu, xs, y_power, n_panels, n_nodes, x_max))
 
-    The node sets are those of the support 0..x_max, by default the largest
-    of ``xs``.
+
+def _mixture_logpmf(alpha, mu, xs, y_power, n_panels=4, n_nodes=80, x_max=None):
+    """log sum_j w_j y_j^y_power Poisson(x; mu y_j) over the mixing nodes, at
+    the counts ``xs``; one row per mu.
+
+    Each column is computed on its own, so the counts need not be
+    consecutive.  The node sets are those of the support 0..x_max, by
+    default the largest of ``xs``.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError("mixture quadrature requires alpha in (0, 1)")
@@ -581,10 +589,9 @@ def _mixture_pmf(alpha, mu, xs, y_power, n_panels, n_nodes, x_max=None):
             np.maximum(log_b, -700.0, out=log_b)
             b = np.exp(log_b, out=log_b)
             a = np.exp(np.multiply.outer(mu0 - mus[start:stop], ys))
-            log_rows = np.log(a @ b.T)
+            log_rows = np.log(a @ b.T, out=out[start:stop])
             log_rows += shift + c_x
             log_rows += np.multiply.outer(np.log(mus[start:stop] / mu0), xf)
-            np.exp(log_rows, out=out[start:stop])
             start = stop
         lo = hi
     rows = out[inverse]

@@ -13,7 +13,6 @@ mass, and uses (cells - 1 - free parameters) degrees of freedom.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -130,7 +129,9 @@ class FitResult:
     ``std_errors`` (a converged Newton fit only, else None) maps each
     parameter to the square root of its diagonal entry of the inverse
     observed information over the parameters off the faces of the box, and
-    a parameter on a face to None.  ``to_dict`` leaves it out.
+    a parameter on a face to None.  ``points_failed`` (a grid fit only,
+    else None) counts the grid points whose likelihood could not be
+    evaluated.  ``to_dict`` leaves both out.
     """
 
     model_id: str
@@ -142,6 +143,7 @@ class FitResult:
     converged: bool
     evaluations: int
     std_errors: dict | None = None
+    points_failed: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -165,8 +167,9 @@ class ModelSpec:
 
     ``pmf`` is the tabulation route (the CLI's); ``table`` is the fitting
     route, and only laws with a ``table`` can be fitted.  A law with a
-    ``grid`` is fitted by grid search; a grid law's ``table`` also takes its
-    last parameter as a 1-D array and then returns one pmf row per value.
+    ``grid`` is fitted by grid search, and its ``log_rows`` gives the log
+    pmf at the observed counts with its last parameter as a 1-D array, one
+    row per value, for scoring a run of grid points at once.
     A law with a ``score`` is fitted by ``fit_newton``: given (theta, data),
     the score returns the log likelihood, its gradient and the observed
     information (minus the Hessian) in the free parameters, and raises
@@ -183,7 +186,8 @@ class ModelSpec:
     table: Callable | None = None  # (theta, x_max) -> pmf array on 0..x_max
     bounds: tuple | None = None
     init: Callable | None = None  # CountData -> theta
-    grid: Callable | None = None  # CountData -> iterable of theta
+    grid: Callable | None = None  # CountData -> (points x parameters) array, in scan order
+    log_rows: Callable | None = None  # (theta, counts) -> log pmf rows at the counts
     score: Callable | None = None  # (theta, CountData) -> (loglik, gradient, information)
     face_start: Callable | None = None  # CountData -> theta on the face holding the maximum | None
 
@@ -228,24 +232,50 @@ def _aa1_table(theta, x_max):
     return aa1_pmf_quadrature(alpha, mu, np.arange(x_max + 1))
 
 
+def _log_cells(table, xs):
+    # a cell that is 0 has log -inf; negative or NaN cells give NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(table[..., xs])
+
+
+def _fpd_log_rows(theta, xs):
+    alpha, mu = theta
+    if 0.0 < alpha < 1.0:
+        return gfpd._mixture_logpmf(alpha, mu, xs, y_power=0)
+    return _log_cells(_fpd_table(theta, int(xs.max())), xs)
+
+
+def _aa1_log_rows(theta, xs):
+    alpha, mu = theta
+    if 0.0 < alpha < 1.0:
+        return math.lgamma(alpha + 1.0) + gfpd._mixture_logpmf(alpha, mu, xs, y_power=1)
+    return _log_cells(_aa1_table(theta, int(xs.max())), xs)
+
+
+_MU_BAND = np.linspace(0.8, 1.2, 41)
+
+
+def _alpha_grid(alphas, mu_scale):
+    """Rows (alpha, mu): 41 mu per alpha in a +-20 percent band around
+    ``mu_scale(alpha)``, the alphas rounded to 10 digits."""
+    alphas = [round(float(a), 10) for a in alphas]
+    mus = np.concatenate([mu_scale(a) * _MU_BAND for a in alphas])
+    return np.column_stack([np.repeat(alphas, len(_MU_BAND)), mus])
+
+
 def _fpd_grid(data: CountData):
     """alpha on a 0.01 lattice across (0, 1) plus both boundary laws; mu in a
     +-20 percent band around the sample mean rescaled by Gamma(1 + alpha)."""
     mean = data.mean()
-    for alpha in np.concatenate([[0.0], np.arange(0.01, 1.0, 0.01), [1.0]]):
-        alpha = round(float(alpha), 10)
-        for mu in mean * math.gamma(1.0 + alpha) * np.linspace(0.8, 1.2, 41):
-            yield (alpha, float(mu))
+    alphas = np.concatenate([[0.0], np.arange(0.01, 1.0, 0.01), [1.0]])
+    return _alpha_grid(alphas, lambda a: mean * math.gamma(1.0 + a))
 
 
 def _aa1_grid(data: CountData):
     mean = data.mean()
-    for alpha in np.concatenate([np.arange(0.01, 1.0, 0.01), [1.0]]):
-        alpha = round(float(alpha), 10)
-        # mean of the law is Gamma(alpha) mu / Gamma(2 alpha)
-        scale = math.gamma(2.0 * alpha) / math.gamma(alpha)
-        for mu in mean * scale * np.linspace(0.8, 1.2, 41):
-            yield (alpha, float(mu))
+    # mean of the law is Gamma(alpha) mu / Gamma(2 alpha)
+    alphas = np.concatenate([np.arange(0.01, 1.0, 0.01), [1.0]])
+    return _alpha_grid(alphas, lambda a: mean * (math.gamma(2.0 * a) / math.gamma(a)))
 
 
 def _moment_inits(data: CountData):
@@ -368,13 +398,13 @@ LAWS = {s.name: s for s in (
         "fpd", ("alpha", "mu"), **_gfpd_routes(GfpdParams.fpd),
         sample=lambda theta, n, rng: sample_fpd(*theta, n, rng),
         table=_fpd_table, bounds=((0.0, 1.0), _POS), init=lambda d: (0.9, d.mean()),
-        grid=_fpd_grid,
+        grid=_fpd_grid, log_rows=_fpd_log_rows,
     ),
     ModelSpec("gfpd", ("alpha", "beta", "delta", "mu"), **_gfpd_routes(GfpdParams)),
     ModelSpec(
         "gfpd_aa1", ("alpha", "mu"), **_gfpd_routes(GfpdParams.aa1),
         table=_aa1_table, bounds=((1e-6, 1.0), _POS), init=lambda d: (0.9, d.mean()),
-        grid=_aa1_grid,
+        grid=_aa1_grid, log_rows=_aa1_log_rows,
     ),
     ModelSpec(
         "negbinom", ("r", "p"), _pmf_route(_negbinom_table), summary=_negbinom_summary,
@@ -449,25 +479,45 @@ def _safe_loglik(spec: ModelSpec, theta, data: CountData) -> float:
     return total if math.isfinite(total) else _NEG_INF
 
 
-def _run_logliks(spec: ModelSpec, run: list, data: CountData) -> np.ndarray:
-    """_safe_loglik at each point of a run that shares all but the last parameter.
+def _run_logliks(spec: ModelSpec, lead, last: np.ndarray, data: CountData) -> np.ndarray:
+    """_safe_loglik at the points (*lead, v) for each v in ``last``.
 
-    A grid law's table takes the run's last parameters as one array, so the
-    run costs one table call; if that call raises, the points are scored one
-    at a time, so only the points that raise fail.
+    A grid law's ``log_rows`` scores the whole run with one call, summed
+    against the observed frequencies; if that call raises, the points are
+    scored one at a time, so only the points that raise fail.
     """
-    if spec.grid is not None:
-        last = np.array([theta[-1] for theta in run])
+    if spec.log_rows is not None:
         try:
-            table = spec.table((*run[0][:-1], last), data.max_value)
+            log_rows = spec.log_rows((*lead, last), data.values)
         except (DomainError, EvaluationError, OverflowError):
             pass
         else:
-            # a cell that is 0, negative, NaN or inf makes its row's sum non-finite
-            with np.errstate(divide="ignore", invalid="ignore"):
-                total = np.log(table[:, data.values]) @ data.freqs
-            return np.where(np.isfinite(total), total, _NEG_INF)
-    return np.array([_safe_loglik(spec, theta, data) for theta in run])
+            total = log_rows @ data.freqs
+            # as under loglik, a point fails where its table holds 0 (a log
+            # below exp's range), NaN or inf at an observed count
+            ok = np.isfinite(total) & (np.exp(log_rows.min(axis=1)) > 0.0)
+            return np.where(ok, total, _NEG_INF)
+    return np.array([_safe_loglik(spec, (*lead, v), data) for v in last.tolist()])
+
+
+def _grid_points(spec: ModelSpec, data: CountData, grid) -> np.ndarray:
+    """The grid of ``fit_grid`` as a (points x parameters) array in scan order."""
+    if grid is None:
+        if spec.grid is None:
+            raise DomainError(f"model {spec.name} has no default grid; pass one")
+        return spec.grid(data)
+    k = len(spec.param_names)
+    if isinstance(grid, dict):
+        missing = set(spec.param_names) - set(grid)
+        if missing:
+            raise DomainError(f"grid missing axes {sorted(missing)}")
+        axes = [np.atleast_1d(np.asarray(grid[n], dtype=float)) for n in spec.param_names]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.column_stack([m.ravel() for m in mesh])
+    points = [[float(t) for t in theta] for theta in grid]
+    if any(len(theta) != k for theta in points):
+        raise DomainError(f"{spec.name} takes {k} parameters {spec.param_names}")
+    return np.array(points, dtype=float).reshape(len(points), k)
 
 
 def fit_grid(model: str, data: CountData, grid=None, pool: bool = True) -> FitResult:
@@ -477,45 +527,33 @@ def fit_grid(model: str, data: CountData, grid=None, pool: bool = True) -> FitRe
     parameter names to axes (crossed in declaration order of the model's
     parameters); by default the model's own grid is used.  A point fails
     when its table raises or its pmf at an observed count is not a finite
-    positive number.  For a law with a default grid, each run of consecutive
-    points that share all but the last parameter is scored with one table
-    call (see ``_run_logliks``).  Ties keep the first point in scan order,
-    so the default scans resolve ties toward the smaller leading parameter.
-    ``evaluations`` counts grid points, and the reported ``loglik`` is
-    ``loglik`` at the chosen point.
+    positive number; ``points_failed`` counts them.  For a law with a
+    default grid, each run of consecutive points that share all but the
+    last parameter is scored with one ``log_rows`` call, straight in log
+    space at the observed counts (see ``_run_logliks``).  Ties keep the
+    first point in scan order, so the default scans resolve ties toward the
+    smaller leading parameter.  ``evaluations`` counts grid points, and the
+    reported ``loglik`` is ``loglik`` at the chosen point.
     """
     spec = MODELS[model]
-    if grid is None:
-        if spec.grid is None:
-            raise DomainError(f"model {model} has no default grid; pass one")
-        points = spec.grid(data)
-    elif isinstance(grid, dict):
-        missing = set(spec.param_names) - set(grid)
-        if missing:
-            raise DomainError(f"grid missing axes {sorted(missing)}")
-        axes = [np.atleast_1d(np.asarray(grid[n], dtype=float)) for n in spec.param_names]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = zip(*(m.ravel() for m in mesh))
-    else:
-        points = grid
-    points = (tuple(float(t) for t in theta) for theta in points)
-    best_theta = None
-    best_ll = -math.inf
-    n_eval = 0
-    for _, run in itertools.groupby(points, key=lambda theta: theta[:-1]):
-        run = list(run)
-        n_eval += len(run)
-        lls = _run_logliks(spec, run, data)
-        i = int(np.argmax(lls))  # the first of equal maxima
-        if lls[i] > best_ll:
-            best_ll = lls[i]
-            best_theta = run[i]
-    if best_theta is None or best_ll <= _NEG_INF:
+    points = _grid_points(spec, data, grid)
+    n_eval = len(points)
+    lead = points[:, :-1]
+    new_run = np.ones(n_eval, dtype=bool)
+    new_run[1:] = (lead[1:] != lead[:-1]).any(axis=1)
+    edges = [*np.flatnonzero(new_run).tolist(), n_eval]
+    lls = np.empty(n_eval)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        lls[lo:hi] = _run_logliks(spec, lead[lo].tolist(), points[lo:hi, -1], data)
+    failed = lls <= _NEG_INF
+    if failed.all():
         raise EvaluationError(f"all {n_eval} grid points failed for {model}")
+    best_theta = tuple(points[np.argmax(lls)].tolist())  # the first of equal maxima
     best_ll = loglik(model, best_theta, data)
     chi2, df, p_value = gof_chisq(model, best_theta, data, pool=pool)
     return FitResult(
-        model, _params_dict(spec, best_theta), best_ll, chi2, df, p_value, True, n_eval
+        model, _params_dict(spec, best_theta), best_ll, chi2, df, p_value, True, n_eval,
+        points_failed=int(failed.sum()),
     )
 
 

@@ -467,6 +467,15 @@ def _m_wright_integral_rows(alpha, ys):
     density is (1/pi) int a(u) Y exp(-a(u) Y) du / ((1-a) y).  No
     cancellation at any y, so it serves as the large-argument branch.
 
+    Its domain is a0 Y >= e^-4, where it agrees with a bisection-placed
+    rule to about 1e-11.  Below that the peak moves towards u = pi and the
+    integrand's flat left side spreads over most of (0, pi), which the
+    rule resolves less well: about 1e-10 off at a0 Y = e^-20, and wrong by
+    up to 60 % below e^-47, where the left cut comes in
+    ((0.013, 6.6e-25) gives 0.453 against M(0) = 1/Gamma(1 - a) = 0.992).
+    ``m_wright`` sends it only rows whose series it refuses, and those lie
+    well inside the domain (a0 Y above e^1.8 over the tested range).
+
     The integrand peaks where a(u) Y = 1 (at u = 0 once a0 Y >= 1).  Each
     side of the peak, down to where the integrand is e^-46 of its peak, gets
     one Gauss-Legendre rule in s = log(pi - u), which spreads out both the

@@ -49,6 +49,58 @@ def small_grid():
                 yield GfpdParams(alpha, beta, frac * beta / alpha, 2.0)
 
 
+def oracle_mixture_pmf(alpha, mu, xs, y_power, n_panels, n_nodes, x_max=None):
+    """The mixture quadrature as it was before it returned log rows: each
+    chunk exponentiates its own log rows.  The oracle for the bits of the
+    quadrature's tables, which now take exp of ``gfpd._mixture_logpmf``."""
+    if not (0.0 < alpha < 1.0):
+        raise DomainError("mixture quadrature requires alpha in (0, 1)")
+    xs = np.asarray(xs, dtype=int)
+    if x_max is None:
+        x_max = int(xs.max())
+    mu = np.asarray(mu, dtype=float)
+    if not np.all(mu > 0.0):
+        raise DomainError("mixture quadrature requires mu > 0")
+    flat = mu.ravel()
+    mus = np.sort(flat)
+    inverse = np.searchsorted(mus, flat)
+    xf = xs.astype(float)
+    log_x1 = np.log(np.maximum(xf, 1.0)) - 1.0
+    c_x = xf * log_x1 - sc.gammaln(xf + 1.0)
+    out = np.empty((len(mus), len(xs)))
+    steps = gfpd._cutoff_step(alpha, mus, x_max).tolist()
+    distinct = list(dict.fromkeys(steps))
+    node_sets = dict(zip(distinct, gfpd._mixture_node_sets(alpha, distinct, n_panels, n_nodes)))
+    lo = 0
+    while lo < len(mus):
+        hi = lo + steps.count(steps[lo])
+        ys, wm = node_sets[steps[lo]]
+        with np.errstate(divide="ignore"):
+            log_w = np.log(wm * ys**y_power if y_power else wm)
+        ends = np.searchsorted(mus, mus[lo:hi] + 2.0 * gfpd._SPREAD_MAX / ys[-1], "right").tolist()
+        start = lo
+        while start < hi:
+            stop = min(ends[start - lo], hi)
+            mu0 = 0.5 * (mus[start] + mus[stop - 1])
+            lam = mu0 * ys
+            log_b = np.log(lam) - log_x1[:, None]
+            log_b *= xf[:, None]
+            log_b -= lam - log_w
+            shift = log_b.max(axis=1)
+            log_b -= shift[:, None]
+            np.maximum(log_b, -700.0, out=log_b)
+            b = np.exp(log_b, out=log_b)
+            a = np.exp(np.multiply.outer(mu0 - mus[start:stop], ys))
+            log_rows = np.log(a @ b.T)
+            log_rows += shift + c_x
+            log_rows += np.multiply.outer(np.log(mus[start:stop] / mu0), xf)
+            np.exp(log_rows, out=out[start:stop])
+            start = stop
+        lo = hi
+    rows = out[inverse]
+    return rows[0] if mu.ndim == 0 else rows
+
+
 def _forward_resum(p, xs, jend, dps, guard=20):
     """Pmf rows by plain mpmath summation from the zeroth term upward.
 
@@ -596,6 +648,62 @@ class TestBatchedRows:
     def test_refuses_mu_not_positive(self, mu):
         with pytest.raises(DomainError, match="mu > 0"):
             fpd_pmf_quadrature(0.7, [2.0, mu], np.arange(5))
+
+
+# the plane points (beta = alpha delta) of criterion 04's grid, as the
+# pmf_tables benchmark evaluates them: (alpha, beta, alpha delta / beta = 1, mu)
+_PLANE_POINTS = [(a, b, 1.0 * b / a, u) for a in (0.3, 0.6, 0.9) for b in (0.3, 0.6, 0.9)
+                 for u in (0.5, 2.0, 5.0)]
+
+
+class TestTableRouteBits:
+    """The quadrature's pmf rows and plane tables keep their bits: they are
+    exp of the log kernel's rows, as the oracle exponentiated them."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        alpha=st.floats(0.01, 0.99),
+        mu0=st.floats(0.05, 300.0),
+        band=st.lists(st.floats(0.8, 1.2), min_size=1, max_size=41),
+        x_max=st.integers(0, 400),
+    )
+    # a grid run: 41 mus in the +-20 % band, over several node sets and chunks
+    @example(alpha=0.1, mu0=200.0, band=list(np.linspace(0.8, 1.2, 41)), x_max=400)
+    @example(alpha=0.85, mu0=3.6, band=list(np.linspace(0.8, 1.2, 41)), x_max=16)
+    def test_quadrature_rows(self, alpha, mu0, band, x_max):
+        mus = mu0 * np.array(band)
+        xs = np.arange(x_max + 1)
+        assert np.array_equal(fpd_pmf_quadrature(alpha, mus, xs),
+                              oracle_mixture_pmf(alpha, mus, xs, 0, 4, 80))
+        assert np.array_equal(aa1_pmf_quadrature(alpha, mus, xs),
+                              math.gamma(alpha + 1.0) * oracle_mixture_pmf(alpha, mus, xs, 1, 4, 80))
+        mu = float(mus[-1])
+        assert np.array_equal(fpd_pmf_quadrature(alpha, mu, xs),
+                              oracle_mixture_pmf(alpha, mu, xs, 0, 4, 80))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        alpha=st.floats(0.05, 0.9),
+        beta=st.floats(0.05, 1.0),
+        mu=st.floats(0.05, 30.0),
+    )
+    def test_plane_tables(self, alpha, beta, mu):
+        self._check_plane(alpha, beta, beta / alpha, mu)
+
+    @pytest.mark.parametrize("alpha, beta, delta, mu", _PLANE_POINTS)
+    def test_benchmark_plane_points(self, alpha, beta, delta, mu):
+        self._check_plane(alpha, beta, delta, mu)
+
+    @staticmethod
+    def _check_plane(alpha, beta, delta, mu):
+        p = GfpdParams(alpha, beta, delta, mu)
+        pref = math.gamma(beta) * alpha / math.gamma(delta)
+        want = moments.adaptive_pmf_table(
+            lambda xs, x_end: pref * oracle_mixture_pmf(alpha, mu, xs, delta, 4, 80, x_max=x_end),
+            None, moments.TAIL_TOL,
+        )
+        # built outside the table cache
+        assert np.array_equal(gfpd._build_pmf_table(p, None, "auto", moments.TAIL_TOL), want)
 
 
 class TestMixtureNodes:

@@ -1,5 +1,6 @@
 """Fitting, goodness of fit and model comparison."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,14 +26,17 @@ from countfam import (
     sample_fpd,
     sample_wpd,
 )
-from countfam import inference
+from countfam import gfpd, inference
 from countfam.inference import (
     _NEG_INF,
     MODELS,
     ModelSpec,
+    _aa1_grid,
+    _fpd_grid,
     _initial_point,
     _nelder_mead_max,
     _pooled_cells,
+    _run_logliks,
     _safe_loglik,
 )
 from test_sampling import renewal_fpd
@@ -255,6 +259,130 @@ class TestFitGridMatchesLoop:
                             ("gfpd_aa1", [(0.0, 1.0), (-0.5, 2.0), (0.5, 0.0)])):
             with pytest.raises(EvaluationError, match="all 3 grid points failed"):
                 fit_grid(model, d, grid)
+
+
+# test_iterable_grid_with_invalid_mu's grid: mu <= 0 or NaN, and alpha = 0,
+# which only fpd admits
+_INVALID_MU_GRID = [(0.5, -1.0), (0.5, 2.0), (0.5, 0.0), (0.5, 2.4), (0.8, 2.0), (0.8, math.nan),
+                    (0.8, -2.0), (0.0, 0.0), (0.0, 1.5), (1.0, -0.5), (1.0, 2.0), (0.8, 2.1)]
+
+
+def loop_fpd_grid(data):
+    """The default fpd grid as a generator of (alpha, mu) tuples."""
+    mean = data.mean()
+    for alpha in np.concatenate([[0.0], np.arange(0.01, 1.0, 0.01), [1.0]]):
+        alpha = round(float(alpha), 10)
+        for mu in mean * math.gamma(1.0 + alpha) * np.linspace(0.8, 1.2, 41):
+            yield (alpha, float(mu))
+
+
+def loop_aa1_grid(data):
+    """The default gfpd_aa1 grid as a generator of (alpha, mu) tuples."""
+    mean = data.mean()
+    for alpha in np.concatenate([np.arange(0.01, 1.0, 0.01), [1.0]]):
+        alpha = round(float(alpha), 10)
+        scale = math.gamma(2.0 * alpha) / math.gamma(alpha)
+        for mu in mean * scale * np.linspace(0.8, 1.2, 41):
+            yield (alpha, float(mu))
+
+
+def scan_logliks(model, data, points):
+    """The grid scan's log likelihood at each point: one ``_run_logliks`` call
+    per run of points that share alpha, as ``fit_grid`` makes them."""
+    spec = MODELS[model]
+    out = []
+    for alpha, run in itertools.groupby(points, key=lambda theta: theta[0]):
+        mus = np.array([theta[1] for theta in run], dtype=float)
+        out.extend(_run_logliks(spec, [float(alpha)], mus, data))
+    return np.array(out)
+
+
+def _gapped_data():
+    return CountData({0: 40, 1: 55, 2: 31, 4: 12, 7: 5, 12: 2, 25: 1}, 146)
+
+
+def _mean50_data():
+    # mean 50: the mu band at small alpha spans several chunks of a node set
+    return CountData.from_values(
+        sample_fpd(0.6, 50.0 * math.gamma(1.6), 300, RngStream(17)).values)
+
+
+class TestGridScan:
+    """The scan sums the quadrature's log rows at the observed counts; each
+    point scores what loglik scores there."""
+
+    @pytest.mark.parametrize("model", ["fpd", "gfpd_aa1"])
+    @pytest.mark.parametrize("make_data", [_gapped_data, _mean50_data])
+    def test_matches_safe_loglik_on_default_grid(self, model, make_data):
+        d = make_data()
+        spec = MODELS[model]
+        points = [tuple(theta) for theta in spec.grid(d).tolist()]
+        scan = scan_logliks(model, d, points)
+        loop = np.array([_safe_loglik(spec, theta, d) for theta in points])
+        assert np.all(loop > _NEG_INF)
+        np.testing.assert_allclose(scan, loop, rtol=1e-12, atol=0.0)
+
+    def test_data_reach_gaps_and_chunks(self):
+        assert len(_gapped_data().values) < _gapped_data().max_value + 1
+        d = _mean50_data()
+        assert 45.0 < d.mean() < 55.0
+        # at alpha = 0.01 the fpd band splits into chunks within one node set
+        mus = np.array([m for a, m in _fpd_grid(d) if a == 0.01])
+        steps = gfpd._cutoff_step(0.01, mus, d.max_value)
+        split = False
+        for step in set(steps.tolist()):
+            ys, _ = gfpd._mixture_nodes(0.01, step, 4, 80)
+            band = mus[steps == step]
+            split |= (band.max() - band.min()) * ys[-1] > 2.0 * gfpd._SPREAD_MAX
+        assert split
+
+    def test_underflow_fails_as_under_loglik(self):
+        # a count of 300 among small ones: a point whose table underflows to
+        # 0 there fails, although the scan's log is finite; where the table
+        # holds a normal number the two agree, and where it holds a
+        # subnormal the scan keeps the digits that loglik loses
+        d = CountData({0: 50, 1: 40, 2: 10, 300: 1}, 101)
+        spec = MODELS["fpd"]
+        points = [tuple(theta) for theta in spec.grid(d).tolist()]
+        scan = scan_logliks("fpd", d, points)
+        loop = np.array([_safe_loglik(spec, theta, d) for theta in points])
+        failed = loop == _NEG_INF
+        assert 0 < failed.sum() < len(points)
+        assert np.array_equal(scan == _NEG_INF, failed)
+        log_tiny = math.log(np.finfo(float).tiny)
+        normal = np.concatenate([
+            spec.log_rows((alpha, mus), d.values)[:, -1] >= log_tiny
+            for (alpha, _), mus in zip(points[::41], spec.grid(d)[:, 1].reshape(-1, 41))
+        ])
+        assert (~failed & ~normal).any()
+        np.testing.assert_allclose(scan[normal], loop[normal], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("model, n_failed", [("fpd", 6), ("gfpd_aa1", 7)])
+    def test_invalid_mu_scores_neg_inf(self, model, n_failed):
+        d = CountData.from_values(sample_fpd(0.8, 2.0, 800, RngStream(5)).values)
+        spec = MODELS[model]
+        scan = scan_logliks(model, d, _INVALID_MU_GRID)
+        loop = np.array([_safe_loglik(spec, theta, d) for theta in _INVALID_MU_GRID])
+        invalid = np.array([not mu > 0.0 for _, mu in _INVALID_MU_GRID])
+        assert np.all(scan[invalid] == _NEG_INF)
+        np.testing.assert_allclose(scan, loop, rtol=1e-12, atol=0.0)
+        res = fit_grid(model, d, _INVALID_MU_GRID)
+        assert res.points_failed == n_failed == np.count_nonzero(loop == _NEG_INF)
+
+    def test_points_failed_only_for_grid_fits(self):
+        d = CountData.from_values(sample_fpd(0.7, 2.0, 800, RngStream(6)).values)
+        res = fit_grid("fpd", d)
+        assert res.points_failed == 0
+        assert "points_failed" not in res.to_dict()
+        assert fit_newton("negbinom", d).points_failed is None
+        assert fit_simplex("genpoisson", d).points_failed is None
+
+    def test_default_grids_keep_their_points(self):
+        d = CountData.from_values(sample_fpd(0.7, 2.0, 800, RngStream(7)).values)
+        for grid, loop in ((_fpd_grid, loop_fpd_grid), (_aa1_grid, loop_aa1_grid)):
+            points = grid(d)
+            assert points.shape == (len(points), 2)
+            assert [(a, m) for a, m in points.tolist()] == list(loop(d))
 
 
 class TestFitSimplex:

@@ -29,7 +29,7 @@ from countfam import (
     trigamma,
     wright_phi,
 )
-from countfam import gfpd
+from countfam import gfpd, special
 from countfam.inference import _fpd_grid
 from countfam.special import (
     MAX_TERMS,
@@ -603,6 +603,32 @@ class TestMWright:
             assert m_wright(0.5, math.inf) == 0.0
             got = m_wright(0.3, np.array([2.0, math.inf, 0.0]))
         assert np.array_equal(got, [m_wright(0.3, 2.0), 0.0, m_wright(0.3, 0.0)])
+
+    def test_integral_rows_stay_in_their_domain(self, monkeypatch):
+        # the Kanter form's domain is a0 Y >= e^-4 (its docstring); m_wright
+        # sends it no row below that, from y = 0 through the deep tail and
+        # over the node sets of a grid fit
+        lowest = []
+
+        def spy(alpha, ys):
+            log_a0 = alpha / (1.0 - alpha) * math.log(alpha) + math.log(1.0 - alpha)
+            lowest.append(float(np.min(log_a0 + np.log(ys) / (1.0 - alpha), initial=math.inf)))
+            return _m_wright_integral_rows(alpha, ys)
+
+        monkeypatch.setattr(special, "_m_wright_integral_rows", spy)
+        ys = np.concatenate([[0.0, 6.6e-25, 1e-20], np.logspace(-30, 4, 800)])
+        for alpha in np.concatenate([np.linspace(0.002, 0.998, 150), [0.013, 0.1, 0.5]]):
+            m_wright(float(alpha), ys)
+        for alpha in (0.05, 0.5, 0.9, 0.99):
+            m_wright(alpha, _fit_nodes(alpha))
+        # most calls send rows at all
+        assert sum(math.isfinite(z) for z in lowest) > 100
+        assert min(lowest) >= -4.0
+
+    @pytest.mark.parametrize("alpha, y", [(0.013, 6.6e-25), (0.1, 1e-20), (0.5, 1e-20)])
+    def test_tiny_y_is_the_value_at_zero(self, alpha, y):
+        # where the Kanter form, outside its domain, is wrong by up to 60 %
+        assert m_wright(alpha, y) == pytest.approx(1.0 / math.gamma(1.0 - alpha), rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
