@@ -61,11 +61,8 @@ from .special import (
     SeriesValue,
     bell_partial,
     chi2_sf,
-    digamma,
-    log_gamma,
     m_wright,
     prabhakar_ml,
-    reciprocal_gamma,
     stirling2,
     trigamma,
     wright_phi,

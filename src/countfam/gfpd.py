@@ -13,8 +13,8 @@ Probabilities come from three routes that cross-check each other:
   point from exact binomials and coefficients rounded from one cached
   high-precision gamma table per (alpha, beta);
 * a positive-integrand mixture quadrature over the inverse-stable density
-  (classical fractional case), immune to cancellation and cheap enough for
-  grid fitting;
+  (the classical fractional slice and the plane beta = alpha delta), immune
+  to cancellation and cheap enough for grid fitting;
 * Monte Carlo over one-sided stable variates: an unbiased average of the
   Poisson kernel over weighted draws of the mixing variable Y = V^alpha Z0,
   V beta-distributed and Z0 inverse-stable, with a true standard error for
@@ -370,16 +370,14 @@ def gfpd_pmf_table(
 def _build_pmf_table(p, x_max, method, tail_tol) -> np.ndarray:
     # evaluate(xs, x_end) gives the rows xs of a chunk that spans up to x_end;
     # only the quadrature reads x_end, to pick its node set
+    quadrature = lambda xs, x_end: _quadrature_pmf(p.alpha, p.beta, p.delta, p.mu, xs, x_end)
     if p.geometric_limit or p.alpha == 1.0:
         evaluate = lambda xs, x_end: np.array([gfpd_pmf(p, int(x)) for x in xs])
     elif method == "auto" and abs(p.beta - p.alpha * p.delta) < 1e-12:
         # the Wright density factor collapses onto the inverse-stable density
         # when beta = alpha delta, giving a cancellation-free positive
         # quadrature for the whole table
-        pref = math.gamma(p.beta) * p.alpha / math.gamma(p.delta)
-        evaluate = lambda xs, x_end: pref * _mixture_pmf(
-            p.alpha, p.mu, xs, y_power=p.delta, n_panels=4, n_nodes=80, x_max=x_end
-        )
+        evaluate = quadrature
     else:
         evaluate = lambda xs, x_end: _pmf_rows(p, xs, method=method)
     try:
@@ -393,10 +391,7 @@ def _build_pmf_table(p, x_max, method, tail_tol) -> np.ndarray:
     # series route infeasible even in high precision (small alpha, larger
     # mu), or its table's mass is off: the positive mixture quadrature still
     # applies
-    ev = lambda xs, x_end: _mixture_pmf(
-        p.alpha, p.mu, xs, y_power=0, n_panels=4, n_nodes=80, x_max=x_end
-    )
-    return adaptive_pmf_table(ev, x_max, tail_tol)
+    return adaptive_pmf_table(quadrature, x_max, tail_tol)
 
 
 def fpd_pmf(alpha: float, mu: float, x: int, method: str = "auto") -> float:
@@ -427,7 +422,8 @@ def _mixing_draws(p: GfpdParams, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     slice mixes over Z0 itself (weight 1).  Elsewhere Y = V^alpha Z with
     V ~ Beta(alpha delta, beta - alpha delta) (V = 1 on the plane
     beta = alpha delta) and Z of density z^delta M_alpha(z) / E Z0^delta,
-    drawn as Z0 with weight w = Z0^delta Gamma(1+alpha delta)/Gamma(1+delta).
+    drawn as Z0 with `_mixing_weight`'s weight
+    w = Z0^delta Gamma(1+alpha delta)/Gamma(1+delta).
     Then E[w Y^j] = Gamma(beta)Gamma(delta+j)/(Gamma(delta)Gamma(alpha j+beta)),
     the law's j-th factorial moment over mu^j.
     """
@@ -439,9 +435,10 @@ def _mixing_draws(p: GfpdParams, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     # NaN or S = 0: the sine-product formula left float64 range
     if not np.all(log_z0 < np.inf):
         raise EvaluationError(f"stable variates left float64 range at alpha = {a}")
-    if p.is_fpd:
+    y_power, _, log_pref = _mixing_weight(a, b, d)
+    if not y_power:
         return log_z0, np.zeros(n)
-    log_w = d * log_z0 + (math.lgamma(1.0 + a * d) - math.lgamma(1.0 + d))
+    log_w = y_power * log_z0 + log_pref
     if abs(b - a * d) < 1e-12:
         return log_z0, log_w
     with np.errstate(divide="ignore"):
@@ -475,27 +472,41 @@ def gfpd_pmf_mc(p: GfpdParams, x: int, n: int, rng) -> tuple[float, float]:
     return est, se
 
 
-def gfpd_aa1_pmf(
-    alpha: float, mu: float, x: int, n: int = 0, rng=None, method: str = "auto"
-) -> float:
-    """pmf of the (alpha, alpha, 1, mu) member.
+def gfpd_aa1_pmf(alpha: float, mu: float, x: int, method: str = "auto") -> float:
+    """pmf of the (alpha, alpha, 1, mu) member, as `gfpd_pmf` gives it.
 
-    Series evaluation when it is stable; with ``n`` and ``rng`` given, falls
-    back to the Monte Carlo estimate of `gfpd_pmf_mc`, which on this plane is
+    Its Monte Carlo estimate is ``gfpd_pmf_mc(GfpdParams.aa1(alpha, mu), x,
+    n, rng)``, which on this plane is
     Gamma(alpha+1) mu^x / x! E[S^(-alpha(x+1)) e^(-mu S^(-alpha))].
     """
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError("alpha must lie in (0, 1]")
-    p = GfpdParams.aa1(alpha, mu)
-    try:
-        return gfpd_pmf(p, x, method=method)
-    except EvaluationError:
-        if n < 1 or rng is None:
-            raise
-    return gfpd_pmf_mc(p, x, n, rng)[0]
+    return gfpd_pmf(GfpdParams.aa1(alpha, mu), x, method=method)
 
 
-def fpd_pmf_quadrature(alpha: float, mu, xs, n_panels: int = 4, n_nodes: int = 80) -> np.ndarray:
+def _mixing_weight(alpha: float, beta: float, delta: float) -> tuple:
+    """(y power, prefactor, log prefactor) of the fractional law's mixing
+    weight over M_alpha, the inverse-stable density of Z0 = S^(-alpha).
+
+    The classical slice beta = delta = 1 mixes over Z0 itself: (0, 1, 0).
+    Elsewhere the weight is the tilt z^delta M_alpha(z) / E Z0^delta, with
+    E Z0^delta = Gamma(1+delta)/Gamma(1+alpha delta): the mixing density
+    itself on the plane beta = alpha delta, and the law of Z in
+    Y = V^alpha Z off it (see `_mixing_draws`).
+    """
+    if beta == 1.0 and delta == 1.0:
+        return 0, 1.0, 0.0
+    g, g1 = 1.0 + alpha * delta, 1.0 + delta
+    return delta, math.gamma(g) / math.gamma(g1), math.lgamma(g) - math.lgamma(g1)
+
+
+def _quadrature_pmf(alpha, beta, delta, mu, xs, x_max=None):
+    """pmf rows of the fractional law at (alpha, beta, delta) by mixture
+    quadrature over `_mixing_weight`'s density, one row per mu: the
+    prefactor times exp of ``_mixture_logpmf``'s rows."""
+    y_power, pref, _ = _mixing_weight(alpha, beta, delta)
+    return pref * np.exp(_mixture_logpmf(alpha, mu, xs, y_power, x_max))
+
+
+def fpd_pmf_quadrature(alpha: float, mu, xs) -> np.ndarray:
     """Classical fractional pmf on an array of x values by mixture quadrature.
 
     Positive integrand (Poisson kernel times the inverse-stable density), so
@@ -504,18 +515,16 @@ def fpd_pmf_quadrature(alpha: float, mu, xs, n_panels: int = 4, n_nodes: int = 8
     scores grid fits.  ``mu`` is a scalar (one pmf row) or a 1-D array (one
     row per value).
     """
-    return _mixture_pmf(alpha, mu, xs, y_power=0, n_panels=n_panels, n_nodes=n_nodes)
+    return _quadrature_pmf(alpha, 1.0, 1.0, mu, xs)
 
 
-def aa1_pmf_quadrature(alpha: float, mu, xs, n_panels: int = 4, n_nodes: int = 80) -> np.ndarray:
+def aa1_pmf_quadrature(alpha: float, mu, xs) -> np.ndarray:
     """(alpha, alpha, 1) pmf by mixture quadrature, one row per ``mu`` as above.
 
     The mixing density is Gamma(alpha + 1) y times the inverse-stable
     density, which integrates to one.
     """
-    return math.gamma(alpha + 1.0) * _mixture_pmf(
-        alpha, mu, xs, y_power=1, n_panels=n_panels, n_nodes=n_nodes
-    )
+    return _quadrature_pmf(alpha, alpha, 1.0, mu, xs)
 
 
 # Rows that share a node set are evaluated about a reference mu0 through
@@ -528,12 +537,7 @@ def aa1_pmf_quadrature(alpha: float, mu, xs, n_panels: int = 4, n_nodes: int = 8
 _SPREAD_MAX = 300.0
 
 
-def _mixture_pmf(alpha, mu, xs, y_power, n_panels, n_nodes, x_max=None):
-    """exp of ``_mixture_logpmf``: the pmf rows of the quadrature's tables."""
-    return np.exp(_mixture_logpmf(alpha, mu, xs, y_power, n_panels, n_nodes, x_max))
-
-
-def _mixture_logpmf(alpha, mu, xs, y_power, n_panels=4, n_nodes=80, x_max=None):
+def _mixture_logpmf(alpha, mu, xs, y_power, x_max=None):
     """log sum_j w_j y_j^y_power Poisson(x; mu y_j) over the mixing nodes, at
     the counts ``xs``; one row per mu.
 
@@ -563,7 +567,7 @@ def _mixture_logpmf(alpha, mu, xs, y_power, n_panels=4, n_nodes=80, x_max=None):
     # the cutoff falls as mu grows, so each node set serves a run of mus
     steps = _cutoff_step(alpha, mus, x_max).tolist()
     distinct = list(dict.fromkeys(steps))
-    node_sets = dict(zip(distinct, _mixture_node_sets(alpha, distinct, n_panels, n_nodes)))
+    node_sets = dict(zip(distinct, _mixture_node_sets(alpha, distinct)))
     lo = 0
     while lo < len(mus):
         hi = lo + steps.count(steps[lo])
@@ -607,17 +611,16 @@ def _cutoff_step(alpha, mu, x_max):
     return np.ceil(np.log(y_hi) / math.log(1.3)).astype(int)
 
 
-# node sets by (alpha, cutoff, panels, nodes), least recently used first
+# node sets by (alpha, cutoff), least recently used first
 _MIXTURE_CACHE: dict = {}
 _MIXTURE_CACHE_MAX = 512
 
+# a node set is _N_PANELS Gauss-Legendre panels of _N_NODES nodes
+_N_PANELS = 4
+_N_NODES = 80
 
-def _mixture_nodes(alpha, step, n_panels, n_nodes):
-    """The node set of one cutoff step (see ``_mixture_node_sets``)."""
-    return _mixture_node_sets(alpha, [step], n_panels, n_nodes)[0]
 
-
-def _mixture_node_sets(alpha, steps, n_panels, n_nodes):
+def _mixture_node_sets(alpha, steps):
     """Gauss-Legendre panels on the mixing variable up to 1.3 ** step, with
     density values, for each of the distinct cutoff ``steps``.
 
@@ -628,11 +631,11 @@ def _mixture_node_sets(alpha, steps, n_panels, n_nodes):
     The sets then enter the cache, or move to its recent end, in the order
     of ``steps``.
     """
-    keys = [(round(alpha, 12), round(1.3**step, 6), n_panels, n_nodes) for step in steps]
+    keys = [(round(alpha, 12), round(1.3**step, 6)) for step in steps]
     sets = [_MIXTURE_CACHE.get(key) for key in keys]
     missing = [i for i, hit in enumerate(sets) if hit is None]
     if missing:
-        nodes = [_panel_nodes(1.3 ** steps[i], n_panels, n_nodes) for i in missing]
+        nodes = [_panel_nodes(1.3 ** steps[i]) for i in missing]
         distinct, where = np.unique(np.concatenate([ys for ys, _ in nodes]), return_inverse=True)
         density = m_wright(alpha, distinct)[where]
         for i, (ys, ws), m in zip(missing, nodes, np.split(density, len(missing))):
@@ -646,10 +649,10 @@ def _mixture_node_sets(alpha, steps, n_panels, n_nodes):
     return sets
 
 
-def _panel_nodes(y_hi, n_panels, n_nodes):
-    """Nodes and weights of ``n_panels`` Gauss-Legendre panels on (0, y_hi)."""
-    gx, gw = _leggauss(n_nodes)
-    edges = np.concatenate([[0.0], np.geomspace(0.25, y_hi, n_panels)])
+def _panel_nodes(y_hi):
+    """Nodes and weights of the Gauss-Legendre panels on (0, y_hi)."""
+    gx, gw = _leggauss(_N_NODES)
+    edges = np.concatenate([[0.0], np.geomspace(0.25, y_hi, _N_PANELS)])
     ys, ws = [], []
     # cube-graded first panel: fractional powers y^delta in the mixing
     # weight have a cusp at 0 that plain Gauss-Legendre resolves poorly

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -210,72 +211,7 @@ def _geometric_table(mu, x_max):
     return (1.0 - q) * q**xs
 
 
-def _fpd_table(theta, x_max):
-    alpha, mu = theta
-    if not np.all(np.asarray(mu) > 0):
-        raise DomainError("mu must be > 0")
-    if alpha <= 0.0:
-        return _geometric_table(mu, x_max)
-    if alpha >= 1.0:
-        return _poisson_table((mu,), x_max)
-    return fpd_pmf_quadrature(alpha, mu, np.arange(x_max + 1))
-
-
-def _aa1_table(theta, x_max):
-    alpha, mu = theta
-    if not np.all(np.asarray(mu) > 0):
-        raise DomainError("mu must be > 0")
-    if alpha >= 1.0:
-        return _poisson_table((mu,), x_max)
-    if alpha <= 0.0:
-        raise DomainError("alpha must lie in (0, 1]")
-    return aa1_pmf_quadrature(alpha, mu, np.arange(x_max + 1))
-
-
-def _log_cells(table, xs):
-    # a cell that is 0 has log -inf; negative or NaN cells give NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(table[..., xs])
-
-
-def _fpd_log_rows(theta, xs):
-    alpha, mu = theta
-    if 0.0 < alpha < 1.0:
-        return gfpd._mixture_logpmf(alpha, mu, xs, y_power=0)
-    return _log_cells(_fpd_table(theta, int(xs.max())), xs)
-
-
-def _aa1_log_rows(theta, xs):
-    alpha, mu = theta
-    if 0.0 < alpha < 1.0:
-        return math.lgamma(alpha + 1.0) + gfpd._mixture_logpmf(alpha, mu, xs, y_power=1)
-    return _log_cells(_aa1_table(theta, int(xs.max())), xs)
-
-
 _MU_BAND = np.linspace(0.8, 1.2, 41)
-
-
-def _alpha_grid(alphas, mu_scale):
-    """Rows (alpha, mu): 41 mu per alpha in a +-20 percent band around
-    ``mu_scale(alpha)``, the alphas rounded to 10 digits."""
-    alphas = [round(float(a), 10) for a in alphas]
-    mus = np.concatenate([mu_scale(a) * _MU_BAND for a in alphas])
-    return np.column_stack([np.repeat(alphas, len(_MU_BAND)), mus])
-
-
-def _fpd_grid(data: CountData):
-    """alpha on a 0.01 lattice across (0, 1) plus both boundary laws; mu in a
-    +-20 percent band around the sample mean rescaled by Gamma(1 + alpha)."""
-    mean = data.mean()
-    alphas = np.concatenate([[0.0], np.arange(0.01, 1.0, 0.01), [1.0]])
-    return _alpha_grid(alphas, lambda a: mean * math.gamma(1.0 + a))
-
-
-def _aa1_grid(data: CountData):
-    mean = data.mean()
-    # mean of the law is Gamma(alpha) mu / Gamma(2 alpha)
-    alphas = np.concatenate([np.arange(0.01, 1.0, 0.01), [1.0]])
-    return _alpha_grid(alphas, lambda a: mean * (math.gamma(2.0 * a) / math.gamma(a)))
 
 
 def _moment_inits(data: CountData):
@@ -348,15 +284,6 @@ def _pmf_route(table):
     )
 
 
-def _gfpd_routes(law):
-    # gfpd_pmf_table is looked up on the module at call time, so a wrapper
-    # installed on countfam.gfpd (the benchmark's tracer) sees CLI pmf calls
-    return {
-        "pmf": lambda theta, x_max: gfpd.gfpd_pmf_table(law(*theta), x_max=x_max),
-        "summary": lambda theta: gfpd_summary(law(*theta)),
-    }
-
-
 def _negbinom_table(theta, x_max):
     return negbinom_pmf_table(NegBinomParams(*theta), x_max)
 
@@ -390,22 +317,84 @@ def _slice(tag, bounds=None, init=None, table=None):
     )
 
 
+def _fractional(name, law, quadrature=None, geometric_limit=False, sample=None):
+    """A gfpd law; ``law`` maps its parameters to GfpdParams.
+
+    With a ``quadrature`` it is a slice in (alpha, mu), fitted by grid
+    search.  Its table is ``quadrature(alpha, mu, xs)``, the Poisson law at
+    alpha = 1 and, for the slice with a ``geometric_limit``, the geometric
+    law at alpha = 0.  Its grid crosses alpha on a 0.01 lattice across
+    (0, 1) plus those boundary laws with 41 mu in a +-20 percent band
+    around the mu at which the law's mean is the sample mean, the alphas
+    rounded to 10 digits.
+    """
+    # gfpd_pmf_table is looked up on the module at call time, so a wrapper
+    # installed on countfam.gfpd (the benchmark's tracer) sees CLI pmf calls
+    routes = dict(
+        pmf=lambda theta, x_max: gfpd.gfpd_pmf_table(law(*theta), x_max=x_max),
+        summary=lambda theta: gfpd_summary(law(*theta)),
+        sample=sample,
+    )
+    if quadrature is None:
+        return ModelSpec(name, ("alpha", "beta", "delta", "mu"), **routes)
+
+    def table(theta, x_max):
+        alpha, mu = theta
+        if not np.all(np.asarray(mu) > 0):
+            raise DomainError("mu must be > 0")
+        if alpha >= 1.0:
+            return _poisson_table((mu,), x_max)
+        if alpha <= 0.0:
+            if not geometric_limit:
+                raise DomainError("alpha must lie in (0, 1]")
+            return _geometric_table(mu, x_max)
+        return quadrature(alpha, mu, np.arange(x_max + 1))
+
+    # cached per alpha: building the law for each run of grid points, and
+    # for each alpha of each grid, added a few percent to a warm grid fit
+    @lru_cache(maxsize=1024)
+    def shape(alpha):
+        """The law's mixing weight at ``alpha``, and its mu over its mean,
+        Gamma(beta + alpha) / (Gamma(beta) delta)."""
+        p = law(alpha, 1.0)
+        mu_scale = math.gamma(p.beta + p.alpha) / (math.gamma(p.beta) * p.delta)
+        return gfpd._mixing_weight(alpha, p.beta, p.delta), mu_scale
+
+    def log_rows(theta, xs):
+        alpha, mu = theta
+        if 0.0 < alpha < 1.0:
+            (y_power, _, log_pref), _ = shape(alpha)
+            return log_pref + gfpd._mixture_logpmf(alpha, mu, xs, y_power)
+        # a cell that is 0 has log -inf; negative or NaN cells give NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(table(theta, int(xs.max()))[..., xs])
+
+    def grid(data):
+        mean = data.mean()
+        lattice = ([0.0] if geometric_limit else []) + np.arange(0.01, 1.0, 0.01).tolist() + [1.0]
+        alphas = [round(a, 10) for a in lattice]
+        mus = np.concatenate([mean * shape(a)[1] * _MU_BAND for a in alphas])
+        return np.column_stack([np.repeat(alphas, len(_MU_BAND)), mus])
+
+    return ModelSpec(
+        name, ("alpha", "mu"), **routes, table=table,
+        bounds=((0.0 if geometric_limit else 1e-6, 1.0), _POS), init=lambda d: (0.9, d.mean()),
+        grid=grid, log_rows=log_rows,
+    )
+
+
 _POS = (1e-12, math.inf)
 
 # every law the command line accepts
 LAWS = {s.name: s for s in (
-    ModelSpec(
-        "fpd", ("alpha", "mu"), **_gfpd_routes(GfpdParams.fpd),
+    # the fpd table looks fpd_pmf_quadrature up here at call time, where
+    # the benchmark's tracer wraps it
+    _fractional(
+        "fpd", GfpdParams.fpd, lambda *args: fpd_pmf_quadrature(*args), geometric_limit=True,
         sample=lambda theta, n, rng: sample_fpd(*theta, n, rng),
-        table=_fpd_table, bounds=((0.0, 1.0), _POS), init=lambda d: (0.9, d.mean()),
-        grid=_fpd_grid, log_rows=_fpd_log_rows,
     ),
-    ModelSpec("gfpd", ("alpha", "beta", "delta", "mu"), **_gfpd_routes(GfpdParams)),
-    ModelSpec(
-        "gfpd_aa1", ("alpha", "mu"), **_gfpd_routes(GfpdParams.aa1),
-        table=_aa1_table, bounds=((1e-6, 1.0), _POS), init=lambda d: (0.9, d.mean()),
-        grid=_aa1_grid, log_rows=_aa1_log_rows,
-    ),
+    _fractional("gfpd", GfpdParams),
+    _fractional("gfpd_aa1", GfpdParams.aa1, aa1_pmf_quadrature),
     ModelSpec(
         "negbinom", ("r", "p"), _pmf_route(_negbinom_table), summary=_negbinom_summary,
         table=_negbinom_table, bounds=(_POS, (1e-9, 1.0 - 1e-9)), init=_init_negbinom,

@@ -64,27 +64,6 @@ class SeriesValue:
         return self.value
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0:
-        raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
-def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x), extended continuously to 0 at the poles x = 0, -1, -2, ..."""
-    if not math.isfinite(x):
-        raise DomainError(f"reciprocal_gamma requires finite x, got {x!r}")
-    return float(sc.rgamma(x))
-
-
-def digamma(x: float) -> float:
-    """Digamma function psi(x) for x > 0."""
-    if not math.isfinite(x) or x <= 0:
-        raise DomainError(f"digamma requires finite x > 0, got {x!r}")
-    return float(sc.digamma(x))
-
-
 def trigamma(z):
     """psi'(z) = sum_{r>=0} (z+r)^-2 for z > 0, scalar or array: the Hurwitz
     zeta function zeta(2, z), which SciPy's polygamma(1, z) also returns."""
@@ -398,10 +377,12 @@ def wright_phi(xi: float, omega: float, z: float, method: str = "auto") -> Serie
     """
     if not math.isfinite(xi) or xi <= -1:
         raise DomainError("wright_phi requires xi > -1")
+    if not math.isfinite(omega):
+        raise DomainError(f"wright_phi requires finite omega, got {omega!r}")
     if method not in ("auto", "series"):
         raise ValueError(f"unknown method {method!r}")
     if z == 0.0:
-        return SeriesValue(reciprocal_gamma(omega), 1, 0.0)
+        return SeriesValue(float(sc.rgamma(omega)), 1, 0.0)
     # leading terms at the poles of Gamma vanish, but their reflection
     # bound would set the scale of the stopping rule: start after them
     r0 = 0

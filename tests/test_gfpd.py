@@ -38,8 +38,10 @@ from countfam import (
 )
 from countfam import gfpd, moments
 from countfam.gfpd import _mp_plan, _rows_mp
-from countfam.inference import _fpd_grid
+from countfam.inference import MODELS
 from test_sampling import renewal_fpd
+
+_fpd_grid = MODELS["fpd"].grid
 
 
 def small_grid():
@@ -70,7 +72,8 @@ def oracle_mixture_pmf(alpha, mu, xs, y_power, n_panels, n_nodes, x_max=None):
     out = np.empty((len(mus), len(xs)))
     steps = gfpd._cutoff_step(alpha, mus, x_max).tolist()
     distinct = list(dict.fromkeys(steps))
-    node_sets = dict(zip(distinct, gfpd._mixture_node_sets(alpha, distinct, n_panels, n_nodes)))
+    assert (n_panels, n_nodes) == (gfpd._N_PANELS, gfpd._N_NODES)
+    node_sets = dict(zip(distinct, gfpd._mixture_node_sets(alpha, distinct)))
     lo = 0
     while lo < len(mus):
         hi = lo + steps.count(steps[lo])
@@ -533,7 +536,7 @@ class TestAdaptiveCut:
         def fallback(*args, **kwargs):
             raise AssertionError("the quadrature fallback walked the row cap again")
 
-        monkeypatch.setattr(gfpd, "_mixture_pmf", fallback)
+        monkeypatch.setattr(gfpd, "_quadrature_pmf", fallback)
         with pytest.raises(ConvergenceError):
             gfpd_pmf_table(GfpdParams.fpd(0.5, 2.0))
 
@@ -637,7 +640,7 @@ class TestBatchedRows:
         mus = 200.0 * np.linspace(0.8, 1.2, 41)
         steps = gfpd._cutoff_step(0.1, mus, 400)
         assert len(set(steps.tolist())) == 1
-        ys, _ = gfpd._mixture_nodes(0.1, steps[0], 4, 80)
+        ys, _ = gfpd._mixture_node_sets(0.1, [steps[0]])[0]
         assert (mus[-1] - mus[0]) * ys.max() > 4 * gfpd._SPREAD_MAX
 
     def test_equal_mu_equal_rows(self):
@@ -697,7 +700,7 @@ class TestTableRouteBits:
     @staticmethod
     def _check_plane(alpha, beta, delta, mu):
         p = GfpdParams(alpha, beta, delta, mu)
-        pref = math.gamma(beta) * alpha / math.gamma(delta)
+        pref = math.gamma(1.0 + alpha * delta) / math.gamma(1.0 + delta)
         want = moments.adaptive_pmf_table(
             lambda xs, x_end: pref * oracle_mixture_pmf(alpha, mu, xs, delta, 4, 80, x_max=x_end),
             None, moments.TAIL_TOL,
@@ -718,7 +721,7 @@ class TestMixtureNodes:
         tracemalloc.start()
         try:
             step = int(gfpd._cutoff_step(0.99, mu, data.max_value))
-            ys, _ = gfpd._mixture_nodes(0.99, step, 4, 80)
+            ys, _ = gfpd._mixture_node_sets(0.99, [step])[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -756,33 +759,33 @@ class TestMixtureNodes:
         assert [key[1] for key in batched] == [round(1.3**step, 6) for step in distinct]
         for step in distinct:
             monkeypatch.setattr(gfpd, "_MIXTURE_CACHE", {})
-            ys, wm = gfpd._mixture_nodes(0.99, step, 4, 80)
+            ys, wm = gfpd._mixture_node_sets(0.99, [step])[0]
             (key,) = gfpd._MIXTURE_CACHE
             assert np.array_equal(ys, batched[key][0])
             assert np.array_equal(wm, batched[key][1])
-            ys, ws = gfpd._panel_nodes(1.3**step, 4, 80)
+            ys, ws = gfpd._panel_nodes(1.3**step)
             assert np.array_equal(ws * m_wright(0.99, ys), batched[key][1])
 
     def test_cache_evicts_oldest(self, monkeypatch):
         monkeypatch.setattr(gfpd, "_MIXTURE_CACHE", {})
         monkeypatch.setattr(gfpd, "_MIXTURE_CACHE_MAX", 2)
-        first = gfpd._mixture_nodes(0.3, 12, 4, 80)
-        gfpd._mixture_nodes(0.5, 12, 4, 80)
-        gfpd._mixture_nodes(0.7, 12, 4, 80)
+        first = gfpd._mixture_node_sets(0.3, [12])[0]
+        gfpd._mixture_node_sets(0.5, [12])[0]
+        gfpd._mixture_node_sets(0.7, [12])[0]
         assert [k[0] for k in gfpd._MIXTURE_CACHE] == [0.5, 0.7]
-        rebuilt = gfpd._mixture_nodes(0.3, 12, 4, 80)
+        rebuilt = gfpd._mixture_node_sets(0.3, [12])[0]
         assert rebuilt is not first
         assert np.array_equal(rebuilt[0], first[0])
         assert np.array_equal(rebuilt[1], first[1])
         assert [k[0] for k in gfpd._MIXTURE_CACHE] == [0.7, 0.3]
         # a hit moves its set to the recent end: the next eviction passes it
-        kept = gfpd._MIXTURE_CACHE[(0.7, round(1.3**12, 6), 4, 80)]
-        assert gfpd._mixture_nodes(0.7, 12, 4, 80) is kept
+        kept = gfpd._MIXTURE_CACHE[(0.7, round(1.3**12, 6))]
+        assert gfpd._mixture_node_sets(0.7, [12])[0] is kept
         assert [k[0] for k in gfpd._MIXTURE_CACHE] == [0.3, 0.7]
-        gfpd._mixture_nodes(0.5, 12, 4, 80)
+        gfpd._mixture_node_sets(0.5, [12])[0]
         assert [k[0] for k in gfpd._MIXTURE_CACHE] == [0.7, 0.5]
-        assert gfpd._mixture_nodes(0.7, 12, 4, 80) is kept
-        again = gfpd._mixture_nodes(0.3, 12, 4, 80)
+        assert gfpd._mixture_node_sets(0.7, [12])[0] is kept
+        again = gfpd._mixture_node_sets(0.3, [12])[0]
         assert np.array_equal(again[0], first[0])
         assert np.array_equal(again[1], first[1])
 
@@ -855,8 +858,10 @@ class TestMonteCarlo:
         with pytest.raises(DomainError, match="n must be >= 1"):
             gfpd_pmf_mc(GfpdParams(0.6, 0.8, 0.9, 1.5), 2, 0, RngStream(1))
 
-    # at alpha = 0.01 some of 100,000 sine-product stable draws are NaN
-    @pytest.mark.parametrize("p", [GfpdParams.fpd(0.01, 1.0), GfpdParams(0.01, 0.5, 10.0, 1.0)])
+    # at alpha = 0.01 some of 100,000 sine-product stable draws are NaN; the
+    # last point is on the plane beta = alpha delta
+    @pytest.mark.parametrize("p", [GfpdParams.fpd(0.01, 1.0), GfpdParams(0.01, 0.5, 10.0, 1.0),
+                                   GfpdParams.aa1(0.01, 5.0)])
     def test_refuses_non_finite_mixing_values(self, p):
         with pytest.raises(EvaluationError, match="left float64 range"):
             gfpd_pmf_mc(p, 0, 100_000, RngStream(1))
@@ -887,15 +892,23 @@ class TestAa1:
         assert abs(est - val) < 2.0 * se
 
     def test_mc_fallback_refuses_non_finite_mixing_values(self):
-        # the float64 series refuses here, so the Monte Carlo fallback runs
+        # the float64 series refuses here; the Monte Carlo estimate of this
+        # point is refused too (TestMonteCarlo.test_refuses_non_finite_mixing_values)
         with pytest.raises(CancellationError):
             gfpd_aa1_pmf(0.01, 5.0, 0, method="series")
-        with pytest.raises(EvaluationError, match="left float64 range"):
-            gfpd_aa1_pmf(0.01, 5.0, 0, n=100_000, rng=RngStream(1), method="series")
 
     def test_normalization(self):
         table = gfpd_pmf_table(GfpdParams.aa1(0.8, 1.0))
         assert float(table.sum()) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("mu, n", [(0.5, 12), (3.6, 40)])
+    def test_pmf_table_is_the_fitting_table(self, mu, n):
+        # `countfam pmf --model gfpd_aa1` and fit/gof tabulate one law with
+        # one mixing weight, so their tables share every bit
+        for alpha in np.arange(0.01, 1.0, 0.01):
+            alpha = round(float(alpha), 10)
+            want = MODELS["gfpd_aa1"].table((alpha, mu), n)
+            assert np.array_equal(gfpd_pmf_table(GfpdParams.aa1(alpha, mu), x_max=n), want), alpha
 
 
 class TestCdf:

@@ -31,8 +31,6 @@ from countfam.inference import (
     _NEG_INF,
     MODELS,
     ModelSpec,
-    _aa1_grid,
-    _fpd_grid,
     _initial_point,
     _nelder_mead_max,
     _pooled_cells,
@@ -40,6 +38,9 @@ from countfam.inference import (
     _safe_loglik,
 )
 from test_sampling import renewal_fpd
+
+_fpd_grid = MODELS["fpd"].grid
+_aa1_grid = MODELS["gfpd_aa1"].grid
 
 # grid points and log-likelihoods of criterion 12's first five replicates
 # as the renewal sampler drew them, recorded with the mixture nodes
@@ -331,7 +332,7 @@ class TestGridScan:
         steps = gfpd._cutoff_step(0.01, mus, d.max_value)
         split = False
         for step in set(steps.tolist()):
-            ys, _ = gfpd._mixture_nodes(0.01, step, 4, 80)
+            ys, _ = gfpd._mixture_node_sets(0.01, [step])[0]
             band = mus[steps == step]
             split |= (band.max() - band.min()) * ys[-1] > 2.0 * gfpd._SPREAD_MAX
         assert split

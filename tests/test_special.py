@@ -20,17 +20,14 @@ from countfam import (
     RngStream,
     bell_partial,
     chi2_sf,
-    digamma,
-    log_gamma,
     m_wright,
     prabhakar_ml,
-    reciprocal_gamma,
     stirling2,
     trigamma,
     wright_phi,
 )
 from countfam import gfpd, special
-from countfam.inference import _fpd_grid
+from countfam.inference import MODELS
 from countfam.special import (
     MAX_TERMS,
     OVERFLOW_LOG,
@@ -48,6 +45,8 @@ from countfam.special import (
 )
 from test_sampling import renewal_fpd
 
+_fpd_grid = MODELS["fpd"].grid
+
 
 def _fit_nodes(alpha):
     """Mixture nodes at alpha with the largest cutoff that fit_grid("fpd")
@@ -55,7 +54,7 @@ def _fit_nodes(alpha):
     seed: its smallest grid mu."""
     data = CountData.from_values(renewal_fpd(0.85, 3.6, 5000, RngStream(1000)).values)
     mu = min(m for a, m in _fpd_grid(data) if a == alpha)
-    ys, _ = gfpd._mixture_nodes(alpha, int(gfpd._cutoff_step(alpha, mu, data.max_value)), 4, 80)
+    ys, _ = gfpd._mixture_node_sets(alpha, [int(gfpd._cutoff_step(alpha, mu, data.max_value))])[0]
     return ys
 
 
@@ -293,54 +292,6 @@ def _wright_oracle(xi, omega, z):
     return _mp_series(lambda k: z_**k / mp.factorial(k) * mp.rgamma(x_ * k + o_), *plan)
 
 
-class TestLogGamma:
-    def test_closed_forms(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            log_gamma(bad)
-
-
-class TestReciprocalGamma:
-    def test_values(self):
-        assert reciprocal_gamma(1.0) == 1.0
-        assert reciprocal_gamma(0.0) == 0.0
-        assert reciprocal_gamma(-2.0) == 0.0
-        assert reciprocal_gamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-13)
-        # sign flips between negative poles
-        assert reciprocal_gamma(-0.5) < 0
-        assert reciprocal_gamma(-1.5) > 0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            reciprocal_gamma(math.inf)
-
-
-def _psi1_series_oracle(n=200_000):
-    """psi(1) = -(lim sum_{k<=n} 1/k - ln n), Euler-Maclaurin corrected."""
-    h = math.fsum(1.0 / k for k in range(1, n + 1))
-    return -(h - math.log(n) - 0.5 / n + 1.0 / (12.0 * n * n))
-
-
-class TestDigamma:
-    def test_at_one_series_oracle(self):
-        assert digamma(1.0) == pytest.approx(_psi1_series_oracle(), abs=1e-10)
-
-    def test_recurrence(self):
-        assert digamma(2.0) == pytest.approx(digamma(1.0) + 1.0, abs=1e-12)
-
-    def test_half_duplication(self):
-        assert digamma(0.5) == pytest.approx(digamma(1.0) - 2.0 * math.log(2.0), abs=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            digamma(0.0)
-
-
 class TestTrigamma:
     def test_vs_quadrature_definition(self):
         # sum_{r} (z+r)^-2 brute force plus integral tail
@@ -420,6 +371,13 @@ class TestWrightPhi:
     def test_single_term(self):
         assert wright_phi(0.3, 2.0, 0.0).value == pytest.approx(1.0, rel=1e-14)
 
+    def test_single_term_is_reciprocal_gamma(self):
+        # z = 0 leaves 1/Gamma(omega): 0 at the poles, signed between them
+        assert wright_phi(0.3, 0.0, 0.0).value == 0.0
+        assert wright_phi(0.3, -2.0, 0.0).value == 0.0
+        assert wright_phi(0.3, 0.5, 0.0).value == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-13)
+        assert wright_phi(0.3, -0.5, 0.0).value < 0.0 < wright_phi(0.3, -1.5, 0.0).value
+
     def test_matches_m_wright(self):
         for alpha in (0.3, 0.5, 0.7):
             for y in np.linspace(0.0, 5.0, 11):
@@ -441,6 +399,10 @@ class TestWrightPhi:
     def test_domain(self):
         with pytest.raises(DomainError):
             wright_phi(-1.0, 1.0, 1.0)
+        for omega in (math.inf, math.nan):
+            for z in (0.0, 1.0):
+                with pytest.raises(DomainError, match="finite omega"):
+                    wright_phi(0.3, omega, z)
 
 
 class TestMWright:
