@@ -8,8 +8,9 @@ form, in NumPy blocks of terms, with an explicit stopping rule and the
 cancellation ratio its callers use to refuse a cancellation-destroyed
 answer.  Where the float64 series is hopeless but the value is still
 representable, an arbitrary-precision fallback re-sums the same series with
-enough guard digits; for the M-Wright density, points whose sum
-cancellation would spoil go to a positive integral form instead.
+enough guard digits.  The M-Wright density sums its series only below the
+edge of the domain of a positive integral form (Kanter's), where the terms
+hardly cancel, and takes the integral form on that whole domain.
 """
 
 from __future__ import annotations
@@ -379,6 +380,8 @@ def wright_phi(xi: float, omega: float, z: float, method: str = "auto") -> Serie
         raise DomainError("wright_phi requires xi > -1")
     if not math.isfinite(omega):
         raise DomainError(f"wright_phi requires finite omega, got {omega!r}")
+    if not math.isfinite(z):
+        raise DomainError(f"wright_phi requires finite z, got {z!r}")
     if method not in ("auto", "series"):
         raise ValueError(f"unknown method {method!r}")
     if z == 0.0:
@@ -394,11 +397,13 @@ def wright_phi(xi: float, omega: float, z: float, method: str = "auto") -> Serie
     )
 
 
-def _m_wright_series_rows(alpha, ys, max_terms=MAX_TERMS):
-    """Reflection series of ``_m_wright_series`` for an array of y > 0.
+def _m_wright_series_rows(alpha, ys):
+    """Reflection series (1/pi) sum_{j>=1} (-y)^(j-1)/(j-1)! Gamma(alpha j) sin(pi alpha j)
+    of the M-Wright density, for an array of y > 0.
 
-    The terms j = 1 .. max_terms - 1, as ``_series_rows`` terms r = j - 1
-    at z = -y.  Returns arrays (value, cancel_ratio, max_logmag).
+    The terms j = 1 .. MAX_TERMS - 1, as ``_series_rows`` terms r = j - 1
+    at z = -y.  Returns arrays (value, cancel_ratio, max_logmag); a value
+    may be garbage where its cancellation ratio is large.
     """
     log_pi = math.log(math.pi)
 
@@ -410,19 +415,19 @@ def _m_wright_series_rows(alpha, ys, max_terms=MAX_TERMS):
         sign = np.sign(s) * np.where(r % 2.0 == 0.0, 1.0, -1.0)
         return sc.gammaln(j) - sc.gammaln(alpha * j), log_s, sign
 
-    return _series_rows(np.log(ys), coef, max_terms - 1)[:3]
+    return _series_rows(np.log(ys), coef, MAX_TERMS - 1)[:3]
 
 
-def _m_wright_series(alpha, y, max_terms=MAX_TERMS):
-    """Reflection series (1/pi) sum_{j>=1} (-y)^(j-1)/(j-1)! Gamma(alpha j) sin(pi alpha j).
+def _kanter_log_a0(alpha):
+    """log a0, a0 = (1-a) a^(a/(1-a)) being the Kanter function's value at u = 0+."""
+    c = 1.0 / (1.0 - alpha)
+    return alpha * c * math.log(alpha) + math.log(1.0 - alpha)
 
-    Returns (value, cancel_ratio, max_logmag); may be garbage when the cancel
-    ratio is large -- the caller decides.
-    """
-    if y == 0.0:
-        return 1.0 / math.gamma(1.0 - alpha), 1.0, 0.0
-    value, cancel, max_logmag = _m_wright_series_rows(alpha, np.array([float(y)]), max_terms)
-    return float(value[0]), float(cancel[0]), float(max_logmag[0])
+
+def _kanter_z0(alpha, logy):
+    """log(a0 Y), Y = y^(1/(1-a)), from log y: the Kanter form of
+    ``_m_wright_integral_rows`` holds where it is at least _KANTER_EDGE."""
+    return _kanter_log_a0(alpha) + logy * (1.0 / (1.0 - alpha))
 
 
 # Gauss-Legendre rules by node count, shared read-only by their callers
@@ -440,7 +445,7 @@ _KANTER_TABLE = np.concatenate([
 
 
 def _m_wright_integral_rows(alpha, ys):
-    """Positive-integrand integral form of the same density, for an array of y > 0.
+    """Positive-integrand integral form of the M-Wright density, for an array of y > 0.
 
     Obtained from the Kanter representation of the one-sided stable law: with
     a(u) = sin((1-a)u) sin(a u)^(a/(1-a)) / sin(u)^(1/(1-a)), increasing on
@@ -448,14 +453,15 @@ def _m_wright_integral_rows(alpha, ys):
     density is (1/pi) int a(u) Y exp(-a(u) Y) du / ((1-a) y).  No
     cancellation at any y, so it serves as the large-argument branch.
 
-    Its domain is a0 Y >= e^-4, where it agrees with a bisection-placed
-    rule to about 1e-11.  Below that the peak moves towards u = pi and the
+    Its domain is a0 Y >= e^_KANTER_EDGE = e^-4, where it agrees with a
+    bisection-placed rule to about 1e-11 and with the reflection series to
+    about 1e-12.  Below that the peak moves towards u = pi and the
     integrand's flat left side spreads over most of (0, pi), which the
     rule resolves less well: about 1e-10 off at a0 Y = e^-20, and wrong by
     up to 60 % below e^-47, where the left cut comes in
     ((0.013, 6.6e-25) gives 0.453 against M(0) = 1/Gamma(1 - a) = 0.992).
-    ``m_wright`` sends it only rows whose series it refuses, and those lie
-    well inside the domain (a0 Y above e^1.8 over the tested range).
+    ``m_wright`` sends it every row of its domain that its density bound
+    does not put at 0, and no other.
 
     The integrand peaks where a(u) Y = 1 (at u = 0 once a0 Y >= 1).  Each
     side of the peak, down to where the integrand is e^-46 of its peak, gets
@@ -478,7 +484,7 @@ def _m_wright_integral_rows(alpha, ys):
     """
     c = 1.0 / (1.0 - alpha)
     log_yc = c * np.log(ys)
-    log_a0 = alpha * c * math.log(alpha) + math.log(1.0 - alpha)
+    log_a0 = _kanter_log_a0(alpha)
     s_max = math.log(math.pi)
 
     def log_a(s):
@@ -528,16 +534,9 @@ def _m_wright_integral_rows(alpha, ys):
     return value
 
 
-def _m_wright_integral(alpha, y):
-    """``_m_wright_integral_rows`` at one y > 0."""
-    return float(_m_wright_integral_rows(alpha, np.array([float(y)]))[0])
-
-
-# The series' value is refused where its cancellation ratio exceeds
-# _M_WRIGHT_CANCEL; rows whose ratio provably exceeds it ten times over are
-# sent to the integral without summing (``_m_wright_integral_first``).
-_M_WRIGHT_CANCEL = 1e6
-_ROUTE_WINDOW = 9
+# The Kanter form's domain is a0 Y >= e^_KANTER_EDGE: ``m_wright`` sums the
+# series below it and takes the integral on it.
+_KANTER_EDGE = -4.0
 # Rows whose density bound lies below e^_M_WRIGHT_ZERO_LOG are 0: every
 # node of their Kanter integral underflows.
 _M_WRIGHT_ZERO_LOG = -800.0
@@ -553,74 +552,22 @@ def _m_wright_log_bound(alpha, logy):
     then the stretched-exponential tail a0 Y e^(-a0 Y) / ((1-a) y).  Holding
     log(a0 Y) at OVERFLOW_LOG only raises the bound.
     """
-    c = 1.0 / (1.0 - alpha)
-    log_a0 = alpha * c * math.log(alpha) + math.log(1.0 - alpha)
-    log_t = np.clip(log_a0 + c * logy, 0.0, OVERFLOW_LOG)
+    log_t = np.clip(_kanter_z0(alpha, logy), 0.0, OVERFLOW_LOG)
     return log_t - np.exp(log_t) - math.log(1.0 - alpha) - logy
-
-
-def _m_wright_integral_first(alpha, ys):
-    """Rows of y > 0 whose series ``m_wright`` would refuse after summing it.
-
-    Why a row marked here is one the series refuses:
-
-    - The log-magnitudes lm(j) = (j-1) log y + lgamma(a j) - lgamma(j) of the
-      series' terms (without the sine) are strictly concave in j, since
-      x^2 trigamma(x) increases and so a^2 trigamma(a j) < trigamma(j).
-      They peak near j* = (a^a y)^(1/(1-a)).
-    - The window holds the _ROUTE_WINDOW terms around j*, clipped to the
-      ones the series can reach.  lm is computed exactly as the series
-      computes it.  If the window starts at j = 1 or lm rises into it, no
-      term before it is falling, so none can stop the series.  A window
-      term then counts only if every window term before it lies within
-      45 nats of the running maximum; the series needs 46 nats and a
-      falling term to stop, so it reaches that term or overflows first.
-      The one nat of slack covers float64's departures from concavity.
-    - The series' absolute sum holds every term it reaches, so it is at
-      least the largest counted term.  A counted lm above OVERFLOW_LOG
-      makes the series overflow, which it reports as NaN.
-    - ``_m_wright_log_bound`` bounds the density: 1/(e (1-a) y), and its
-      stretched-exponential tail once a0 Y >= 1.  The signed sum misses
-      M_a(y) by at most its truncation tail (e^-46 of the largest term) and
-      rounding (below 1e-9 of the absolute sum even at j ~ 1e5).  Where the
-      largest counted term exceeds 10 _M_WRIGHT_CANCEL times the bound, the
-      signed sum is therefore below 1/_M_WRIGHT_CANCEL of the absolute sum,
-      and the series' ratio exceeds the cut.
-    """
-    logy = np.log(ys)
-    log_peak = np.minimum((alpha * math.log(alpha) + logy) / (1.0 - alpha), math.log(MAX_TERMS))
-    first = np.clip(np.rint(np.exp(log_peak)) - _ROUTE_WINDOW // 2, 1.0, MAX_TERMS - _ROUTE_WINDOW)
-    j = first[:, None] + np.arange(_ROUTE_WINDOW)
-    lm = (j - 1.0) * logy[:, None] - (sc.gammaln(j) - sc.gammaln(alpha * j))
-    run = np.maximum.accumulate(lm, axis=1)
-    counted = np.empty(lm.shape, dtype=bool)
-    counted[:, 0] = (first == 1.0) | (lm[:, 0] < lm[:, 1])
-    np.logical_and.accumulate(lm[:, :-1] >= run[:, :-1] - 45.0, axis=1, out=counted[:, 1:])
-    counted[:, 1:] &= counted[:, :1]
-    with np.errstate(divide="ignore"):
-        log_term = lm + np.log(np.abs(np.sin(math.pi * alpha * j))) - math.log(math.pi)
-    log_term[~counted] = -math.inf
-    log_bound = _m_wright_log_bound(alpha, logy)
-    over = (counted & (lm > OVERFLOW_LOG)).any(axis=1)
-    return over | (log_term.max(axis=1) - log_bound > math.log(10.0 * _M_WRIGHT_CANCEL))
 
 
 def m_wright(alpha: float, y):
     """Density of the inverse-alpha-power of a one-sided stable variable.
 
     ``y`` may be a scalar or an array; an array is tabulated in one pass of
-    the reflection series over all its points.  The series value is used
-    where it is numerically trustworthy; the positive stable-integral
-    representation takes over at the points where cancellation would cost
-    more than 6 of float64's ~16 digits (large y), which keeps the
-    stretched-exponential tail exact.  Points whose cancellation a bound
-    from the series' largest terms and the density's size shows to be
-    past that cut go to the integral without summing the series
-    (``_m_wright_integral_first``); every point gets the value it would get
-    after summing, bit for bit.  Points where ``_m_wright_log_bound`` puts
-    the density below e^-800, +inf among them, are 0 without either: the
-    series refuses them and their integral underflows to 0.  NaN and
-    negative y raise DomainError.
+    each route over its points.  One comparison routes a point: with
+    Y = y^(1/(1-a)) and a0 = (1-a) a^(a/(1-a)), the positive Kanter
+    integral ``_m_wright_integral_rows`` serves its domain
+    a0 Y >= e^_KANTER_EDGE, and the reflection series the points below it,
+    where its terms hardly cancel (ratio below 1.2).  Points where
+    ``_m_wright_log_bound`` puts the density below e^-800, +inf among them,
+    are 0 without either, as their integral underflows.  NaN and negative
+    y raise DomainError.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError("m_wright requires alpha in (0, 1)")
@@ -631,17 +578,13 @@ def m_wright(alpha: float, y):
     out = np.full(flat.shape, 1.0 / math.gamma(1.0 - alpha))
     pos = np.flatnonzero(flat > 0.0)
     ys = flat[pos]
+    logy = np.log(ys)
     value = np.zeros(ys.shape)
-    live = np.flatnonzero(_m_wright_log_bound(alpha, np.log(ys)) >= _M_WRIGHT_ZERO_LOG)
-    # NaN marks the rows the integral serves
-    value[live] = math.nan
-    summed = live[~_m_wright_integral_first(alpha, ys[live])]
-    series, cancel, _ = _m_wright_series_rows(alpha, ys[summed])
-    series[~np.isfinite(series) | (cancel > _M_WRIGHT_CANCEL) | (series < 0.0)] = math.nan
-    value[summed] = series
-    bad = np.isnan(value)
-    value[bad] = _m_wright_integral_rows(alpha, ys[bad])
-    out[pos] = np.maximum(value, 0.0)
+    below = _kanter_z0(alpha, logy) < _KANTER_EDGE
+    value[below] = _m_wright_series_rows(alpha, ys[below])[0]
+    live = ~below & (_m_wright_log_bound(alpha, logy) >= _M_WRIGHT_ZERO_LOG)
+    value[live] = _m_wright_integral_rows(alpha, ys[live])
+    out[pos] = value
     out = out.reshape(y.shape)
     return float(out) if out.ndim == 0 else out
 

@@ -488,11 +488,16 @@ def pmf_multiplier(p: WpdParams, x):
     raise DomainError(f"no pmf recursion for tag {tag!r}")
 
 
+def _zero_cell_vanishes(p: WpdParams) -> bool:
+    """beta = 0 with nu > 1: w(0) = 0, so no recursion starts from P(0)."""
+    return p.beta == 0.0 and p.nu != 1.0
+
+
 def wpd_pmf_recursive(p: WpdParams, x_max: int) -> np.ndarray:
     """pmf on 0..x_max built from P(0) = w(0)/eta and the tag's multiplier."""
     if p.tag not in _RECURSIVE_TAGS:
         raise DomainError(f"no pmf recursion for tag {p.tag!r}")
-    if p.beta == 0.0 and p.nu != 1.0:
+    if _zero_cell_vanishes(p):
         raise DomainError("no pmf recursion from a vanishing zero cell (beta = 0, nu > 1)")
     out = np.empty(x_max + 1)
     out[0] = math.exp(log_weight(p, 0) - log_eta(p))
@@ -503,8 +508,8 @@ def wpd_pmf_recursive(p: WpdParams, x_max: int) -> np.ndarray:
 
 def wpd_pmf_table(p: WpdParams, x_max: int | None = None, tail_tol: float = TAIL_TOL) -> np.ndarray:
     """pmf on 0..x_max, or on `adaptive_pmf_table`'s support at ``tail_tol``;
-    from the tag recursion where there is one, the direct formula otherwise."""
-    if p.tag in _RECURSIVE_TAGS:
+    from the tag recursion where it can start, the direct formula otherwise."""
+    if p.tag in _RECURSIVE_TAGS and not _zero_cell_vanishes(p):
         evaluate = lambda xs, x_end: wpd_pmf_recursive(p, x_end)[xs]
     else:
         evaluate = lambda xs, x_end: np.array([wpd_pmf(p, int(x)) for x in xs])

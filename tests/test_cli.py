@@ -24,6 +24,7 @@ from countfam import (
     summary_from_factorial,
     sample_fpd,
     sample_wpd,
+    wpd_pmf,
     wpd_pmf_table,
     wpd_summary,
 )
@@ -246,14 +247,20 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("support", [[], ["--x-max", "5"]])
     def test_vanishing_zero_cell(self, support, capsys):
-        # model I at beta = 0, nu > 1 has P(0) = 0, so no recursion reaches P(1);
-        # the adaptive and the fixed support refuse it alike
+        # model I at beta = 0, nu > 1 has P(0) = 0, so no recursion reaches
+        # P(1); the adaptive and the fixed support take the direct formula
         code, out, err = run_cli(
             ["pmf", "--model", "model_i", "--lam", "2", "--beta", "0", "--nu", "1.5",
-             *support], capsys)
-        assert code == 4
-        assert "vanishing zero cell" in err
-        assert out == ""
+             "--output-format", "json", *support], capsys)
+        assert code == 0 and err == ""
+        probs = [row["probability"] for row in json.loads(out)]
+        p = make_special_case("model_i", lam=2.0, beta=0.0, nu=1.5)
+        assert probs[0] == 0.0
+        assert probs == [wpd_pmf(p, x) for x in range(len(probs))]
+        if not support:
+            assert math.fsum(probs) == pytest.approx(1.0, abs=1e-8)
+        else:
+            assert len(probs) == 6
 
     def test_row_cap_refused(self, capsys):
         # the geometric limit at mu = 1e4 needs about 4e5 rows to meet the tail rule

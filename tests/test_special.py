@@ -31,16 +31,15 @@ from countfam.inference import MODELS
 from countfam.special import (
     MAX_TERMS,
     OVERFLOW_LOG,
-    _M_WRIGHT_CANCEL,
     _KANTER_DEPTH,
+    _KANTER_EDGE,
     _KANTER_NODES,
     _M_WRIGHT_ZERO_LOG,
+    _kanter_log_a0,
+    _kanter_z0,
     _leggauss,
-    _m_wright_integral,
-    _m_wright_integral_first,
     _m_wright_integral_rows,
     _m_wright_log_bound,
-    _m_wright_series,
     _m_wright_series_rows,
 )
 from test_sampling import renewal_fpd
@@ -99,7 +98,7 @@ _M_WRIGHT_BLOCK_CELLS = 32_768
 
 
 def _m_wright_series_rows_loop(alpha, ys, max_terms=MAX_TERMS):
-    """Reflection series of ``_m_wright_series`` for an array of y > 0, as
+    """The M-Wright reflection series for an array of y > 0, as
     summed before the series engine served every series: the oracle that
     ``_m_wright_series_rows`` and ``m_wright`` keep their bits against.
 
@@ -234,6 +233,27 @@ def _kanter_ys(alpha, z0):
     Y = y^(1/(1-a)) as in the Kanter form."""
     log_a0 = alpha / (1.0 - alpha) * math.log(alpha) + math.log(1.0 - alpha)
     return np.exp((np.asarray(z0, dtype=float) - log_a0) * (1.0 - alpha))
+
+
+def _edge_log_ys(alpha):
+    """log y clustered around the Kanter form's edge log(a0 Y) = _KANTER_EDGE:
+    a few ulp and up to 0.02 either side of it."""
+    edge = (_KANTER_EDGE - _kanter_log_a0(alpha)) * (1.0 - alpha)
+    ulps = [edge + k * np.spacing(edge) for k in range(-4, 5)]
+    return np.concatenate([ulps, edge + np.linspace(-0.02, 0.02, 9)])
+
+
+def _m_wright_by_rule(alpha, ys, series_rows):
+    """m_wright's rule at y > 0 spelled out: ``series_rows`` below
+    log(a0 Y) = _KANTER_EDGE, the Kanter integral on and above it, and 0
+    where the density bound is below e^-800."""
+    logy = np.log(ys)
+    below = _kanter_z0(alpha, logy) < _KANTER_EDGE
+    value = np.zeros(ys.shape)
+    value[below] = series_rows(alpha, ys[below])[0]
+    live = ~below & (_m_wright_log_bound(alpha, logy) >= _M_WRIGHT_ZERO_LOG)
+    value[live] = _m_wright_integral_rows(alpha, ys[live])
+    return value
 
 
 def _bit_identity_set():
@@ -403,6 +423,9 @@ class TestWrightPhi:
             for z in (0.0, 1.0):
                 with pytest.raises(DomainError, match="finite omega"):
                     wright_phi(0.3, omega, z)
+        for z in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite z"):
+                wright_phi(0.5, 1.0, z)
 
 
 class TestMWright:
@@ -426,9 +449,10 @@ class TestMWright:
     def test_branches_agree_in_overlap(self):
         for alpha in (0.3, 0.6, 0.8):
             for y in (1.0, 2.0, 4.0):
-                s, cancel, _ = _m_wright_series(alpha, y)
+                s, cancel, _ = (float(a[0]) for a in _m_wright_series_rows(alpha, np.array([y])))
                 if cancel < 1e6:
-                    assert _m_wright_integral(alpha, y) == pytest.approx(s, rel=1e-9)
+                    integral = float(_m_wright_integral_rows(alpha, np.array([y]))[0])
+                    assert integral == pytest.approx(s, rel=1e-9)
 
     def test_density_normalization(self):
         for alpha in (0.3, 0.5, 0.7):
@@ -448,7 +472,7 @@ class TestMWright:
             assert np.array_equal(got, [m_wright(alpha, float(y)) for y in ys])
             # the series too, also where its value is not used
             rows = np.stack(_m_wright_series_rows(alpha, ys), axis=1)
-            want = [_m_wright_series(alpha, float(y)) for y in ys]
+            want = [np.concatenate(_m_wright_series_rows(alpha, ys[i:i + 1])) for i in range(len(ys))]
             assert np.array_equal(rows, want, equal_nan=True)
         grid = np.array([[0.0, 0.5], [3.0, 12.0]])
         got = m_wright(0.5, grid)
@@ -481,6 +505,26 @@ class TestMWright:
         if ref > 1e-100:
             assert m_wright(alpha, y) == pytest.approx(ref, rel=1e-8, abs=0.0)
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(alpha=st.floats(0.01, 0.99), z0=st.floats(-8.0, 6.5))
+    def test_matches_mpmath_over_the_box(self, alpha, z0):
+        # z0 = log(a0 Y) from y = 1e-4 into the deep tail, across the
+        # Kanter form's edge at -4.  Beyond 1e-11 the integral carries the
+        # rounding of log a (test_integral_matches_bisection).  Points whose
+        # oracle needs a term above e^250 are not asked, nor values below
+        # 1e-90, where the oracle's floor of 1e-100 is too near, nor points
+        # whose largest term lies past j = 3000, where the oracle takes
+        # seconds (alpha = 0.99 beyond z0 = 3.4)
+        y = float(_kanter_ys(alpha, z0))
+        lm = _reflection_log_terms(alpha, y)
+        if y < 1e-4 or lm.max() > 250.0 or np.argmax(lm) > 3000:
+            return
+        ref = _m_wright_mp(alpha, y)
+        if ref < 1e-90:
+            return
+        tol = 1e-11 + 4.0 * math.exp(max(z0, 0.0)) / (1.0 - alpha) * 2.0**-52
+        assert m_wright(alpha, y) == pytest.approx(ref, rel=tol, abs=0.0)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         # where sin(pi alpha j) vanishes at every few j, and the whole range
@@ -488,17 +532,12 @@ class TestMWright:
         log_ys=st.lists(st.floats(math.log(1e-4), math.log(400.0)), min_size=1, max_size=40),
     )
     def test_matches_series_then_integral(self, alpha, log_ys):
-        # the rows sent to the integral before summing are ones the series
-        # refuses after summing: m_wright is bit for bit the series on every
-        # row, then the integral on the rows it refuses
-        near = [_crossing(lambda ly: _series_refused(alpha, ly)),
-                _crossing(lambda ly: bool(_m_wright_integral_first(alpha, np.exp([ly]))[0]))]
-        spread = np.linspace(-0.02, 0.02, 9)
-        ys = np.exp(np.concatenate([log_ys, *(c + spread for c in near if c is not None)]))
-        value, cancel, _ = _m_wright_series_rows(alpha, ys)
-        bad = ~np.isfinite(value) | (cancel > 1e6) | (value < 0.0)
-        value[bad] = _m_wright_integral_rows(alpha, ys[bad])
-        assert np.array_equal(m_wright(alpha, ys), np.maximum(value, 0.0))
+        # m_wright is bit for bit the series below the Kanter form's edge,
+        # the integral on it and 0 below e^-800, also at points clustered
+        # around the edge
+        ys = np.exp(np.concatenate([log_ys, _edge_log_ys(alpha)]))
+        want = _m_wright_by_rule(alpha, ys, _m_wright_series_rows)
+        assert np.array_equal(m_wright(alpha, ys), want)
 
     def test_density_bound(self):
         # M_a(y) <= 1 / (e (1 - a) y): the Kanter integrand is at most 1/e;
@@ -519,9 +558,9 @@ class TestMWright:
         z0=st.lists(st.floats(-4.0, 8.0), min_size=1, max_size=40),
     )
     def test_integral_matches_bisection(self, alpha, z0):
-        # z0 = log(a0 Y) spans the Kanter domain: m_wright sends no row with
-        # z0 below about 1.8 to the integral, values fall below 1e-290 near
-        # z0 = 6.6, and the bound certifies 0 from about 6.7.  Beyond 1e-11,
+        # z0 = log(a0 Y) spans the Kanter domain: m_wright sends the integral
+        # every row from z0 = -4, values fall below 1e-290 near z0 = 6.6,
+        # and the bound certifies 0 from about 6.7.  Beyond 1e-11,
         # both sides carry the rounding of log a, a difference of terms of
         # size c = 1/(1-a): the integrand's factor e^(-a Y) turns an error d
         # in log a into a relative error a Y d, with a Y ~ e^z0
@@ -552,7 +591,7 @@ class TestMWright:
             zero = _m_wright_log_bound(alpha, np.log(ys)) < _M_WRIGHT_ZERO_LOG
             assert zero.any() and not zero.all()
             value, cancel, _ = _m_wright_series_rows(alpha, ys[zero])
-            assert np.all(~np.isfinite(value) | (cancel > _M_WRIGHT_CANCEL) | (value < 0.0))
+            assert np.all(~np.isfinite(value) | (cancel > 1e6) | (value < 0.0))
             assert np.all(_kanter_rows_bisect(alpha, ys)[zero] == 0.0)
             assert np.all(m_wright(alpha, ys)[zero] == 0.0)
 
@@ -569,12 +608,12 @@ class TestMWright:
     def test_integral_rows_stay_in_their_domain(self, monkeypatch):
         # the Kanter form's domain is a0 Y >= e^-4 (its docstring); m_wright
         # sends it no row below that, from y = 0 through the deep tail and
-        # over the node sets of a grid fit
+        # over the node sets of a grid fit.  log(a0 Y) is computed as
+        # m_wright computes it, so a row on the edge cannot round across it
         lowest = []
 
         def spy(alpha, ys):
-            log_a0 = alpha / (1.0 - alpha) * math.log(alpha) + math.log(1.0 - alpha)
-            lowest.append(float(np.min(log_a0 + np.log(ys) / (1.0 - alpha), initial=math.inf)))
+            lowest.append(float(np.min(_kanter_z0(alpha, np.log(ys)), initial=math.inf)))
             return _m_wright_integral_rows(alpha, ys)
 
         monkeypatch.setattr(special, "_m_wright_integral_rows", spy)
@@ -585,7 +624,26 @@ class TestMWright:
             m_wright(alpha, _fit_nodes(alpha))
         # most calls send rows at all
         assert sum(math.isfinite(z) for z in lowest) > 100
-        assert min(lowest) >= -4.0
+        assert min(lowest) >= _KANTER_EDGE
+
+    def test_series_rows_hardly_cancel(self, monkeypatch):
+        # below the Kanter form's edge the series keeps nearly all its
+        # digits: no row m_wright sums loses a bit to cancellation
+        ratios = []
+
+        def spy(alpha, ys):
+            rows = _m_wright_series_rows(alpha, ys)
+            ratios.append(rows[1])
+            return rows
+
+        monkeypatch.setattr(special, "_m_wright_series_rows", spy)
+        ys = np.logspace(-30, 4, 400)
+        alphas = np.concatenate([np.geomspace(1e-4, 0.5, 40), 1.0 - np.geomspace(0.5, 1e-5, 40)])
+        for alpha in alphas:
+            m_wright(float(alpha), np.concatenate([ys, np.exp(_edge_log_ys(alpha))]))
+        ratios = np.concatenate(ratios)
+        assert len(ratios) > 10_000
+        assert np.all(ratios < 2.0), ratios.max()
 
     @pytest.mark.parametrize("alpha, y", [(0.013, 6.6e-25), (0.1, 1e-20), (0.5, 1e-20)])
     def test_tiny_y_is_the_value_at_zero(self, alpha, y):
@@ -634,18 +692,22 @@ class TestSeriesEngine:
             for g, w in zip(got, want):
                 assert np.array_equal(g, w, equal_nan=True), alpha
             overflow += int(np.isnan(want[0]).sum())
-            cancelled += int((np.isfinite(want[1]) & (want[1] > _M_WRIGHT_CANCEL)).sum())
+            cancelled += int((np.isfinite(want[1]) & (want[1] > 1e6)).sum())
         # the set holds rows that overflow and rows the cancellation cut refuses
         assert overflow > 0 and cancelled > 0
 
     def test_m_wright_keeps_its_bits(self):
-        # m_wright is the loop's series where its value is used, then the
-        # integral
+        # m_wright is the loop's series below the Kanter form's edge, the
+        # integral on it and 0 below e^-800; the set holds rows of all three
+        routes = np.zeros(3, dtype=int)
         for alpha, ys in _bit_identity_set():
-            value, cancel, _ = _m_wright_series_rows_loop(alpha, ys)
-            bad = ~np.isfinite(value) | (cancel > _M_WRIGHT_CANCEL) | (value < 0.0)
-            value[bad] = _m_wright_integral_rows(alpha, ys[bad])
-            assert np.array_equal(m_wright(alpha, ys), np.maximum(value, 0.0)), alpha
+            ys = np.concatenate([ys, np.exp(_edge_log_ys(alpha))])
+            want = _m_wright_by_rule(alpha, ys, _m_wright_series_rows_loop)
+            assert np.array_equal(m_wright(alpha, ys), want), alpha
+            z0 = _kanter_z0(alpha, np.log(ys))
+            zero = _m_wright_log_bound(alpha, np.log(ys)) < _M_WRIGHT_ZERO_LOG
+            routes += [(z0 < _KANTER_EDGE).sum(), (~zero & (z0 >= _KANTER_EDGE)).sum(), zero.sum()]
+        assert np.all(routes > 0), routes
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -681,21 +743,6 @@ class TestSeriesEngine:
         x_, o_, z_ = (mp.mpf(v) for v in args)
         ref, _ = _mp_series(lambda k: z_**k / mp.factorial(k) * mp.rgamma(x_ * k + o_), 2000, 150)
         assert wright_phi(*args).value == pytest.approx(ref, rel=1e-10)
-
-def _series_refused(alpha, log_y):
-    value, cancel, _ = _m_wright_series(alpha, math.exp(log_y))
-    return not math.isfinite(value) or cancel > 1e6 or value < 0.0
-
-
-def _crossing(refused, lo=math.log(1e-4), hi=math.log(400.0)):
-    """A log y in (lo, hi) where ``refused`` turns True, by bisection; None
-    when it does not hold at hi or already holds at lo."""
-    if refused(lo) or not refused(hi):
-        return None
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if refused(mid) else (mid, hi)
-    return hi
 
 
 def _partitions(items):
