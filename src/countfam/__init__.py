@@ -59,12 +59,8 @@ from .moments import (
 from .sampling import RngStream, SampleBatch, mc_moment, sample_fpd, sample_stable, sample_wpd
 from .special import (
     SeriesValue,
-    bell_partial,
-    chi2_sf,
     m_wright,
     prabhakar_ml,
-    stirling2,
-    trigamma,
     wright_phi,
 )
 from .wpd import (

@@ -435,7 +435,7 @@ def _mixing_draws(p: GfpdParams, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     # NaN or S = 0: the sine-product formula left float64 range
     if not np.all(log_z0 < np.inf):
         raise EvaluationError(f"stable variates left float64 range at alpha = {a}")
-    y_power, _, log_pref = _mixing_weight(a, b, d)
+    y_power, log_pref = _mixing_weight(a, b, d)
     if not y_power:
         return log_z0, np.zeros(n)
     log_w = y_power * log_z0 + log_pref
@@ -483,27 +483,27 @@ def gfpd_aa1_pmf(alpha: float, mu: float, x: int, method: str = "auto") -> float
 
 
 def _mixing_weight(alpha: float, beta: float, delta: float) -> tuple:
-    """(y power, prefactor, log prefactor) of the fractional law's mixing
-    weight over M_alpha, the inverse-stable density of Z0 = S^(-alpha).
+    """(y power, log prefactor) of the fractional law's mixing weight over
+    M_alpha, the inverse-stable density of Z0 = S^(-alpha).
 
-    The classical slice beta = delta = 1 mixes over Z0 itself: (0, 1, 0).
+    The classical slice beta = delta = 1 mixes over Z0 itself: (0, 0).
     Elsewhere the weight is the tilt z^delta M_alpha(z) / E Z0^delta, with
     E Z0^delta = Gamma(1+delta)/Gamma(1+alpha delta): the mixing density
     itself on the plane beta = alpha delta, and the law of Z in
     Y = V^alpha Z off it (see `_mixing_draws`).
     """
     if beta == 1.0 and delta == 1.0:
-        return 0, 1.0, 0.0
-    g, g1 = 1.0 + alpha * delta, 1.0 + delta
-    return delta, math.gamma(g) / math.gamma(g1), math.lgamma(g) - math.lgamma(g1)
+        return 0, 0.0
+    return delta, math.lgamma(1.0 + alpha * delta) - math.lgamma(1.0 + delta)
 
 
 def _quadrature_pmf(alpha, beta, delta, mu, xs, x_max=None):
     """pmf rows of the fractional law at (alpha, beta, delta) by mixture
-    quadrature over `_mixing_weight`'s density, one row per mu: the
-    prefactor times exp of ``_mixture_logpmf``'s rows."""
-    y_power, pref, _ = _mixing_weight(alpha, beta, delta)
-    return pref * np.exp(_mixture_logpmf(alpha, mu, xs, y_power, x_max))
+    quadrature over `_mixing_weight`'s density, one row per mu: exp of the
+    log prefactor plus ``_mixture_logpmf``'s rows, the expression the grid
+    fits score."""
+    y_power, log_pref = _mixing_weight(alpha, beta, delta)
+    return np.exp(log_pref + _mixture_logpmf(alpha, mu, xs, y_power, x_max))
 
 
 def fpd_pmf_quadrature(alpha: float, mu, xs) -> np.ndarray:

@@ -1,5 +1,10 @@
 """Maximum likelihood fitting and goodness of fit for count data.
 
+Every fitted law gives its log pmf at any set of counts
+(``ModelSpec.log_rows``).  The log likelihood sums those rows at the
+observed counts against the frequencies, and the chi-square test's expected
+counts are exp of the rows on 0..max.
+
 Fitting takes one of three routes.  The fractional laws (two bounded
 parameters) are fitted by exhaustive grid search.  A law with an analytic
 score (the weighted-Poisson slices and the negative binomial) is fitted by a
@@ -19,31 +24,33 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaincc, gammaln
 
 from . import gfpd
-# genpoisson_pmf and negbinom_logpmf are imported for perfbench/layers.py, which wraps them here
+# genpoisson_pmf, negbinom_logpmf, fpd_pmf_quadrature and wpd_pmf_recursive
+# are not called here: the benchmark's tracer (perfbench/layers.py) wraps
+# these bindings
 from .baselines import (  # noqa: F401
     GenPoissonParams,
     NegBinomParams,
     genpoisson_factorial_moments,
+    genpoisson_logpmf_rows,
     genpoisson_pmf,
-    genpoisson_pmf_table,
     negbinom_logpmf,
-    negbinom_pmf_table,
+    negbinom_logpmf_rows,
     negbinom_score,
     negbinom_skewness,
 )
 from .errors import DomainError, EvaluationError
-from .gfpd import GfpdParams, aa1_pmf_quadrature, fpd_pmf_quadrature, gfpd_summary
+from .gfpd import GfpdParams, fpd_pmf_quadrature, gfpd_summary  # noqa: F401
 from .moments import SummaryStats, adaptive_pmf_table, summary_from_factorial
 from .sampling import _inverse_cdf, sample_fpd
-from .special import chi2_sf
-from .wpd import (
+from .wpd import (  # noqa: F401
     SLICE_PARAMS,
     SpecialCase,
     make_special_case,
     slice_jacobian,
+    wpd_logpmf_rows,
     wpd_pmf_recursive,
     wpd_pmf_table,
     wpd_score,
@@ -166,11 +173,13 @@ class FitResult:
 class ModelSpec:
     """One count law: how to tabulate, summarise and sample it, and how to fit it.
 
-    ``pmf`` is the tabulation route (the CLI's); ``table`` is the fitting
-    route, and only laws with a ``table`` can be fitted.  A law with a
-    ``grid`` is fitted by grid search, and its ``log_rows`` gives the log
-    pmf at the observed counts with its last parameter as a 1-D array, one
-    row per value, for scoring a run of grid points at once.
+    ``pmf`` is the tabulation route (the CLI's).  ``log_rows`` is the one
+    fitting route: given (theta, counts) it returns the log pmf at those
+    counts, and only laws with ``log_rows`` can be fitted.  The log
+    likelihood, the grid scan and the chi-square test all read it.  A law
+    with a ``grid`` is fitted by grid search, and its ``log_rows`` also
+    takes its last parameter as a 1-D array, one row per value, for scoring
+    a run of grid points at once.
     A law with a ``score`` is fitted by ``fit_newton``: given (theta, data),
     the score returns the log likelihood, its gradient and the observed
     information (minus the Hessian) in the free parameters, and raises
@@ -184,11 +193,10 @@ class ModelSpec:
     pmf: Callable  # (theta, x_max | None) -> pmf array; None extends the support adaptively
     summary: Callable | None = None  # theta -> SummaryStats
     sample: Callable | None = None  # (theta, n, rng) -> SampleBatch
-    table: Callable | None = None  # (theta, x_max) -> pmf array on 0..x_max
+    log_rows: Callable | None = None  # (theta, counts) -> log pmf at the counts
     bounds: tuple | None = None
     init: Callable | None = None  # CountData -> theta
     grid: Callable | None = None  # CountData -> (points x parameters) array, in scan order
-    log_rows: Callable | None = None  # (theta, counts) -> log pmf rows at the counts
     score: Callable | None = None  # (theta, CountData) -> (loglik, gradient, information)
     face_start: Callable | None = None  # CountData -> theta on the face holding the maximum | None
 
@@ -199,16 +207,17 @@ class ModelSpec:
             object.__setattr__(self, "sample", sample)
 
 
-def _poisson_table(theta, x_max):
-    lam = np.asarray(theta[0], dtype=float)[..., None]
-    xs = np.arange(x_max + 1)
-    return np.exp(xs * np.log(lam) - lam - gammaln(xs + 1.0))
+def _poisson_log_rows(lam, xs):
+    """log Poisson(x; lam) at the counts ``xs``, one row per lam."""
+    lam = np.asarray(lam, dtype=float)[..., None]
+    return xs * np.log(lam) - lam - gammaln(xs + 1.0)
 
 
-def _geometric_table(mu, x_max):
-    q = np.asarray(mu / (1.0 + mu))[..., None]
-    xs = np.arange(x_max + 1)
-    return (1.0 - q) * q**xs
+def _geometric_log_rows(mu, xs):
+    """log of the geometric law (1 - q) q^x, q = mu / (1 + mu), at the
+    counts ``xs``, one row per mu."""
+    mu = np.asarray(mu, dtype=float)[..., None]
+    return xs * np.log(mu) - (xs + 1.0) * np.log1p(mu)
 
 
 _MU_BAND = np.linspace(0.8, 1.2, 41)
@@ -277,19 +286,19 @@ def _init_model_ii2(data):
     return (min(max(var / mean, 0.05), 50.0), 1.0)
 
 
-def _pmf_route(table):
-    """The pmf route of a table route: ``x_max=None`` takes the adaptive support."""
+def _pmf_route(log_rows):
+    """The pmf route of a law's log rows: ``x_max=None`` takes the adaptive support."""
     return lambda theta, x_max: adaptive_pmf_table(
-        lambda xs, x_end: table(theta, x_end)[xs], x_max
+        lambda xs, x_end: np.exp(log_rows(theta, xs)), x_max
     )
 
 
-def _negbinom_table(theta, x_max):
-    return negbinom_pmf_table(NegBinomParams(*theta), x_max)
+def _negbinom_log_rows(theta, xs):
+    return negbinom_logpmf_rows(NegBinomParams(*theta), xs)
 
 
-def _genpoisson_table(theta, x_max):
-    return genpoisson_pmf_table(GenPoissonParams(*theta), x_max)
+def _genpoisson_log_rows(theta, xs):
+    return genpoisson_logpmf_rows(GenPoissonParams(*theta), xs)
 
 
 def _negbinom_summary(theta):
@@ -297,36 +306,37 @@ def _negbinom_summary(theta):
     return SummaryStats(p.mean, p.variance, negbinom_skewness(p), 1.0 / p.p)
 
 
-def _slice(tag, bounds=None, init=None, table=None):
+def _slice(tag, bounds=None, init=None, log_rows=None):
     """A weighted-Poisson slice; with ``bounds`` and ``init`` it is fitted
-    by Newton on the eta engine's score, and its likelihood comes from the
-    tag's pmf recursion unless another ``table`` is given."""
+    by Newton on the eta engine's score, and its log rows are
+    ``wpd_logpmf_rows``, the terms the score sums, unless other
+    ``log_rows`` are given."""
     names = SLICE_PARAMS[tag]
     law = lambda theta: make_special_case(tag, **dict(zip(names, theta)))
     score = None
     if bounds is not None:
         jac = slice_jacobian(tag)
         score = lambda theta, data: wpd_score(law(theta), jac, data.values, data.freqs)
-        if table is None:
-            table = lambda theta, x_max: wpd_pmf_recursive(law(theta), x_max)
+        if log_rows is None:
+            log_rows = lambda theta, xs: wpd_logpmf_rows(law(theta), xs)
     return ModelSpec(
         tag.value, names,
         pmf=lambda theta, x_max: wpd_pmf_table(law(theta), x_max=x_max),
         summary=lambda theta: wpd_summary(law(theta)),
-        table=table, bounds=bounds, init=init, score=score,
+        log_rows=log_rows, bounds=bounds, init=init, score=score,
     )
 
 
-def _fractional(name, law, quadrature=None, geometric_limit=False, sample=None):
+def _fractional(name, law, fitted=False, geometric_limit=False, sample=None):
     """A gfpd law; ``law`` maps its parameters to GfpdParams.
 
-    With a ``quadrature`` it is a slice in (alpha, mu), fitted by grid
-    search.  Its table is ``quadrature(alpha, mu, xs)``, the Poisson law at
-    alpha = 1 and, for the slice with a ``geometric_limit``, the geometric
-    law at alpha = 0.  Its grid crosses alpha on a 0.01 lattice across
-    (0, 1) plus those boundary laws with 41 mu in a +-20 percent band
-    around the mu at which the law's mean is the sample mean, the alphas
-    rounded to 10 digits.
+    A ``fitted`` law is a slice in (alpha, mu), fitted by grid search.  Its
+    log rows are the mixture kernel over `_mixing_weight`'s density
+    (``gfpd._mixture_logpmf``), the Poisson law at alpha = 1 and, for the
+    slice with a ``geometric_limit``, the geometric law at alpha = 0.  Its
+    grid crosses alpha on a 0.01 lattice across (0, 1) plus those boundary
+    laws with 41 mu in a +-20 percent band around the mu at which the law's
+    mean is the sample mean, the alphas rounded to 10 digits.
     """
     # gfpd_pmf_table is looked up on the module at call time, so a wrapper
     # installed on countfam.gfpd (the benchmark's tracer) sees CLI pmf calls
@@ -335,20 +345,8 @@ def _fractional(name, law, quadrature=None, geometric_limit=False, sample=None):
         summary=lambda theta: gfpd_summary(law(*theta)),
         sample=sample,
     )
-    if quadrature is None:
+    if not fitted:
         return ModelSpec(name, ("alpha", "beta", "delta", "mu"), **routes)
-
-    def table(theta, x_max):
-        alpha, mu = theta
-        if not np.all(np.asarray(mu) > 0):
-            raise DomainError("mu must be > 0")
-        if alpha >= 1.0:
-            return _poisson_table((mu,), x_max)
-        if alpha <= 0.0:
-            if not geometric_limit:
-                raise DomainError("alpha must lie in (0, 1]")
-            return _geometric_table(mu, x_max)
-        return quadrature(alpha, mu, np.arange(x_max + 1))
 
     # cached per alpha: building the law for each run of grid points, and
     # for each alpha of each grid, added a few percent to a warm grid fit
@@ -362,12 +360,16 @@ def _fractional(name, law, quadrature=None, geometric_limit=False, sample=None):
 
     def log_rows(theta, xs):
         alpha, mu = theta
-        if 0.0 < alpha < 1.0:
-            (y_power, _, log_pref), _ = shape(alpha)
-            return log_pref + gfpd._mixture_logpmf(alpha, mu, xs, y_power)
-        # a cell that is 0 has log -inf; negative or NaN cells give NaN
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(table(theta, int(xs.max()))[..., xs])
+        if not np.all(np.asarray(mu) > 0):
+            raise DomainError("mu must be > 0")
+        if alpha >= 1.0:
+            return _poisson_log_rows(mu, xs)
+        if alpha <= 0.0:
+            if not geometric_limit:
+                raise DomainError("alpha must lie in (0, 1]")
+            return _geometric_log_rows(mu, xs)
+        (y_power, log_pref), _ = shape(alpha)
+        return log_pref + gfpd._mixture_logpmf(alpha, mu, xs, y_power)
 
     def grid(data):
         mean = data.mean()
@@ -377,9 +379,9 @@ def _fractional(name, law, quadrature=None, geometric_limit=False, sample=None):
         return np.column_stack([np.repeat(alphas, len(_MU_BAND)), mus])
 
     return ModelSpec(
-        name, ("alpha", "mu"), **routes, table=table,
+        name, ("alpha", "mu"), **routes, log_rows=log_rows,
         bounds=((0.0 if geometric_limit else 1e-6, 1.0), _POS), init=lambda d: (0.9, d.mean()),
-        grid=grid, log_rows=log_rows,
+        grid=grid,
     )
 
 
@@ -387,28 +389,29 @@ _POS = (1e-12, math.inf)
 
 # every law the command line accepts
 LAWS = {s.name: s for s in (
-    # the fpd table looks fpd_pmf_quadrature up here at call time, where
-    # the benchmark's tracer wraps it
     _fractional(
-        "fpd", GfpdParams.fpd, lambda *args: fpd_pmf_quadrature(*args), geometric_limit=True,
+        "fpd", GfpdParams.fpd, fitted=True, geometric_limit=True,
         sample=lambda theta, n, rng: sample_fpd(*theta, n, rng),
     ),
     _fractional("gfpd", GfpdParams),
-    _fractional("gfpd_aa1", GfpdParams.aa1, aa1_pmf_quadrature),
+    _fractional("gfpd_aa1", GfpdParams.aa1, fitted=True),
     ModelSpec(
-        "negbinom", ("r", "p"), _pmf_route(_negbinom_table), summary=_negbinom_summary,
-        table=_negbinom_table, bounds=(_POS, (1e-9, 1.0 - 1e-9)), init=_init_negbinom,
+        "negbinom", ("r", "p"), _pmf_route(_negbinom_log_rows), summary=_negbinom_summary,
+        log_rows=_negbinom_log_rows, bounds=(_POS, (1e-9, 1.0 - 1e-9)), init=_init_negbinom,
         score=lambda theta, data: negbinom_score(NegBinomParams(*theta), data.values, data.freqs),
         face_start=_face_negbinom,
     ),
     ModelSpec(
-        "genpoisson", ("lambda1", "lambda2"), _pmf_route(_genpoisson_table),
+        "genpoisson", ("lambda1", "lambda2"), _pmf_route(_genpoisson_log_rows),
         summary=lambda theta: summary_from_factorial(
             genpoisson_factorial_moments(GenPoissonParams(*theta), 3)),
-        table=_genpoisson_table, bounds=(_POS, (-1.0 + 1e-9, 1.0 - 1e-9)),
+        log_rows=_genpoisson_log_rows, bounds=(_POS, (-1.0 + 1e-9, 1.0 - 1e-9)),
         init=_init_genpoisson,
     ),
-    _slice(SpecialCase.POISSON, (_POS,), lambda d: (d.mean(),), table=_poisson_table),
+    # the closed form, so that a Poisson fit does not need eta, which
+    # refuses log eta > 709
+    _slice(SpecialCase.POISSON, (_POS,), lambda d: (d.mean(),),
+           log_rows=lambda theta, xs: _poisson_log_rows(theta[0], xs)),
     _slice(SpecialCase.COM_POISSON, (_POS, (0.0, math.inf)), _init_com_poisson),
     _slice(SpecialCase.HYPER_POISSON, (_POS, _POS), _init_hyper_poisson),
     _slice(SpecialCase.ALT_MITTAG_LEFFLER),
@@ -421,7 +424,7 @@ LAWS = {s.name: s for s in (
 )}
 
 # the laws that can be fitted
-MODELS = {name: s for name, s in LAWS.items() if s.table is not None}
+MODELS = {name: s for name, s in LAWS.items() if s.log_rows is not None}
 
 
 def _theta_vector(spec: ModelSpec, params) -> tuple:
@@ -442,21 +445,28 @@ def _params_dict(spec: ModelSpec, theta) -> dict:
     return {n: float(v) for n, v in zip(spec.param_names, theta)}
 
 
+def _loglik_rows(log_rows: np.ndarray, freqs: np.ndarray):
+    """sum_x freq(x) log pmf(x) for each row of log pmf values at the
+    observed counts; -inf where a row holds NaN, +inf or a log below exp's
+    range (a pmf value that is 0 in float64)."""
+    total = log_rows @ freqs
+    ok = np.isfinite(total) & (np.exp(log_rows.min(axis=-1)) > 0.0)
+    return np.where(ok, total, -math.inf)
+
+
 def loglik(model: str, params, data: CountData) -> float:
-    """Log likelihood sum_x freq(x) log pmf(x); -inf when any observed value
-    has zero probability under the model."""
+    """Log likelihood sum_x freq(x) log pmf(x), from the law's log rows at
+    the observed counts; -inf when any observed value has zero probability
+    under the model (see ``_loglik_rows``)."""
     spec = MODELS[model]
     theta = _theta_vector(spec, params)
     try:
-        table = spec.table(theta, data.max_value)
+        log_rows = spec.log_rows(theta, data.values)
     except (DomainError, EvaluationError) as exc:
         raise EvaluationError(
-            f"pmf evaluation failed for {model} at values 0..{data.max_value}: {exc}"
+            f"pmf evaluation failed for {model} at the observed values: {exc}"
         ) from exc
-    cells = table[data.values]
-    if not np.all(cells > 0.0):
-        return -math.inf
-    return float(data.freqs @ np.log(cells))
+    return float(_loglik_rows(log_rows, data.freqs))
 
 
 def _safe_loglik(spec: ModelSpec, theta, data: CountData) -> float:
@@ -471,21 +481,17 @@ def _safe_loglik(spec: ModelSpec, theta, data: CountData) -> float:
 def _run_logliks(spec: ModelSpec, lead, last: np.ndarray, data: CountData) -> np.ndarray:
     """_safe_loglik at the points (*lead, v) for each v in ``last``.
 
-    A grid law's ``log_rows`` scores the whole run with one call, summed
-    against the observed frequencies; if that call raises, the points are
-    scored one at a time, so only the points that raise fail.
+    A law with a ``grid`` scores the whole run with one ``log_rows`` call,
+    under ``loglik``'s rule; if that call raises, and for any other law,
+    the points are scored one at a time, so only the points that raise fail.
     """
-    if spec.log_rows is not None:
+    if spec.grid is not None:
         try:
             log_rows = spec.log_rows((*lead, last), data.values)
         except (DomainError, EvaluationError, OverflowError):
             pass
         else:
-            total = log_rows @ data.freqs
-            # as under loglik, a point fails where its table holds 0 (a log
-            # below exp's range), NaN or inf at an observed count
-            ok = np.isfinite(total) & (np.exp(log_rows.min(axis=1)) > 0.0)
-            return np.where(ok, total, _NEG_INF)
+            return np.maximum(_loglik_rows(log_rows, data.freqs), _NEG_INF)
     return np.array([_safe_loglik(spec, (*lead, v), data) for v in last.tolist()])
 
 
@@ -515,11 +521,10 @@ def fit_grid(model: str, data: CountData, grid=None, pool: bool = True) -> FitRe
     ``grid`` may be an iterable of parameter tuples or a dict mapping
     parameter names to axes (crossed in declaration order of the model's
     parameters); by default the model's own grid is used.  A point fails
-    when its table raises or its pmf at an observed count is not a finite
-    positive number; ``points_failed`` counts them.  For a law with a
-    default grid, each run of consecutive points that share all but the
-    last parameter is scored with one ``log_rows`` call, straight in log
-    space at the observed counts (see ``_run_logliks``).  Ties keep the
+    when its log rows raise or ``loglik`` is -inf there; ``points_failed``
+    counts them.  For a law with a default grid, each run of consecutive
+    points that share all but the last parameter is scored with one
+    ``log_rows`` call (see ``_run_logliks``).  Ties keep the
     first point in scan order, so the default scans resolve ties toward the
     smaller leading parameter.  ``evaluations`` counts grid points, and the
     reported ``loglik`` is ``loglik`` at the chosen point.
@@ -697,7 +702,7 @@ def fit_newton(model: str, data: CountData, pool: bool = True) -> FitResult:
     that starts at 1, doubles (up to ``_NEWTON_MAX_STEP``) after a full step
     that reached it and shrinks to a step that had to be cut.  The step is
     halved until ``loglik`` rises by the Armijo fraction of the predicted
-    gain; a trial point whose table raises (a refused eta, say) is a
+    gain; a trial point whose log rows raise (a refused eta, say) is a
     rejected step.  The score is evaluated only at accepted points.
 
     The fit converges when the reduced information is positive definite and
@@ -852,14 +857,14 @@ def gof_chisq(model: str, params, data: CountData, pool: bool = True, min_expect
     """Chi-square statistic, degrees of freedom and p-value.
 
     Cells are the consecutive count values 0..max with the final cell open
-    to the right, so observed and expected totals both equal n.  With
+    to the right, so observed and expected totals both equal n; the
+    expected counts are exp of the law's log rows there.  With
     ``pool=False`` the raw cells are kept regardless of expected mass.
     """
     spec = MODELS[model]
     theta = _theta_vector(spec, params)
-    x_max = data.max_value
-    table = spec.table(theta, x_max)
-    expected = np.array(table, dtype=float) * data.n_total
+    table = np.exp(spec.log_rows(theta, np.arange(data.max_value + 1)))
+    expected = table * data.n_total
     expected[-1] = data.n_total * max(1.0 - float(np.sum(table[:-1])), 0.0)
     observed = data.observed_vector()
     if pool:
@@ -873,7 +878,7 @@ def gof_chisq(model: str, params, data: CountData, pool: bool = True, min_expect
         raise EvaluationError("a cell has non-positive expected count; cannot form the statistic")
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
     df = len(expected) - 1 - n_free
-    return chi2, df, chi2_sf(chi2, df)
+    return chi2, df, float(gammaincc(df / 2.0, chi2 / 2.0))
 
 
 def compare(models: Sequence[str], data: CountData, pool: bool = True) -> list:

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import stirling2
 
 from .errors import ConvergenceError, DomainError, EvaluationError
-from .special import CONSECUTIVE, REL_TOL, stirling2
+from .special import CONSECUTIVE, REL_TOL
 
 TAIL_TOL = 1e-14
 _TAIL_RUN = 10
@@ -69,7 +70,7 @@ def moments_from_factorial(a: Sequence[float] | FactorialMomentSequence, k: int)
         return 1.0
     if k >= len(a):
         raise DomainError(f"need factorial moments up to order {k}, got {len(a) - 1}")
-    return math.fsum(stirling2(k, r) * a[r] for r in range(1, k + 1))
+    return math.fsum(stirling2(k, r, exact=True) * a[r] for r in range(1, k + 1))
 
 
 def skewness_from_factorial(a1: float, a2: float, a3: float) -> float:

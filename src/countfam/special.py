@@ -65,16 +65,6 @@ class SeriesValue:
         return self.value
 
 
-def trigamma(z):
-    """psi'(z) = sum_{r>=0} (z+r)^-2 for z > 0, scalar or array: the Hurwitz
-    zeta function zeta(2, z), which SciPy's polygamma(1, z) also returns."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0):
-        raise DomainError("trigamma requires z > 0")
-    out = sc.zeta(2.0, z)
-    return float(out) if out.ndim == 0 else out
-
-
 # Size of the series engine's temporaries: blocks of r grow to at most
 # _SERIES_BLOCK terms, and each (rows x r) array has at most
 # _SERIES_BLOCK_CELLS cells, so node sets whose rows run to MAX_TERMS stay
@@ -403,7 +393,9 @@ def _m_wright_series_rows(alpha, ys):
 
     The terms j = 1 .. MAX_TERMS - 1, as ``_series_rows`` terms r = j - 1
     at z = -y.  Returns arrays (value, cancel_ratio, max_logmag); a value
-    may be garbage where its cancellation ratio is large.
+    may be garbage where its cancellation ratio is large, and is NaN where
+    the terms overflow or the sum reaches MAX_TERMS without meeting its
+    stopping rule.
     """
     log_pi = math.log(math.pi)
 
@@ -415,7 +407,10 @@ def _m_wright_series_rows(alpha, ys):
         sign = np.sign(s) * np.where(r % 2.0 == 0.0, 1.0, -1.0)
         return sc.gammaln(j) - sc.gammaln(alpha * j), log_s, sign
 
-    return _series_rows(np.log(ys), coef, MAX_TERMS - 1)[:3]
+    value, cancel, max_logmag, stop = _series_rows(np.log(ys), coef, MAX_TERMS - 1)
+    # a row that did not stop is truncated, not summed
+    value[np.isnan(stop)] = math.nan
+    return value, cancel, max_logmag
 
 
 def _kanter_log_a0(alpha):
@@ -537,6 +532,13 @@ def _m_wright_integral_rows(alpha, ys):
 # The Kanter form's domain is a0 Y >= e^_KANTER_EDGE: ``m_wright`` sums the
 # series below it and takes the integral on it.
 _KANTER_EDGE = -4.0
+# A row below the edge whose series cannot be summed within MAX_TERMS terms
+# takes the integral where log(a0 Y) >= _KANTER_FLOOR and 1 - alpha >=
+# _KANTER_FLOOR_GAP: there it is within 6e-10 of the series summed on to its
+# stop (up to 1.2e7 terms), checked at alpha from 0.99991 to 0.999999 and
+# log(a0 Y) from -4 to -20.  It is 3e-8 off at -25, and 3e-9 at 1 - alpha = 1e-7.
+_KANTER_FLOOR = -20.0
+_KANTER_FLOOR_GAP = 1e-6
 # Rows whose density bound lies below e^_M_WRIGHT_ZERO_LOG are 0: every
 # node of their Kanter integral underflows.
 _M_WRIGHT_ZERO_LOG = -800.0
@@ -564,10 +566,13 @@ def m_wright(alpha: float, y):
     Y = y^(1/(1-a)) and a0 = (1-a) a^(a/(1-a)), the positive Kanter
     integral ``_m_wright_integral_rows`` serves its domain
     a0 Y >= e^_KANTER_EDGE, and the reflection series the points below it,
-    where its terms hardly cancel (ratio below 1.2).  Points where
-    ``_m_wright_log_bound`` puts the density below e^-800, +inf among them,
-    are 0 without either, as their integral underflows.  NaN and negative
-    y raise DomainError.
+    where its terms hardly cancel (ratio below 1.2).  A point below the
+    edge whose series cannot be summed within MAX_TERMS terms (alpha near
+    1) takes the integral down to log(a0 Y) = _KANTER_FLOOR, for
+    1 - alpha >= _KANTER_FLOOR_GAP, and raises ConvergenceError elsewhere.
+    Points where ``_m_wright_log_bound`` puts the density below e^-800,
+    +inf among them, are 0 without either, as their integral underflows.
+    NaN and negative y raise DomainError.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError("m_wright requires alpha in (0, 1)")
@@ -580,64 +585,17 @@ def m_wright(alpha: float, y):
     ys = flat[pos]
     logy = np.log(ys)
     value = np.zeros(ys.shape)
-    below = _kanter_z0(alpha, logy) < _KANTER_EDGE
+    z0 = _kanter_z0(alpha, logy)
+    below = z0 < _KANTER_EDGE
     value[below] = _m_wright_series_rows(alpha, ys[below])[0]
-    live = ~below & (_m_wright_log_bound(alpha, logy) >= _M_WRIGHT_ZERO_LOG)
+    unsummed = np.isnan(value)
+    if np.any(unsummed & ((z0 < _KANTER_FLOOR) | (1.0 - alpha < _KANTER_FLOOR_GAP))):
+        raise ConvergenceError(
+            f"m_wright: the series cannot be summed within {MAX_TERMS} terms at alpha = "
+            f"{alpha!r}, and the Kanter integral is not checked there"
+        )
+    live = (~below | unsummed) & (_m_wright_log_bound(alpha, logy) >= _M_WRIGHT_ZERO_LOG)
     value[live] = _m_wright_integral_rows(alpha, ys[live])
     out[pos] = value
     out = out.reshape(y.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def stirling2(k: int, r: int) -> int:
-    """Stirling number of the second kind S(k, r), exact integer recurrence."""
-    if k < 0 or r < 0:
-        raise DomainError("stirling2 requires k, r >= 0")
-    if r > k:
-        raise DomainError(f"stirling2 requires r <= k, got k={k}, r={r}")
-    return _stirling2(k, r)
-
-
-@lru_cache(maxsize=None)
-def _stirling2(k: int, r: int) -> int:
-    if r > k:
-        return 0
-    if k == 0:
-        return 1 if r == 0 else 0
-    if r == 0:
-        return 0
-    return r * _stirling2(k - 1, r) + _stirling2(k - 1, r - 1)
-
-
-def bell_partial(n: int, k: int, x) -> float:
-    """Partial Bell polynomial B_{n,k}(x_1, ..., x_{n-k+1})."""
-    if k < 0 or n < 0 or k > n:
-        raise DomainError(f"bell_partial requires 0 <= k <= n, got n={n}, k={k}")
-    xs = list(x)
-    if n - k + 1 > len(xs) and n > 0 and k > 0:
-        raise DomainError(
-            f"bell_partial needs at least {n - k + 1} entries of x, got {len(xs)}"
-        )
-    table = np.zeros((n + 1, k + 1))
-    table[0, 0] = 1.0
-    # only entries with nn - kk <= n - k feed B_{n,k}; others would demand
-    # more x entries than the contract supplies
-    for nn in range(1, n + 1):
-        for kk in range(max(1, nn - (n - k)), min(nn, k) + 1):
-            s = 0.0
-            for i in range(1, nn - kk + 2):
-                s += math.comb(nn - 1, i - 1) * xs[i - 1] * table[nn - i, kk - 1]
-            table[nn, kk] = s
-    return float(table[n, k])
-
-
-def chi2_sf(x: float, df: float) -> float:
-    """Upper-tail probability of the chi-square distribution.
-
-    Regularized upper incomplete gamma Q(df/2, x/2).
-    """
-    if not math.isfinite(df) or df <= 0:
-        raise DomainError(f"chi2_sf requires df > 0, got {df!r}")
-    if not math.isfinite(x) or x < 0:
-        raise DomainError(f"chi2_sf requires x >= 0, got {x!r}")
-    return float(sc.gammaincc(df / 2.0, x / 2.0))

@@ -27,7 +27,6 @@ from .moments import (
     adaptive_pmf_table,
     summary_from_factorial,
 )
-from .special import trigamma
 
 _ETA_EPS = 0.9       # multiplier certificate threshold
 _ETA_BUDGET = 100_000
@@ -415,7 +414,8 @@ def wpd_score(p: WpdParams, jac: np.ndarray, values: np.ndarray, freqs: np.ndarr
     k = 0 .. k_trunc, in blocks of at most ``_ETA_BLOCK`` terms, keeps the k
     where q does not underflow, and the moments are dot products over them.
     The data side is the same derivatives at ``values`` weighted by
-    ``freqs``.  Raises what ``eta`` raises.
+    ``freqs``, and the log likelihood is ``wpd_logpmf_rows`` at ``values``
+    weighted by ``freqs``.  Raises what ``eta`` raises.
     """
     if p.alpha != 1.0 or p.beta == 0.0:
         raise DomainError("the score needs alpha = 1 and beta > 0")
@@ -430,7 +430,6 @@ def wpd_score(p: WpdParams, jac: np.ndarray, values: np.ndarray, freqs: np.ndarr
     k, lt = (np.concatenate(a) for a in zip(*kept))
     q = np.exp(lt)
     x = values.astype(float)
-    lt_x = _log_terms(p, x, sc.gammaln(x + 1.0))
     n = float(freqs.sum())
     used = jac.any(axis=1)
     first, second = _log_term_derivatives(p, used, k)
@@ -445,8 +444,13 @@ def wpd_score(p: WpdParams, jac: np.ndarray, values: np.ndarray, freqs: np.ndarr
     for ((a, b), h), (_, h_x) in zip(second, second_x):
         base[a, b] = base[b, a] = h_x @ freqs - n * (h @ q)
     hess += jac.T @ base @ jac
-    ll = float(lt_x @ freqs) - n * e.log_value
-    return ll, grad, -hess
+    return float(wpd_logpmf_rows(p, x) @ freqs), grad, -hess
+
+
+def wpd_logpmf_rows(p: WpdParams, xs: np.ndarray) -> np.ndarray:
+    """log P(Y = x) at an array of counts: ``_log_terms`` less log eta."""
+    x = np.asarray(xs, dtype=float)
+    return _log_terms(p, x, sc.gammaln(x + 1.0)) - log_eta(p)
 
 
 def wpd_pmf(p: WpdParams, x: int) -> float:
@@ -643,9 +647,10 @@ def dispersion_classify(p: WpdParams, y_max: float = 50.0, step: float = 0.1) ->
         # constant denominator: the weight is log-convex outright
         return "overdispersed"
     ys = np.arange(0.0, y_max + step / 2, step)
-    num = trigamma(ys + p.gamma) if p.gamma > 0 else trigamma(ys + 1e-12)
-    den = p.alpha**2 * trigamma(p.alpha * ys + p.beta) if p.beta > 0 else p.alpha**2 * trigamma(
-        np.maximum(p.alpha * ys, 1e-12)
+    # trigamma(z) = zeta(2, z), z > 0
+    num = sc.zeta(2.0, ys + p.gamma) if p.gamma > 0 else sc.zeta(2.0, ys + 1e-12)
+    den = p.alpha**2 * sc.zeta(2.0, p.alpha * ys + p.beta) if p.beta > 0 else p.alpha**2 * sc.zeta(
+        2.0, np.maximum(p.alpha * ys, 1e-12)
     )
     ratio = num / den
     tail = 1.0 / p.alpha  # limit of the ratio beyond the grid, approached monotonically

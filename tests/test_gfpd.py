@@ -51,10 +51,11 @@ def small_grid():
                 yield GfpdParams(alpha, beta, frac * beta / alpha, 2.0)
 
 
-def oracle_mixture_pmf(alpha, mu, xs, y_power, n_panels, n_nodes, x_max=None):
+def oracle_mixture_pmf(alpha, mu, xs, y_power, n_panels, n_nodes, x_max=None, log_pref=0.0):
     """The mixture quadrature as it was before it returned log rows: each
-    chunk exponentiates its own log rows.  The oracle for the bits of the
-    quadrature's tables, which now take exp of ``gfpd._mixture_logpmf``."""
+    chunk exponentiates ``log_pref`` plus its own log rows.  The oracle for
+    the bits of the quadrature's tables, which now take exp of the log
+    prefactor plus ``gfpd._mixture_logpmf``."""
     if not (0.0 < alpha < 1.0):
         raise DomainError("mixture quadrature requires alpha in (0, 1)")
     xs = np.asarray(xs, dtype=int)
@@ -97,7 +98,7 @@ def oracle_mixture_pmf(alpha, mu, xs, y_power, n_panels, n_nodes, x_max=None):
             log_rows = np.log(a @ b.T)
             log_rows += shift + c_x
             log_rows += np.multiply.outer(np.log(mus[start:stop] / mu0), xf)
-            np.exp(log_rows, out=out[start:stop])
+            np.exp(log_pref + log_rows, out=out[start:stop])
             start = stop
         lo = hi
     rows = out[inverse]
@@ -678,8 +679,9 @@ class TestTableRouteBits:
         xs = np.arange(x_max + 1)
         assert np.array_equal(fpd_pmf_quadrature(alpha, mus, xs),
                               oracle_mixture_pmf(alpha, mus, xs, 0, 4, 80))
+        log_pref = math.lgamma(1.0 + alpha) - math.lgamma(2.0)
         assert np.array_equal(aa1_pmf_quadrature(alpha, mus, xs),
-                              math.gamma(alpha + 1.0) * oracle_mixture_pmf(alpha, mus, xs, 1, 4, 80))
+                              oracle_mixture_pmf(alpha, mus, xs, 1, 4, 80, log_pref=log_pref))
         mu = float(mus[-1])
         assert np.array_equal(fpd_pmf_quadrature(alpha, mu, xs),
                               oracle_mixture_pmf(alpha, mu, xs, 0, 4, 80))
@@ -700,9 +702,9 @@ class TestTableRouteBits:
     @staticmethod
     def _check_plane(alpha, beta, delta, mu):
         p = GfpdParams(alpha, beta, delta, mu)
-        pref = math.gamma(1.0 + alpha * delta) / math.gamma(1.0 + delta)
+        log_pref = math.lgamma(1.0 + alpha * delta) - math.lgamma(1.0 + delta)
         want = moments.adaptive_pmf_table(
-            lambda xs, x_end: pref * oracle_mixture_pmf(alpha, mu, xs, delta, 4, 80, x_max=x_end),
+            lambda xs, x_end: oracle_mixture_pmf(alpha, mu, xs, delta, 4, 80, x_end, log_pref),
             None, moments.TAIL_TOL,
         )
         # built outside the table cache
@@ -907,7 +909,7 @@ class TestAa1:
         # one mixing weight, so their tables share every bit
         for alpha in np.arange(0.01, 1.0, 0.01):
             alpha = round(float(alpha), 10)
-            want = MODELS["gfpd_aa1"].table((alpha, mu), n)
+            want = np.exp(MODELS["gfpd_aa1"].log_rows((alpha, mu), np.arange(n + 1)))
             assert np.array_equal(gfpd_pmf_table(GfpdParams.aa1(alpha, mu), x_max=n), want), alpha
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from countfam import (
     CountData,
     DomainError,
     EvaluationError,
+    NegBinomParams,
     RngStream,
     compare,
     fit,
@@ -23,6 +25,7 @@ from countfam import (
     gof_chisq,
     loglik,
     make_special_case,
+    negbinom_pmf_table,
     sample_fpd,
     sample_wpd,
 )
@@ -143,15 +146,23 @@ class TestLoglik:
 
     def test_sum_over_histogram(self):
         d = CountData({0: 3, 2: 5, 7: 1}, 9)
-        table = MODELS["negbinom"].table((2.0, 0.4), 7)
+        table = negbinom_pmf_table(NegBinomParams(2.0, 0.4), 7)
         want = math.fsum(f * math.log(table[v]) for v, f in d.histogram.items())
         assert loglik("negbinom", (2.0, 0.4), d) == pytest.approx(want, rel=1e-14)
 
-    @pytest.mark.parametrize("cell", [0.0, -1e-300, math.nan])
-    def test_bad_observed_cell_is_minus_inf(self, monkeypatch, cell):
-        table = np.full(4, 0.25)
-        table[2] = cell
-        spec = ModelSpec("stub", ("t",), pmf=None, table=lambda theta, x_max: table)
+    # the logs of a cell that is 0, negative or NaN, and a finite log below
+    # exp's range: at an observed count each fails the point, and at a
+    # count that is not observed none does
+    @pytest.mark.parametrize("row", [
+        pytest.param(-math.inf, id="0.0"),
+        pytest.param(math.nan, id="-1e-300"),
+        pytest.param(math.nan, id="nan"),
+        pytest.param(-800.0, id="-800.0"),
+    ])
+    def test_bad_observed_cell_is_minus_inf(self, monkeypatch, row):
+        rows = np.full(4, math.log(0.25))
+        rows[2] = row
+        spec = ModelSpec("stub", ("t",), pmf=None, log_rows=lambda theta, xs: rows[xs])
         monkeypatch.setitem(MODELS, "stub", spec)
         assert loglik("stub", (1.0,), CountData({0: 1, 2: 1}, 2)) == -math.inf
         assert loglik("stub", (1.0,), CountData({0: 1, 3: 1}, 2)) == pytest.approx(2 * math.log(0.25))
@@ -505,7 +516,7 @@ class TestGof:
         obs = d.observed_vector()
         from countfam.inference import MODELS
 
-        table = MODELS["poisson"].table((4.0,), d.max_value)
+        table = np.exp(MODELS["poisson"].log_rows((4.0,), np.arange(d.max_value + 1)))
         expd = np.asarray(table) * d.n_total
         expd[-1] = d.n_total * max(1.0 - float(np.sum(table[:-1])), 0.0)
         pobs, pexp = _pooled_cells(obs, expd, 5.0)
@@ -787,6 +798,50 @@ class TestFitNewton:
         d = CountData.from_values(np.random.default_rng(42).poisson(1.5, size=400))
         assert fit_grid("fpd", d, grid=[(1.0, 1.5)]).std_errors is None
         assert fit_simplex("poisson", d).std_errors is None
+
+
+# the laws whose score sums their own log rows: all with a score but the
+# Poisson slice, whose rows are its closed form (which needs no eta) and whose
+# score is the eta engine's
+ROW_SCORED_LAWS = [m for m in NEWTON_LAWS if m != "poisson"]
+
+
+@lru_cache(maxsize=None)
+def _fitted_points(seed):
+    """(model, data, theta) at the fit of every law that is not fractional
+    on each of compare_kinds(seed), where the law fits."""
+    out = []
+    for data in compare_kinds(seed):
+        for model in SIMPLEX_LAWS:
+            try:
+                res = fit(model, data)
+            except (DomainError, EvaluationError):
+                continue
+            out.append((model, data, tuple(res.params.values())))
+    return out
+
+
+class TestLogRows:
+    @pytest.mark.parametrize("seed", [556, 557, 558])
+    def test_loglik_is_the_score_loglik(self, seed):
+        # loglik and the score sum the same log rows against the frequencies
+        checked = set()
+        for model, data, theta in _fitted_points(seed):
+            if model in ROW_SCORED_LAWS:
+                assert loglik(model, theta, data) == MODELS[model].score(theta, data)[0], model
+                checked.add(model)
+        assert checked == set(ROW_SCORED_LAWS)
+
+    @pytest.mark.parametrize("seed", [556, 557, 558])
+    def test_rows_are_the_pmf_tables(self, seed):
+        # 2e-12: at model_ii_2param's fit on seed 557 (beta = 403, gamma =
+        # 518) the two differ by 1.3e-12 at x = 1, where a 40-digit sum puts
+        # the rows 5.9e-13 and the recursion's table 8.1e-13 from the pmf;
+        # log Gamma near 500 is rounded to about 5e-13
+        for model, data, theta in _fitted_points(seed):
+            spec = MODELS[model]
+            np.testing.assert_allclose(np.exp(spec.log_rows(theta, np.arange(41))),
+                                       spec.pmf(theta, 40), rtol=2e-12, atol=0.0, err_msg=model)
 
 
 def numpy_project(theta, bounds):
