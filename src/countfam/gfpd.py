@@ -312,7 +312,9 @@ def gfpd_pmf(p: GfpdParams, x: int, method: str = "auto") -> float:
     ``method='series'`` refuses (raises) when float64 cancellation would
     corrupt the answer; the default transparently re-sums those rows in high
     precision.  At alpha = 1 (with beta = delta = 1) this is the Poisson law,
-    and the geometric-limit flag gives the geometric law exactly.
+    and the geometric-limit flag gives the geometric law exactly.  At
+    alpha = 1 off that slice it is a Kummer-function weighting, refused with
+    EvaluationError where a factor leaves float64.
     """
     if x < 0 or x != int(x):
         raise DomainError(f"x must be a non-negative integer, got {x!r}")
@@ -333,6 +335,10 @@ def gfpd_pmf(p: GfpdParams, x: int, method: str = "auto") -> float:
             - math.lgamma(x + p.beta)
         )
         m = float(sc.hyp1f1(p.delta + x, x + p.beta, -p.mu))
+        # m lies in (0, 1] and falls towards exp(-mu): past mu ~ 708 it
+        # underflows (a silent 0) or exp(lognum) overflows
+        if not (m >= np.finfo(float).tiny and lognum < 709.0):
+            raise EvaluationError(f"alpha = 1 (Kummer) pmf leaves float64 at x = {x}, mu = {p.mu}")
         return float(np.clip(math.exp(lognum) * m, 0.0, 1.0))
     return float(_pmf_rows(p, np.array([x]), method=method)[0])
 

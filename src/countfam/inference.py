@@ -52,7 +52,6 @@ from .wpd import (  # noqa: F401
     slice_jacobian,
     wpd_logpmf_rows,
     wpd_pmf_recursive,
-    wpd_pmf_table,
     wpd_score,
     wpd_summary,
 )
@@ -173,13 +172,14 @@ class FitResult:
 class ModelSpec:
     """One count law: how to tabulate, summarise and sample it, and how to fit it.
 
-    ``pmf`` is the tabulation route (the CLI's).  ``log_rows`` is the one
-    fitting route: given (theta, counts) it returns the log pmf at those
-    counts, and only laws with ``log_rows`` can be fitted.  The log
-    likelihood, the grid scan and the chi-square test all read it.  A law
-    with a ``grid`` is fitted by grid search, and its ``log_rows`` also
-    takes its last parameter as a 1-D array, one row per value, for scoring
-    a run of grid points at once.
+    ``log_rows`` gives, for (theta, counts), the log pmf at those counts.
+    Without a ``pmf`` a law is tabulated (by the CLI's ``pmf`` and the
+    samplers) as the adaptive table over exp of its ``log_rows``; only the
+    fractional laws name their own.  A law with ``bounds`` can be fitted,
+    and the log likelihood, the grid scan and the chi-square test all read
+    its ``log_rows``.  A law with a ``grid`` is fitted by grid search, and
+    its ``log_rows`` also takes its last parameter as a 1-D array, one row
+    per value, for scoring a run of grid points at once.
     A law with a ``score`` is fitted by ``fit_newton``: given (theta, data),
     the score returns the log likelihood, its gradient and the observed
     information (minus the Hessian) in the free parameters, and raises
@@ -190,7 +190,7 @@ class ModelSpec:
 
     name: str
     param_names: tuple
-    pmf: Callable  # (theta, x_max | None) -> pmf array; None extends the support adaptively
+    pmf: Callable | None = None  # (theta, x_max | None) -> pmf array; None extends the support adaptively
     summary: Callable | None = None  # theta -> SummaryStats
     sample: Callable | None = None  # (theta, n, rng) -> SampleBatch
     log_rows: Callable | None = None  # (theta, counts) -> log pmf at the counts
@@ -201,6 +201,11 @@ class ModelSpec:
     face_start: Callable | None = None  # CountData -> theta on the face holding the maximum | None
 
     def __post_init__(self):
+        if self.pmf is None:
+            log_rows = self.log_rows
+            pmf = lambda theta, x_max: adaptive_pmf_table(
+                lambda xs, x_end: np.exp(log_rows(theta, xs)), x_max)
+            object.__setattr__(self, "pmf", pmf)
         if self.sample is None:
             pmf = self.pmf
             sample = lambda theta, n, rng: _inverse_cdf(pmf(theta, None), n, rng)
@@ -286,13 +291,6 @@ def _init_model_ii2(data):
     return (min(max(var / mean, 0.05), 50.0), 1.0)
 
 
-def _pmf_route(log_rows):
-    """The pmf route of a law's log rows: ``x_max=None`` takes the adaptive support."""
-    return lambda theta, x_max: adaptive_pmf_table(
-        lambda xs, x_end: np.exp(log_rows(theta, xs)), x_max
-    )
-
-
 def _negbinom_log_rows(theta, xs):
     return negbinom_logpmf_rows(NegBinomParams(*theta), xs)
 
@@ -307,23 +305,20 @@ def _negbinom_summary(theta):
 
 
 def _slice(tag, bounds=None, init=None, log_rows=None):
-    """A weighted-Poisson slice; with ``bounds`` and ``init`` it is fitted
-    by Newton on the eta engine's score, and its log rows are
-    ``wpd_logpmf_rows``, the terms the score sums, unless other
-    ``log_rows`` are given."""
+    """A weighted-Poisson slice; its log rows are ``wpd_logpmf_rows``, the
+    terms the score sums, unless other ``log_rows`` are given.  With
+    ``bounds`` and ``init`` it is fitted by Newton on the eta engine's
+    score."""
     names = SLICE_PARAMS[tag]
     law = lambda theta: make_special_case(tag, **dict(zip(names, theta)))
     score = None
     if bounds is not None:
         jac = slice_jacobian(tag)
         score = lambda theta, data: wpd_score(law(theta), jac, data.values, data.freqs)
-        if log_rows is None:
-            log_rows = lambda theta, xs: wpd_logpmf_rows(law(theta), xs)
     return ModelSpec(
-        tag.value, names,
-        pmf=lambda theta, x_max: wpd_pmf_table(law(theta), x_max=x_max),
-        summary=lambda theta: wpd_summary(law(theta)),
-        log_rows=log_rows, bounds=bounds, init=init, score=score,
+        tag.value, names, summary=lambda theta: wpd_summary(law(theta)),
+        log_rows=log_rows or (lambda theta, xs: wpd_logpmf_rows(law(theta), xs)),
+        bounds=bounds, init=init, score=score,
     )
 
 
@@ -396,20 +391,20 @@ LAWS = {s.name: s for s in (
     _fractional("gfpd", GfpdParams),
     _fractional("gfpd_aa1", GfpdParams.aa1, fitted=True),
     ModelSpec(
-        "negbinom", ("r", "p"), _pmf_route(_negbinom_log_rows), summary=_negbinom_summary,
-        log_rows=_negbinom_log_rows, bounds=(_POS, (1e-9, 1.0 - 1e-9)), init=_init_negbinom,
+        "negbinom", ("r", "p"), summary=_negbinom_summary, log_rows=_negbinom_log_rows,
+        bounds=(_POS, (1e-9, 1.0 - 1e-9)), init=_init_negbinom,
         score=lambda theta, data: negbinom_score(NegBinomParams(*theta), data.values, data.freqs),
         face_start=_face_negbinom,
     ),
     ModelSpec(
-        "genpoisson", ("lambda1", "lambda2"), _pmf_route(_genpoisson_log_rows),
+        "genpoisson", ("lambda1", "lambda2"),
         summary=lambda theta: summary_from_factorial(
             genpoisson_factorial_moments(GenPoissonParams(*theta), 3)),
         log_rows=_genpoisson_log_rows, bounds=(_POS, (-1.0 + 1e-9, 1.0 - 1e-9)),
         init=_init_genpoisson,
     ),
-    # the closed form, so that a Poisson fit does not need eta, which
-    # refuses log eta > 709
+    # the closed form, so that a Poisson fit, table or sample does not need
+    # eta, which refuses log eta > 709
     _slice(SpecialCase.POISSON, (_POS,), lambda d: (d.mean(),),
            log_rows=lambda theta, xs: _poisson_log_rows(theta[0], xs)),
     _slice(SpecialCase.COM_POISSON, (_POS, (0.0, math.inf)), _init_com_poisson),
@@ -424,7 +419,7 @@ LAWS = {s.name: s for s in (
 )}
 
 # the laws that can be fitted
-MODELS = {name: s for name, s in LAWS.items() if s.log_rows is not None}
+MODELS = {name: s for name, s in LAWS.items() if s.bounds is not None}
 
 
 def _theta_vector(spec: ModelSpec, params) -> tuple:

@@ -38,9 +38,6 @@ class RngStream:
             mask = u <= 0.0
         return u
 
-    def next_uniform(self) -> float:
-        return float(self.uniforms(1)[0])
-
     def poisson(self, lam: np.ndarray) -> np.ndarray:
         """One Poisson count per mean in ``lam``, from the same generator."""
         return self._gen.poisson(lam)

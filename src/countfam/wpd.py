@@ -83,23 +83,26 @@ class WpdParams:
         elif not g > 0:
             raise DomainError("gamma must be > 0")
 
-    @property
-    def is_model_i_form(self) -> bool:
-        return self.alpha == 1.0 and self.gamma == self.beta
 
+# each slice's (alpha, beta, gamma, nu, lam): a free parameter's name or a constant
+SLICE_FORMS = {
+    SpecialCase.POISSON: (1.0, 1.0, 1.0, 1.0, "lam"),
+    SpecialCase.COM_POISSON: (1.0, 1.0, 1.0, "nu", "lam"),
+    SpecialCase.HYPER_POISSON: (1.0, "beta", 1.0, 1.0, "lam"),
+    SpecialCase.ALT_MITTAG_LEFFLER: ("alpha", "beta", 1.0, 1.0, "lam"),
+    SpecialCase.FRACTIONAL_COM_POISSON: ("alpha", "beta", 1.0, "nu", "lam"),
+    SpecialCase.ALT_GENERALIZED_ML: ("alpha", "beta", "gamma", 1.0, "lam"),
+    SpecialCase.MODEL_I: (1.0, "beta", "beta", "nu", "lam"),
+    SpecialCase.MODEL_I_2PARAM: (1.0, "beta", "beta", "beta", "lam"),
+    SpecialCase.MODEL_II: (1.0, "beta", "gamma", 1.0, "lam"),
+    SpecialCase.MODEL_II_2PARAM: (1.0, "beta", "gamma", 1.0, 1.0),
+}
 
-# the free parameters of each named slice, in the order they are passed
+# the free parameters of each slice in the order they are passed: lam, then
+# the others in the family's order
 SLICE_PARAMS = {
-    SpecialCase.POISSON: ("lam",),
-    SpecialCase.COM_POISSON: ("lam", "nu"),
-    SpecialCase.HYPER_POISSON: ("lam", "beta"),
-    SpecialCase.ALT_MITTAG_LEFFLER: ("lam", "alpha", "beta"),
-    SpecialCase.FRACTIONAL_COM_POISSON: ("lam", "alpha", "beta", "nu"),
-    SpecialCase.ALT_GENERALIZED_ML: ("lam", "alpha", "beta", "gamma"),
-    SpecialCase.MODEL_I: ("lam", "beta", "nu"),
-    SpecialCase.MODEL_I_2PARAM: ("lam", "beta"),
-    SpecialCase.MODEL_II: ("lam", "beta", "gamma"),
-    SpecialCase.MODEL_II_2PARAM: ("beta", "gamma"),
+    tag: tuple(dict.fromkeys(v for v in (form[4], *form[:4]) if isinstance(v, str)))
+    for tag, form in SLICE_FORMS.items()
 }
 
 
@@ -107,32 +110,11 @@ def make_special_case(tag: SpecialCase | str, **free) -> WpdParams:
     """Instantiate a named member of the family from its free parameters."""
     tag = SpecialCase(tag)
     need = SLICE_PARAMS[tag]
-    missing = set(need) - set(free)
-    extra = set(free) - set(need)
-    if missing or extra:
+    if set(free) != set(need):
         raise DomainError(f"{tag.value} takes exactly {need}, got {sorted(free)}")
-    f = dict(free)
-    if tag is SpecialCase.POISSON:
-        return WpdParams(1.0, 1.0, 1.0, 1.0, f["lam"], tag=tag)
-    if tag is SpecialCase.COM_POISSON:
-        return WpdParams(1.0, 1.0, 1.0, f["nu"], f["lam"], tag=tag)
-    if tag is SpecialCase.HYPER_POISSON:
-        return WpdParams(1.0, f["beta"], 1.0, 1.0, f["lam"], tag=tag)
-    if tag is SpecialCase.ALT_MITTAG_LEFFLER:
-        return WpdParams(f["alpha"], f["beta"], 1.0, 1.0, f["lam"], tag=tag)
-    if tag is SpecialCase.FRACTIONAL_COM_POISSON:
-        return WpdParams(f["alpha"], f["beta"], 1.0, f["nu"], f["lam"], tag=tag)
-    if tag is SpecialCase.ALT_GENERALIZED_ML:
-        return WpdParams(f["alpha"], f["beta"], f["gamma"], 1.0, f["lam"], tag=tag)
-    if tag is SpecialCase.MODEL_I:
-        return WpdParams(1.0, f["beta"], f["beta"], f["nu"], f["lam"], tag=tag)
-    if tag is SpecialCase.MODEL_I_2PARAM:
-        if not f["beta"] > 0:
-            raise DomainError("model_i_2param requires beta > 0")
-        return WpdParams(1.0, f["beta"], f["beta"], f["beta"], f["lam"], tag=tag)
-    if tag is SpecialCase.MODEL_II:
-        return WpdParams(1.0, f["beta"], f["gamma"], 1.0, f["lam"], tag=tag)
-    return WpdParams(1.0, f["beta"], f["gamma"], 1.0, 1.0, tag=tag)
+    if tag is SpecialCase.MODEL_I_2PARAM and not free["beta"] > 0:
+        raise DomainError("model_i_2param requires beta > 0")
+    return WpdParams(*(free[v] if isinstance(v, str) else v for v in SLICE_FORMS[tag]), tag=tag)
 
 
 def log_weight(p: WpdParams, k: int) -> float:
@@ -362,19 +344,12 @@ def log_eta(p: WpdParams) -> float:
 def slice_jacobian(tag: SpecialCase) -> np.ndarray:
     """The constant (4 x d) map from a slice's free parameters to (lam, beta, gamma, nu).
 
-    Every slice sets these four linearly (a free parameter, a tie such as
-    gamma = beta, or a constant), so one column per free parameter is the
-    change its unit step makes.  Read-only.
+    Every slice sets these four linearly, each to a free parameter or a
+    constant (``SLICE_FORMS``), so an entry is 1 where the form names the
+    free parameter and 0 elsewhere.  Read-only.
     """
-    names = SLICE_PARAMS[tag]
-
-    def base(theta):
-        p = make_special_case(tag, **dict(zip(names, theta)))
-        return np.array([p.lam, p.beta, p.gamma, p.nu])
-
-    at = (2.0,) * len(names)
-    steps = [at[:j] + (3.0,) + at[j + 1:] for j in range(len(names))]
-    jac = np.column_stack([base(step) - base(at) for step in steps])
+    form = SLICE_FORMS[tag]
+    jac = np.array([[float(form[i] == name) for name in SLICE_PARAMS[tag]] for i in (4, 1, 2, 3)])
     jac.flags.writeable = False
     return jac
 
@@ -423,7 +398,7 @@ def wpd_score(p: WpdParams, jac: np.ndarray, values: np.ndarray, freqs: np.ndarr
     kept = []
     for s in range(0, e.k_trunc + 1, _ETA_BLOCK):
         k = np.arange(s, min(s + _ETA_BLOCK, e.k_trunc + 1), dtype=float)
-        lt = _log_terms(p, k, sc.gammaln(k + 1.0)) - e.log_value
+        lt = wpd_logpmf_rows(p, k)
         live = lt > -745.0
         if live.any():
             kept.append((k[live], lt[live]))
@@ -454,11 +429,10 @@ def wpd_logpmf_rows(p: WpdParams, xs: np.ndarray) -> np.ndarray:
 
 
 def wpd_pmf(p: WpdParams, x: int) -> float:
-    """P(Y = x) = lam^x w(x) / (x! eta)."""
+    """P(Y = x): exp of ``wpd_logpmf_rows`` at x."""
     if x < 0 or x != int(x):
         raise DomainError(f"x must be a non-negative integer, got {x!r}")
-    lp = _log_term(p, int(x)) - log_eta(p)
-    return math.exp(lp) if lp > -745.0 else 0.0
+    return float(np.exp(wpd_logpmf_rows(p, np.array([x]))[0]))
 
 
 _RECURSIVE_TAGS = {
@@ -492,16 +466,11 @@ def pmf_multiplier(p: WpdParams, x):
     raise DomainError(f"no pmf recursion for tag {tag!r}")
 
 
-def _zero_cell_vanishes(p: WpdParams) -> bool:
-    """beta = 0 with nu > 1: w(0) = 0, so no recursion starts from P(0)."""
-    return p.beta == 0.0 and p.nu != 1.0
-
-
 def wpd_pmf_recursive(p: WpdParams, x_max: int) -> np.ndarray:
     """pmf on 0..x_max built from P(0) = w(0)/eta and the tag's multiplier."""
     if p.tag not in _RECURSIVE_TAGS:
         raise DomainError(f"no pmf recursion for tag {p.tag!r}")
-    if _zero_cell_vanishes(p):
+    if p.beta == 0.0 and p.nu != 1.0:
         raise DomainError("no pmf recursion from a vanishing zero cell (beta = 0, nu > 1)")
     out = np.empty(x_max + 1)
     out[0] = math.exp(log_weight(p, 0) - log_eta(p))
@@ -511,13 +480,10 @@ def wpd_pmf_recursive(p: WpdParams, x_max: int) -> np.ndarray:
 
 
 def wpd_pmf_table(p: WpdParams, x_max: int | None = None, tail_tol: float = TAIL_TOL) -> np.ndarray:
-    """pmf on 0..x_max, or on `adaptive_pmf_table`'s support at ``tail_tol``;
-    from the tag recursion where it can start, the direct formula otherwise."""
-    if p.tag in _RECURSIVE_TAGS and not _zero_cell_vanishes(p):
-        evaluate = lambda xs, x_end: wpd_pmf_recursive(p, x_end)[xs]
-    else:
-        evaluate = lambda xs, x_end: np.array([wpd_pmf(p, int(x)) for x in xs])
-    return adaptive_pmf_table(evaluate, x_max, tail_tol)
+    """pmf on 0..x_max, or on `adaptive_pmf_table`'s support at ``tail_tol``:
+    exp of ``wpd_logpmf_rows``, the rows the fits score (a vanishing zero
+    cell is exp(-inf) = 0)."""
+    return adaptive_pmf_table(lambda xs, x_end: np.exp(wpd_logpmf_rows(p, xs)), x_max, tail_tol)
 
 
 def wpd_factorial_moments(p: WpdParams, R: int) -> FactorialMomentSequence:

@@ -1,10 +1,12 @@
 """Command-line surface: ingestion, commands, output formats, exit codes."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from countfam import (
     GenPoissonParams,
@@ -143,6 +145,17 @@ class TestPmfCommand:
         assert len(probs) > 100
         assert math.fsum(probs) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("command", [["pmf"], ["sample", "--n", "1000"]])
+    def test_poisson_of_large_lam(self, command, capsys):
+        # eta overflows at lam = 800; the Poisson slice reads its closed form
+        code, out, _ = run_cli([*command, "--model", "poisson", "--lam", "800"], capsys)
+        assert code == 0
+        if command[0] == "pmf":
+            probs = [float(l.split(",")[1]) for l in out.strip().splitlines()[1:]]
+            assert math.fsum(probs) == pytest.approx(1.0, abs=1e-8)
+        else:
+            assert len(out.split()) == 1000
+
     def test_four_parameter_family(self, capsys):
         code, out, _ = run_cli(
             ["pmf", "--model", "gfpd", "--alpha", "0.6", "--beta", "0.9",
@@ -247,8 +260,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("support", [[], ["--x-max", "5"]])
     def test_vanishing_zero_cell(self, support, capsys):
-        # model I at beta = 0, nu > 1 has P(0) = 0, so no recursion reaches
-        # P(1); the adaptive and the fixed support take the direct formula
+        # model I at beta = 0, nu > 1 has P(0) = 0 (a log row of -inf), so no
+        # recursion could reach P(1); both supports are exp of the log rows
         code, out, err = run_cli(
             ["pmf", "--model", "model_i", "--lam", "2", "--beta", "0", "--nu", "1.5",
              "--output-format", "json", *support], capsys)
@@ -261,6 +274,21 @@ class TestExitCodes:
             assert math.fsum(probs) == pytest.approx(1.0, abs=1e-8)
         else:
             assert len(probs) == 6
+
+    @pytest.mark.parametrize("argv", [
+        ["pmf", "--model", "gfpd", "--alpha", "1", "--beta", "0.5", "--delta", "0.5",
+         "--mu", "1000"],
+        ["sample", "--model", "gfpd", "--alpha", "1", "--beta", "1", "--delta", "0.5",
+         "--mu", "1000", "--n", "50"],
+    ])
+    def test_kummer_out_of_float64_refused(self, argv, capsys):
+        # at alpha = 1 off the classical slice the pmf is exp(lognum) M(a, b, -mu),
+        # and past mu ~ 708 one factor leaves float64
+        code, out, err = run_cli(argv, capsys)
+        assert code == 5
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error[5]: alpha = 1 (Kummer) pmf leaves float64")
 
     def test_row_cap_refused(self, capsys):
         # the geometric limit at mu = 1e4 needs about 4e5 rows to meet the tail rule
@@ -347,6 +375,10 @@ def _library_pmf(model, x_max):
         return list(negbinom_pmf_table(NegBinomParams(f["r"], f["p"]), x_max))
     if model == "genpoisson":
         return list(genpoisson_pmf_table(GenPoissonParams(f["lambda1"], f["lambda2"]), x_max))
+    if model == "poisson":
+        # the closed form, which needs no eta
+        xs, lam = np.arange(x_max + 1), np.array([f["lam"]])
+        return list(np.exp(xs * np.log(lam) - lam - gammaln(xs + 1.0)))
     return list(wpd_pmf_table(make_special_case(model, **f), x_max=x_max))
 
 
@@ -389,6 +421,17 @@ class TestLawContract:
         assert [r["x"] for r in rows] == list(range(13))
         assert [r["probability"] for r in rows] == _library_pmf(model, 12)
 
+    @pytest.mark.parametrize("model", sorted(set(LAWS) - set(GFPD_LAWS)))
+    def test_pmf_is_exp_of_log_rows(self, model, capsys):
+        # every law but the fractional ones tabulates exp of the rows it is fitted by
+        code, out, _ = run_cli(["pmf", *_flags(model), "--x-max", "12",
+                                "--output-format", "json"], capsys)
+        assert code == 0
+        spec = LAWS[model]
+        theta = tuple(LAW_FLAGS[model][name] for name in spec.param_names)
+        want = np.exp(spec.log_rows(theta, np.arange(13)))
+        assert [r["probability"] for r in json.loads(out)] == want.tolist()
+
     @pytest.mark.parametrize("model, law, scalar_pmf", [
         ("negbinom", lambda f: NegBinomParams(f["r"], f["p"]), negbinom_pmf),
         ("genpoisson", lambda f: GenPoissonParams(f["lambda1"], f["lambda2"]), genpoisson_pmf),
@@ -424,3 +467,38 @@ class TestLawContract:
         assert code == 0
         assert [int(v) for v in out.split()] == _library_sample(model, 50, 7)
         assert "seed: 7" in err
+
+
+# extreme but fast values of every parameter the CLI takes; the sweep crosses
+# them for each law
+SWEEP_VALUES = {
+    "alpha": (0.0, 1e-3, 0.999, 1.0),
+    "beta": (0.0, 1e-3, 1.0, 60.0),
+    "delta": (1e-3, 1.0),
+    "mu": (1e-6, 1e3),
+    "r": (1e-6, 1e6),
+    "p": (1e-9, 1.0),
+    "lambda1": (1e-6, 1e3),
+    "lambda2": (-1.0, -0.5, 0.5),
+    "lam": (1e-6, 800.0),
+    "nu": (0.0, 1e-3, 60.0),
+    "gamma": (1e-3, 60.0),
+}
+
+
+class TestCliSweep:
+    """pmf, moments and sample over the extreme values of every law either
+    answer or refuse with a usage, domain or evaluation error; none raises."""
+
+    @pytest.mark.parametrize("model", sorted(LAWS))
+    def test_exit_codes(self, model, capsys):
+        names = LAWS[model].param_names
+        for values in itertools.product(*(SWEEP_VALUES[n] for n in names)):
+            point = dict(zip(names, values))
+            if model in GFPD_LAWS and point["alpha"] == 0.999 and point["mu"] == 1e3:
+                continue  # the series and quadrature near alpha = 1 at large mu take seconds
+            flags = [t for n, v in point.items() for t in (f"--{n}", repr(v))]
+            for command in (["pmf", "--x-max", "30"], ["moments"], ["sample", "--n", "50"]):
+                argv = [command[0], "--model", model, *flags, *command[1:]]
+                assert main(argv) in (0, 2, 4, 5), argv
+                capsys.readouterr()

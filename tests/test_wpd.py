@@ -31,7 +31,7 @@ from countfam import (
     wpd_pmf_table,
     wpd_summary,
 )
-from countfam.wpd import pmf_multiplier
+from countfam.wpd import SLICE_PARAMS, pmf_multiplier, slice_jacobian
 
 
 def brute_eta(p, kmax=400):
@@ -241,7 +241,60 @@ CATALOG = [
 ]
 
 
+# the ten slices written out by hand: their free parameters, in the order
+# they are passed, and (alpha, beta, gamma, nu, lam) in terms of them
+HAND_FORMS = {
+    "poisson": (("lam",), lambda f: (1.0, 1.0, 1.0, 1.0, f["lam"])),
+    "com_poisson": (("lam", "nu"), lambda f: (1.0, 1.0, 1.0, f["nu"], f["lam"])),
+    "hyper_poisson": (("lam", "beta"), lambda f: (1.0, f["beta"], 1.0, 1.0, f["lam"])),
+    "alt_mittag_leffler": (
+        ("lam", "alpha", "beta"), lambda f: (f["alpha"], f["beta"], 1.0, 1.0, f["lam"])),
+    "fractional_com_poisson": (
+        ("lam", "alpha", "beta", "nu"), lambda f: (f["alpha"], f["beta"], 1.0, f["nu"], f["lam"])),
+    "alt_generalized_ml": (
+        ("lam", "alpha", "beta", "gamma"),
+        lambda f: (f["alpha"], f["beta"], f["gamma"], 1.0, f["lam"])),
+    "model_i": (("lam", "beta", "nu"), lambda f: (1.0, f["beta"], f["beta"], f["nu"], f["lam"])),
+    "model_i_2param": (("lam", "beta"), lambda f: (1.0, f["beta"], f["beta"], f["beta"], f["lam"])),
+    "model_ii": (
+        ("lam", "beta", "gamma"), lambda f: (1.0, f["beta"], f["gamma"], 1.0, f["lam"])),
+    "model_ii_2param": (("beta", "gamma"), lambda f: (1.0, f["beta"], f["gamma"], 1.0, 1.0)),
+}
+
+
 class TestParams:
+    def test_hand_forms_cover_the_tags(self):
+        assert set(HAND_FORMS) == {t.value for t in SpecialCase}
+
+    @pytest.mark.parametrize("tag", sorted(HAND_FORMS))
+    def test_slice_forms(self, tag):
+        names, form = HAND_FORMS[tag]
+        assert SLICE_PARAMS[SpecialCase(tag)] == names
+        for values in [(2.5, 0.7, 1.3, 0.4), (3, 1, 2, 5)]:
+            free = dict(zip(names, values))
+            p = make_special_case(tag, **free)
+            got = (p.alpha, p.beta, p.gamma, p.nu, p.lam)
+            assert got == form(free)
+            assert [type(v) for v in got] == [type(v) for v in form(free)]
+            assert p.tag is SpecialCase(tag)
+
+    @pytest.mark.parametrize("tag", sorted(HAND_FORMS))
+    def test_slice_jacobian_is_the_unit_steps(self, tag):
+        # column j is the change of (lam, beta, gamma, nu) under a unit step
+        # of the j-th free parameter
+        names, form = HAND_FORMS[tag]
+
+        def at(theta):
+            alpha, beta, gamma, nu, lam = form(dict(zip(names, theta)))
+            return np.array([lam, beta, gamma, nu])
+
+        base = (2.0,) * len(names)
+        steps = [base[:j] + (3.0,) + base[j + 1:] for j in range(len(names))]
+        want = np.column_stack([at(step) - at(base) for step in steps])
+        jac = slice_jacobian(SpecialCase(tag))
+        assert jac.dtype == want.dtype and np.array_equal(jac, want)
+        assert not jac.flags.writeable
+
     def test_validation(self):
         with pytest.raises(DomainError):
             WpdParams(0.0, 0.0, 1.0, 1.0, 1.0)  # alpha + beta = 0
