@@ -43,7 +43,7 @@ from .baselines import (  # noqa: F401
 )
 from .errors import DomainError, EvaluationError
 from .gfpd import GfpdParams, fpd_pmf_quadrature, gfpd_summary  # noqa: F401
-from .moments import SummaryStats, adaptive_pmf_table, summary_from_factorial
+from .moments import SummaryStats, log_rows_table, summary_from_factorial
 from .sampling import _inverse_cdf, sample_fpd
 from .wpd import (  # noqa: F401
     SLICE_PARAMS,
@@ -203,8 +203,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.pmf is None:
             log_rows = self.log_rows
-            pmf = lambda theta, x_max: adaptive_pmf_table(
-                lambda xs, x_end: np.exp(log_rows(theta, xs)), x_max)
+            pmf = lambda theta, x_max: log_rows_table(lambda xs: log_rows(theta, xs), x_max)
             object.__setattr__(self, "pmf", pmf)
         if self.sample is None:
             pmf = self.pmf
@@ -304,11 +303,12 @@ def _negbinom_summary(theta):
     return SummaryStats(p.mean, p.variance, negbinom_skewness(p), 1.0 / p.p)
 
 
-def _slice(tag, bounds=None, init=None, log_rows=None):
-    """A weighted-Poisson slice; its log rows are ``wpd_logpmf_rows``, the
-    terms the score sums, unless other ``log_rows`` are given.  With
-    ``bounds`` and ``init`` it is fitted by Newton on the eta engine's
-    score."""
+def _slice(tag, bounds=None, init=None, log_rows=wpd_logpmf_rows):
+    """A weighted-Poisson slice; its log rows are ``log_rows`` (the law's
+    WpdParams, counts), by default ``wpd_logpmf_rows``, the terms the score
+    sums.  Every route builds the law first, so WpdParams' checks refuse a
+    parameter out of the family's domain.  With ``bounds`` and ``init`` it
+    is fitted by Newton on the eta engine's score."""
     names = SLICE_PARAMS[tag]
     law = lambda theta: make_special_case(tag, **dict(zip(names, theta)))
     score = None
@@ -317,7 +317,7 @@ def _slice(tag, bounds=None, init=None, log_rows=None):
         score = lambda theta, data: wpd_score(law(theta), jac, data.values, data.freqs)
     return ModelSpec(
         tag.value, names, summary=lambda theta: wpd_summary(law(theta)),
-        log_rows=log_rows or (lambda theta, xs: wpd_logpmf_rows(law(theta), xs)),
+        log_rows=lambda theta, xs: log_rows(law(theta), xs),
         bounds=bounds, init=init, score=score,
     )
 
@@ -406,7 +406,7 @@ LAWS = {s.name: s for s in (
     # the closed form, so that a Poisson fit, table or sample does not need
     # eta, which refuses log eta > 709
     _slice(SpecialCase.POISSON, (_POS,), lambda d: (d.mean(),),
-           log_rows=lambda theta, xs: _poisson_log_rows(theta[0], xs)),
+           log_rows=lambda p, xs: _poisson_log_rows(p.lam, xs)),
     _slice(SpecialCase.COM_POISSON, (_POS, (0.0, math.inf)), _init_com_poisson),
     _slice(SpecialCase.HYPER_POISSON, (_POS, _POS), _init_hyper_poisson),
     _slice(SpecialCase.ALT_MITTAG_LEFFLER),

@@ -144,6 +144,12 @@ def adaptive_pmf_table(evaluate, x_max: int | None = None, tail_tol: float = TAI
     return table
 
 
+def log_rows_table(log_rows, x_max: int | None = None, tail_tol: float = TAIL_TOL) -> np.ndarray:
+    """`adaptive_pmf_table` over exp of ``log_rows(xs)``, a law's log pmf at
+    the counts ``xs``: the table of every law but the fractional ones."""
+    return adaptive_pmf_table(lambda xs, x_end: np.exp(log_rows(xs)), x_max, tail_tol)
+
+
 def _run_adaptive(evaluate, x_max, tail_tol, tail_run) -> np.ndarray:
     if x_max is not None:
         return evaluate(np.arange(int(x_max) + 1), int(x_max))

@@ -24,7 +24,7 @@ from .moments import (
     TAIL_TOL,
     FactorialMomentSequence,
     SummaryStats,
-    adaptive_pmf_table,
+    log_rows_table,
     summary_from_factorial,
 )
 
@@ -481,9 +481,9 @@ def wpd_pmf_recursive(p: WpdParams, x_max: int) -> np.ndarray:
 
 def wpd_pmf_table(p: WpdParams, x_max: int | None = None, tail_tol: float = TAIL_TOL) -> np.ndarray:
     """pmf on 0..x_max, or on `adaptive_pmf_table`'s support at ``tail_tol``:
-    exp of ``wpd_logpmf_rows``, the rows the fits score (a vanishing zero
-    cell is exp(-inf) = 0)."""
-    return adaptive_pmf_table(lambda xs, x_end: np.exp(wpd_logpmf_rows(p, xs)), x_max, tail_tol)
+    `log_rows_table` of ``wpd_logpmf_rows``, the rows the fits score (a
+    vanishing zero cell is exp(-inf) = 0)."""
+    return log_rows_table(lambda xs: wpd_logpmf_rows(p, xs), x_max, tail_tol)
 
 
 def wpd_factorial_moments(p: WpdParams, R: int) -> FactorialMomentSequence:

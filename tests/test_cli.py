@@ -258,6 +258,15 @@ class TestExitCodes:
              "--x-max", "3"], capsys)
         assert code == 4
 
+    @pytest.mark.parametrize("lam", ["0", "-1", "inf", "nan"])
+    @pytest.mark.parametrize("command", [["pmf", "--x-max", "3"], ["sample", "--n", "5"]])
+    def test_poisson_out_of_domain_refused(self, command, lam, capsys):
+        # the closed-form rows are read only after WpdParams admits lam
+        code, out, err = run_cli([*command, "--model", "poisson", "--lam", lam], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("support", [[], ["--x-max", "5"]])
     def test_vanishing_zero_cell(self, support, capsys):
         # model I at beta = 0, nu > 1 has P(0) = 0 (a log row of -inf), so no
