@@ -180,8 +180,9 @@ def genpoisson_factorial_moments(p: GenPoissonParams, K: int) -> FactorialMoment
     """Factorial moments as exponentially weighted shifted-rate sums.
 
     For lambda2 > 0 the sum over r is truncated under the standard stopping
-    rule; for lambda2 < 0 it terminates exactly at r = M - k, and orders
-    k > M are outside the domain.
+    rule, tested against a running compensated sum, and the kept terms are
+    then summed by ``math.fsum``; for lambda2 < 0 it terminates exactly at
+    r = M - k, and orders k > M are outside the domain.
     """
     if K < 0:
         raise DomainError("K must be >= 0")
@@ -196,12 +197,18 @@ def genpoisson_factorial_moments(p: GenPoissonParams, K: int) -> FactorialMoment
             a.append(math.fsum(terms))
         else:
             terms = []
+            # the running sum of the terms so far with Neumaier's
+            # compensation, within an ulp or two of their fsum
+            total = comp = 0.0
             small = 0
             r = 0
             while True:
                 t = _gp_term(p, r, k)
                 terms.append(t)
-                if abs(t) < REL_TOL * max(abs(math.fsum(terms)), 1e-300):
+                big, tiny = (total, t) if abs(total) >= abs(t) else (t, total)
+                total = big + tiny
+                comp += (big - total) + tiny
+                if abs(t) < REL_TOL * max(abs(total + comp), 1e-300):
                     small += 1
                     if small >= CONSECUTIVE:
                         break

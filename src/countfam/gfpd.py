@@ -39,7 +39,7 @@ from .moments import (
     adaptive_pmf_table,
     skewness_from_factorial,
 )
-from .special import MAX_DPS, _leggauss, m_wright
+from .special import MAX_DPS, _leggauss, _m_wright_log_bound, m_wright
 
 # Above this log-magnitude of the largest series term, a float64 row of the
 # pmf table is recomputed in high precision (absolute noise ~ e^6 * 1e-15).
@@ -533,13 +533,14 @@ def aa1_pmf_quadrature(alpha: float, mu, xs) -> np.ndarray:
     return _quadrature_pmf(alpha, alpha, 1.0, mu, xs)
 
 
-# Rows that share a node set are evaluated about a reference mu0 through
+# Rows are evaluated about a reference mu0 through
 #   exp(x log(mu y) - mu y) = exp(x log(mu0 y) - mu0 y) exp(-(mu - mu0) y) (mu/mu0)^x,
-# one (mu x nodes) @ (nodes x x) product per set.  The middle factor reaches
-# exp(|mu - mu0| y) at the largest node, so a set's rows are split into chunks
-# where that exponent stays below _SPREAD_MAX: no factor overflows, and a
-# term that is exp(-700) below its column's largest moves a row by at most
-# exp(2 _SPREAD_MAX - 700) relative, whether it is dropped or kept.
+# one (mu x nodes) @ (nodes x x) product per chunk of rows.  The middle
+# factor reaches exp(|mu - mu0| y) at the largest node, so the rows are split
+# into chunks where that exponent stays below _SPREAD_MAX: no factor
+# overflows, and a term that is exp(-700) below its column's largest moves a
+# row by at most exp(2 _SPREAD_MAX - 700) relative, whether it is dropped or
+# kept.
 _SPREAD_MAX = 300.0
 
 
@@ -548,8 +549,12 @@ def _mixture_logpmf(alpha, mu, xs, y_power, x_max=None):
     the counts ``xs``; one row per mu.
 
     Each column is computed on its own, so the counts need not be
-    consecutive.  The node sets are those of the support 0..x_max, by
-    default the largest of ``xs``.
+    consecutive.  Every row is summed over one node set, the lattice prefix
+    (`_mixture_nodes`) that reaches the cutoff of the smallest mu on the
+    support 0..x_max, by default the largest of ``xs``.  A single mu reads
+    the prefix of its own cutoff, and a batch the longest of its rows'
+    prefixes; its further nodes lie past the other rows' own cutoffs, so
+    batched rows agree with one-row calls to about 1e-12.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError("mixture quadrature requires alpha in (0, 1)")
@@ -570,105 +575,141 @@ def _mixture_logpmf(alpha, mu, xs, y_power, x_max=None):
     log_x1 = np.log(np.maximum(xf, 1.0)) - 1.0
     c_x = xf * log_x1 - sc.gammaln(xf + 1.0)
     out = np.empty((len(mus), len(xs)))
-    # the cutoff falls as mu grows, so each node set serves a run of mus
-    steps = _cutoff_step(alpha, mus, x_max).tolist()
-    distinct = list(dict.fromkeys(steps))
-    node_sets = dict(zip(distinct, _mixture_node_sets(alpha, distinct)))
-    lo = 0
-    while lo < len(mus):
-        hi = lo + steps.count(steps[lo])
-        ys, wm = node_sets[steps[lo]]
-        with np.errstate(divide="ignore"):  # m_wright underflows to 0 far out
-            log_w = np.log(wm * ys**y_power if y_power else wm)
-        # chunks of mus at most 2 _SPREAD_MAX / y_max wide
-        ends = np.searchsorted(mus, mus[lo:hi] + 2.0 * _SPREAD_MAX / ys[-1], "right").tolist()
-        start = lo
-        while start < hi:
-            stop = min(ends[start - lo], hi)
-            mu0 = 0.5 * (mus[start] + mus[stop - 1])
-            # (x, node) log of mu0's kernel times the weight, less c_x and
-            # normalised per x
-            lam = mu0 * ys
-            log_b = np.log(lam) - log_x1[:, None]
-            log_b *= xf[:, None]
-            log_b -= lam - log_w
-            shift = log_b.max(axis=1)
-            log_b -= shift[:, None]
-            # exp is many times slower where its result underflows; a term
-            # held at exp(-700) instead is below 1e-40 of any row
-            np.maximum(log_b, -700.0, out=log_b)
-            b = np.exp(log_b, out=log_b)
-            a = np.exp(np.multiply.outer(mu0 - mus[start:stop], ys))
-            log_rows = np.log(a @ b.T, out=out[start:stop])
-            log_rows += shift + c_x
-            log_rows += np.multiply.outer(np.log(mus[start:stop] / mu0), xf)
-            start = stop
-        lo = hi
+    ys, wm = _mixture_nodes(alpha, _cutoff(alpha, mus[0], x_max))
+    log_w = np.log(wm * ys**y_power if y_power else wm)
+    # chunks of mus at most 2 _SPREAD_MAX / y_max wide
+    ends = np.searchsorted(mus, mus + 2.0 * _SPREAD_MAX / ys[-1], "right").tolist()
+    start = 0
+    while start < len(mus):
+        stop = ends[start]
+        mu0 = 0.5 * (mus[start] + mus[stop - 1])
+        # (x, node) log of mu0's kernel times the weight, less c_x and
+        # normalised per x
+        lam = mu0 * ys
+        log_b = np.log(lam) - log_x1[:, None]
+        log_b *= xf[:, None]
+        log_b -= lam - log_w
+        shift = log_b.max(axis=1)
+        log_b -= shift[:, None]
+        # exp is many times slower where its result underflows; a term
+        # held at exp(-700) instead is below 1e-40 of any row
+        np.maximum(log_b, -700.0, out=log_b)
+        b = np.exp(log_b, out=log_b)
+        a = np.exp(np.multiply.outer(mu0 - mus[start:stop], ys))
+        log_rows = np.log(a @ b.T, out=out[start:stop])
+        log_rows += shift + c_x
+        log_rows += np.multiply.outer(np.log(mus[start:stop] / mu0), xf)
+        start = stop
     rows = out[inverse]
     return rows[0] if mu.ndim == 0 else rows
 
 
-def _cutoff_step(alpha, mu, x_max):
-    """The mixing variable is cut at 1.3 ** step, with step rounded up from
-    the largest of the density's tail point and 3 (x_max + 10) / mu; nearby
-    (mu, x_max) requests round to one step and share its node set."""
+def _cutoff(alpha, mu, x_max):
+    """Where the mixing variable is cut for rows at ``mu`` on 0..x_max: the
+    largest of the density's tail point (a0 Y = 46), 4 and 3 (x_max + 10) / mu,
+    beyond which the Poisson kernel of every row is below e^-30 of its peak."""
     c = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
-    y_hi = np.maximum(max((46.0 / c) ** (1.0 - alpha), 4.0), 3.0 * (x_max + 10) / mu)
-    return np.ceil(np.log(y_hi) / math.log(1.3)).astype(int)
+    return max((46.0 / c) ** (1.0 - alpha), 4.0, 3.0 * (x_max + 10) / mu)
 
 
-# node sets by (alpha, cutoff), least recently used first
-_MIXTURE_CACHE: dict = {}
-_MIXTURE_CACHE_MAX = 512
-
-# a node set is _N_PANELS Gauss-Legendre panels of _N_NODES nodes
-_N_PANELS = 4
+# The mixing nodes lie on one nested lattice of Gauss-Legendre panels of
+# _N_NODES nodes each: panel 0 is the cube-graded (0, _LATTICE_BASE], panel
+# k >= 1 is [_LATTICE_BASE 4^(k-1), _LATTICE_BASE 4^k], and the panel [1, 4]
+# is cut further near alpha = 1 (`_wall_split`).  A node set is the prefix
+# of the lattice up to a cutoff, so the sets at one alpha nest.
 _N_NODES = 80
+_LATTICE_BASE = 0.25
+# pieces of [1, 4] span at most _WALL_SPAN (1 - alpha) in log y, and there
+# are at most _WALL_SPLIT_MAX of them (enough up to alpha = 0.9992)
+_WALL_SPAN = 14.0
+_WALL_SPLIT_MAX = 128
+# a panel whose density bound at its lower edge is below e^_LOG_DEAD (a nat
+# under the smallest normal double) holds only zeros of m_wright
+_LOG_DEAD = math.log(np.finfo(float).tiny) - 1.0
+
+# per alpha: the lattice's tabulated panels (nodes, density-weighted
+# weights, and the end of each panel in them) and whether the lattice ends
+# there because the density has underflowed; least recently used first
+_NODE_CACHE: dict = {}
+_NODE_CACHE_MAX = 256
 
 
-def _mixture_node_sets(alpha, steps):
-    """Gauss-Legendre panels on the mixing variable up to 1.3 ** step, with
-    density values, for each of the distinct cutoff ``steps``.
+def _wall_split(alpha):
+    """How many pieces, equal in log y, the lattice panel [1, 4] is cut into.
 
-    The sets missing from the cache are tabulated by one ``m_wright`` call
-    over their distinct nodes; every row of it gets the same bits as alone,
-    so a set is the same whatever other sets share its call.  The first
-    panel, (0, 0.25], is the same in every set, so it is tabulated once.
-    The sets then enter the cache, or move to its recent end, in the order
-    of ``steps``.
+    Past its mode M_alpha falls like a0 Y exp(-a0 Y), where log(a0 Y) =
+    log a0 + log(y) / (1 - alpha) (the tail of the Kanter form): from its
+    peak to underflow within about 6.6 (1 - alpha) in log y.  As alpha -> 1
+    that wall moves to just above y = 1, inside [1, 4], while the density's
+    left side stays about sqrt(1 - alpha) wide, which the panels below 1
+    resolve whole.  Pieces of _WALL_SPAN (1 - alpha) keep the classical
+    rows x <= 39 at mu = 0.05 and 0.5 within 1e-13 of the series from
+    alpha = 0.91 to 0.999; the panel is whole up to alpha = 0.9.
     """
-    keys = [(round(alpha, 12), round(1.3**step, 6)) for step in steps]
-    sets = [_MIXTURE_CACHE.get(key) for key in keys]
-    missing = [i for i, hit in enumerate(sets) if hit is None]
-    if missing:
-        nodes = [_panel_nodes(1.3 ** steps[i]) for i in missing]
-        distinct, where = np.unique(np.concatenate([ys for ys, _ in nodes]), return_inverse=True)
-        density = m_wright(alpha, distinct)[where]
-        for i, (ys, ws), m in zip(missing, nodes, np.split(density, len(missing))):
-            sets[i] = (ys, ws * m)
-    for key, node_set in zip(keys, sets):
-        _MIXTURE_CACHE.pop(key, None)
-        if len(_MIXTURE_CACHE) >= _MIXTURE_CACHE_MAX:
-            # evict the least recently used set (dicts keep insertion order)
-            del _MIXTURE_CACHE[next(iter(_MIXTURE_CACHE))]
-        _MIXTURE_CACHE[key] = node_set
-    return sets
+    n = math.ceil(math.log(4.0) / (_WALL_SPAN * (1.0 - alpha)))
+    return min(max(n, 1), _WALL_SPLIT_MAX)
 
 
-def _panel_nodes(y_hi):
-    """Nodes and weights of the Gauss-Legendre panels on (0, y_hi)."""
-    gx, gw = _leggauss(_N_NODES)
-    edges = np.concatenate([[0.0], np.geomspace(0.25, y_hi, _N_PANELS)])
-    ys, ws = [], []
-    # cube-graded first panel: fractional powers y^delta in the mixing
-    # weight have a cusp at 0 that plain Gauss-Legendre resolves poorly
-    u = 0.5 * gx + 0.5
-    ys.append(edges[1] * u**3)
-    ws.append(edges[1] * 3.0 * u**2 * 0.5 * gw)
-    for lo, hi in zip(edges[1:-1], edges[2:]):
-        ys.append(0.5 * (hi - lo) * gx + 0.5 * (hi + lo))
-        ws.append(0.5 * (hi - lo) * gw)
-    return np.concatenate(ys), np.concatenate(ws)
+def _mixture_nodes(alpha, y_hi):
+    """Nodes and density-weighted weights of the lattice prefix that reaches
+    ``y_hi``, at ``alpha``.
+
+    The prefix ends with the first panel whose upper edge is at least
+    ``y_hi``, or earlier, where ``m_wright``'s density bound puts a piece
+    of a panel below the smallest normal double: the density is 0 from
+    there on, and no node is placed there or past it.  Nodes whose density
+    is 0 are left out.  The panels missing from the cache are tabulated by
+    one ``m_wright`` call, whose rows get the same bits as alone, so a
+    prefix is the same whatever the cache held.
+    """
+    n_panels = 2
+    while _LATTICE_BASE * 4.0 ** (n_panels - 1) < y_hi:
+        n_panels += 1
+    key = round(alpha, 12)
+    ent = _NODE_CACHE.pop(key, None)
+    if ent is None:
+        if len(_NODE_CACHE) >= _NODE_CACHE_MAX:
+            # evict the least recently used alpha (dicts keep insertion order)
+            del _NODE_CACHE[next(iter(_NODE_CACHE))]
+        ent = (np.empty(0), np.empty(0), [], False)
+    ys, wm, ends, final = ent
+    if len(ends) < n_panels and not final:
+        gx, gw = _leggauss(_N_NODES)
+        new_ys, new_ws, sizes = [], [], []
+        for k in range(len(ends), n_panels):
+            if k == 0:
+                # cube-graded: fractional powers y^delta in the mixing
+                # weight have a cusp at 0 that plain Gauss-Legendre
+                # resolves poorly
+                u = 0.5 * gx + 0.5
+                new_ys.append(_LATTICE_BASE * u**3)
+                new_ws.append(_LATTICE_BASE * 3.0 * u**2 * 0.5 * gw)
+                sizes.append(_N_NODES)
+                continue
+            pieces = _wall_split(alpha) if k == 2 else 1
+            edges = _LATTICE_BASE * 4.0 ** (k - 1 + np.arange(pieces + 1) / pieces)
+            dead = _m_wright_log_bound(alpha, np.log(edges[:-1])) < _LOG_DEAD
+            n_live = int(np.argmax(dead)) if dead.any() else pieces
+            lo, hi = edges[:n_live, None], edges[1:n_live + 1, None]
+            new_ys.append((0.5 * (hi - lo) * gx + 0.5 * (hi + lo)).ravel())
+            new_ws.append((0.5 * (hi - lo) * gw).ravel())
+            sizes.append(n_live * _N_NODES)
+            if dead.any():
+                final = True
+                break
+        new_ys = np.concatenate(new_ys)
+        new_wm = np.concatenate(new_ws) * m_wright(alpha, new_ys)
+        live = new_wm > 0.0
+        cum_live = np.concatenate([[0], np.cumsum(live)])
+        ends = ends + (len(ys) + cum_live[np.cumsum(sizes)]).tolist()
+        ys = np.concatenate([ys, new_ys[live]])
+        wm = np.concatenate([wm, new_wm[live]])
+        ys.setflags(write=False)
+        wm.setflags(write=False)
+        ent = (ys, wm, ends, final)
+    _NODE_CACHE[key] = ent
+    end = ends[min(n_panels, len(ends)) - 1]
+    return ys[:end], wm[:end]
 
 
 # ---------------------------------------------------------------------------

@@ -425,8 +425,41 @@ def _kanter_z0(alpha, logy):
     return _kanter_log_a0(alpha) + logy * (1.0 / (1.0 - alpha))
 
 
-# Gauss-Legendre rules by node count, shared read-only by their callers
-_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+@lru_cache(maxsize=None)
+def _leggauss(n):
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], shared read-only by their callers.
+
+    Newton's method on P_n, evaluated by its three-term recurrence, from
+    Tricomi's first guesses cos(pi (k - 1/4) / (n + 1/2)); the weights are
+    2 / ((1 - x^2) P_n'(x)^2), and both are made exactly symmetric.  No
+    eigenvalue solver is called, so building a rule leaves the BLAS threads
+    asleep.
+    """
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+
+    def newton_step(x):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        return p1 / dp, dp
+
+    for _ in range(100):
+        dx, _ = newton_step(x)
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    # one step past convergence, and P_n' at the final nodes
+    dx, dp = newton_step(x)
+    x = x - dx
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
 # Gauss-Legendre nodes on each side of the Kanter integrand's peak, and how
 # far below the peak (in nats) the integrand is cut.
 _KANTER_NODES = 32
@@ -437,6 +470,23 @@ _KANTER_DEPTH = 46.0
 _KANTER_TABLE = np.concatenate([
     np.linspace(-700.0, -40.0, 64, endpoint=False), np.linspace(-40.0, math.log(math.pi), 960)
 ])
+
+
+def _kanter_log_a(alpha, s):
+    """log a(u) of the Kanter form at u = pi - e^s, written as
+    (a c) log(sin(a u) / sin u) + log(sin((1-a) u) / sin u), c = 1/(1-a).
+
+    Each sine is taken at the smaller of its two arguments, sin(u) =
+    sin(pi - u) and sin(a u) = sin((1-a) pi + a (pi - u)), which float64
+    holds to full relative precision; and the ratios keep the terms of size
+    c log sin u, which cancel, out of the sum.
+    """
+    c = 1.0 / (1.0 - alpha)
+    eps = np.exp(s)
+    u = np.maximum(math.pi - eps, 1e-300)
+    sin_u = np.sin(np.minimum(u, eps))
+    sin_au = np.sin(np.minimum(alpha * u, (1.0 - alpha) * math.pi + alpha * eps))
+    return (alpha * c) * np.log(sin_au / sin_u) + np.log(np.sin((1.0 - alpha) * u) / sin_u)
 
 
 def _m_wright_integral_rows(alpha, ys):
@@ -482,18 +532,7 @@ def _m_wright_integral_rows(alpha, ys):
     log_a0 = _kanter_log_a0(alpha)
     s_max = math.log(math.pi)
 
-    def log_a(s):
-        eps = np.exp(s)
-        u = np.maximum(math.pi - eps, 1e-300)
-        # sin(u) = sin(pi - u): of u and pi - u, the smaller is the one that
-        # float64 holds to full relative precision
-        return (
-            (alpha * c) * np.log(np.sin(alpha * u))
-            + np.log(np.sin((1.0 - alpha) * u))
-            - c * np.log(np.sin(np.minimum(u, eps)))
-        )
-
-    h_tab = np.sqrt(np.maximum(log_a(_KANTER_TABLE) - log_a0, 0.0))
+    h_tab = np.sqrt(np.maximum(_kanter_log_a(alpha, _KANTER_TABLE) - log_a0, 0.0))
 
     def invert(target):
         """The s where log a(s) = target, for each row (h falls in s)."""
@@ -518,7 +557,7 @@ def _m_wright_integral_rows(alpha, ys):
         half = 0.5 * (hi[rows] - lo[rows])[:, None]
         s = half * x + (lo[rows, None] + half)
         # log of a Y exp(-a Y) / Y, then ds = du / (pi - u), and pi - u = e^s
-        la = log_a(s)
+        la = _kanter_log_a(alpha, s)
         lyc = log_yc[rows, None]
         log_f = la - np.exp(np.minimum(la + lyc, OVERFLOW_LOG))
         total[rows] += (np.exp(log_f + lyc + s) * (half * w)).sum(axis=1)

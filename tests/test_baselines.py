@@ -20,7 +20,7 @@ from countfam import (
     pmf_from_factorial,
     summary_from_factorial,
 )
-from countfam.baselines import negbinom_logpmf
+from countfam.baselines import _gp_term, negbinom_logpmf
 
 
 class TestNegBinom:
@@ -155,6 +155,27 @@ class TestGenPoisson:
                 for i in range(k):
                     ff = ff * (xs - i)
                 assert float(np.sum(ff * pmf)) == pytest.approx(a[k], abs=1e-6), (l2, k)
+
+    @pytest.mark.parametrize("l1, l2", [(1e-6, 0.5), (2.0, 0.3), (0.6334, 0.543), (50.0, 0.8)])
+    def test_factorial_moments_keep_the_fsum_stop(self, l1, l2):
+        # each term is tested against a running compensated sum; it stops
+        # where the test against the fsum of all terms so far stopped, so
+        # every moment keeps its bits
+        p = GenPoissonParams(l1, l2)
+        got = genpoisson_factorial_moments(p, 3)
+        for k in range(1, 4):
+            terms, small, r = [], 0, 0
+            while small < 5:
+                terms.append(_gp_term(p, r, k))
+                small = small + 1 if terms[-1] < 1e-15 * max(math.fsum(terms), 1e-300) else 0
+                r += 1
+            assert got[k] == math.fsum(terms), k
+
+    def test_factorial_moments_budget(self):
+        # lambda2 = 0.99 needs about 700,000 terms, past the 100,000-term
+        # budget: refused after the budget, in well under a second
+        with pytest.raises(DomainError, match="failed to converge"):
+            genpoisson_factorial_moments(GenPoissonParams(1e-6, 0.99), 3)
 
     def test_inversion_round_trip(self):
         p = GenPoissonParams(1.0, 0.1)

@@ -30,6 +30,7 @@ from countfam import (
     wpd_pmf_table,
     wpd_summary,
 )
+from countfam import gfpd
 from countfam.cli import CliError, ingest, main
 from countfam.inference import LAWS
 
@@ -317,6 +318,18 @@ class TestExitCodes:
         assert "--x-max" in err
 
     @pytest.mark.parametrize("alpha, mu", [("0.99", "0.5"), ("0.95", "0.05"), ("0.97", "1.0")])
+    def test_adaptive_pmf_matches_series(self, alpha, mu, capsys):
+        # once refused by the mass check, now within 1e-12 of the series
+        code, out, err = run_cli(["pmf", "--model", "gfpd_aa1", "--alpha", alpha, "--mu", mu,
+                                  "--output-format", "json"], capsys)
+        assert code == 0
+        assert err == ""
+        got = np.array([r["probability"] for r in json.loads(out)])
+        assert abs(math.fsum(got) - 1.0) < 1e-12
+        want = gfpd._pmf_rows(GfpdParams.aa1(float(alpha), float(mu)), np.arange(len(got)))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-200)
+
+    @pytest.mark.parametrize("alpha, mu", [("0.9999", "0.5")])
     def test_adaptive_mass_refused(self, alpha, mu, capsys):
         code, out, err = run_cli(["pmf", "--model", "gfpd_aa1", "--alpha", alpha, "--mu", mu], capsys)
         assert code == 5

@@ -51,11 +51,12 @@ def small_grid():
                 yield GfpdParams(alpha, beta, frac * beta / alpha, 2.0)
 
 
-def oracle_mixture_pmf(alpha, mu, xs, y_power, n_panels, n_nodes, x_max=None, log_pref=0.0):
+def oracle_mixture_pmf(alpha, mu, xs, y_power, x_max=None, log_pref=0.0):
     """The mixture quadrature as it was before it returned log rows: each
-    chunk exponentiates ``log_pref`` plus its own log rows.  The oracle for
-    the bits of the quadrature's tables, which now take exp of the log
-    prefactor plus ``gfpd._mixture_logpmf``."""
+    chunk exponentiates ``log_pref`` plus its own log rows, over the lattice
+    prefix that reaches the smallest mu's cutoff.  The oracle for the bits
+    of the quadrature's tables, which now take exp of the log prefactor plus
+    ``gfpd._mixture_logpmf``."""
     if not (0.0 < alpha < 1.0):
         raise DomainError("mixture quadrature requires alpha in (0, 1)")
     xs = np.asarray(xs, dtype=int)
@@ -71,36 +72,27 @@ def oracle_mixture_pmf(alpha, mu, xs, y_power, n_panels, n_nodes, x_max=None, lo
     log_x1 = np.log(np.maximum(xf, 1.0)) - 1.0
     c_x = xf * log_x1 - sc.gammaln(xf + 1.0)
     out = np.empty((len(mus), len(xs)))
-    steps = gfpd._cutoff_step(alpha, mus, x_max).tolist()
-    distinct = list(dict.fromkeys(steps))
-    assert (n_panels, n_nodes) == (gfpd._N_PANELS, gfpd._N_NODES)
-    node_sets = dict(zip(distinct, gfpd._mixture_node_sets(alpha, distinct)))
-    lo = 0
-    while lo < len(mus):
-        hi = lo + steps.count(steps[lo])
-        ys, wm = node_sets[steps[lo]]
-        with np.errstate(divide="ignore"):
-            log_w = np.log(wm * ys**y_power if y_power else wm)
-        ends = np.searchsorted(mus, mus[lo:hi] + 2.0 * gfpd._SPREAD_MAX / ys[-1], "right").tolist()
-        start = lo
-        while start < hi:
-            stop = min(ends[start - lo], hi)
-            mu0 = 0.5 * (mus[start] + mus[stop - 1])
-            lam = mu0 * ys
-            log_b = np.log(lam) - log_x1[:, None]
-            log_b *= xf[:, None]
-            log_b -= lam - log_w
-            shift = log_b.max(axis=1)
-            log_b -= shift[:, None]
-            np.maximum(log_b, -700.0, out=log_b)
-            b = np.exp(log_b, out=log_b)
-            a = np.exp(np.multiply.outer(mu0 - mus[start:stop], ys))
-            log_rows = np.log(a @ b.T)
-            log_rows += shift + c_x
-            log_rows += np.multiply.outer(np.log(mus[start:stop] / mu0), xf)
-            np.exp(log_pref + log_rows, out=out[start:stop])
-            start = stop
-        lo = hi
+    ys, wm = gfpd._mixture_nodes(alpha, gfpd._cutoff(alpha, mus[0], x_max))
+    log_w = np.log(wm * ys**y_power if y_power else wm)
+    ends = np.searchsorted(mus, mus + 2.0 * gfpd._SPREAD_MAX / ys[-1], "right").tolist()
+    start = 0
+    while start < len(mus):
+        stop = ends[start]
+        mu0 = 0.5 * (mus[start] + mus[stop - 1])
+        lam = mu0 * ys
+        log_b = np.log(lam) - log_x1[:, None]
+        log_b *= xf[:, None]
+        log_b -= lam - log_w
+        shift = log_b.max(axis=1)
+        log_b -= shift[:, None]
+        np.maximum(log_b, -700.0, out=log_b)
+        b = np.exp(log_b, out=log_b)
+        a = np.exp(np.multiply.outer(mu0 - mus[start:stop], ys))
+        log_rows = np.log(a @ b.T)
+        log_rows += shift + c_x
+        log_rows += np.multiply.outer(np.log(mus[start:stop] / mu0), xf)
+        np.exp(log_pref + log_rows, out=out[start:stop])
+        start = stop
     rows = out[inverse]
     return rows[0] if mu.ndim == 0 else rows
 
@@ -554,6 +546,20 @@ class TestAdaptiveCut:
         assert len(table) == _rule_end(table, 1e-14, 10) + 1
 
     @pytest.mark.parametrize("alpha, mu", [(0.99, 0.5), (0.95, 0.05), (0.97, 1.0)])
+    def test_adaptive_table_matches_series(self, alpha, mu):
+        # near alpha = 1 these tables were refused while the node sets could
+        # not resolve M_alpha; the lattice's cut panel [1, 4] does
+        p = GfpdParams.aa1(alpha, mu)
+        table = gfpd_pmf_table(p)
+        assert abs(table.sum() - 1.0) < 1e-12
+        series = gfpd._pmf_rows(p, np.arange(len(table)))
+        keep = series > 1e-200
+        assert keep.sum() > 15
+        np.testing.assert_allclose(table[keep], series[keep], rtol=1e-12, atol=0.0)
+
+    # past alpha = 0.9992 the panel [1, 4] is cut into no more than 128
+    # pieces, which do not resolve the density's wall at alpha = 0.9999
+    @pytest.mark.parametrize("alpha, mu", [(0.9999, 0.5)])
     def test_adaptive_mass_refused(self, alpha, mu):
         p = GfpdParams.aa1(alpha, mu)
         with pytest.raises(EvaluationError, match="more than 1e-08 from 1"):
@@ -621,6 +627,8 @@ class TestBatchedRows:
     )
     # the band crosses node sets (cutoff steps) at small mu0 and large x
     @example(alpha=0.5, mu0=1.0, band=[0.8, 0.9, 1.0, 1.1, 1.2], x_lo=0, width=300)
+    # the band's rows reach lattice prefixes of two lengths
+    @example(alpha=0.1, mu0=1.0, band=[0.8, 0.9, 1.0, 1.1, 1.2], x_lo=0, width=70)
     # at alpha = 0.1, mu near 200 one node set spans |mu - mu0| y ~ 2000
     @example(alpha=0.1, mu0=200.0, band=list(np.linspace(0.8, 1.2, 41)), x_lo=0, width=400)
     def test_matches_one_row_calls(self, alpha, mu0, band, x_lo, width):
@@ -634,14 +642,14 @@ class TestBatchedRows:
                 np.testing.assert_allclose(row, one, rtol=1e-12, atol=1e-290)
 
     def test_examples_reach_both_splits(self):
-        # the two explicit examples above do exercise several node sets and
-        # several chunks of one node set
-        steps = gfpd._cutoff_step(0.5, np.linspace(0.8, 1.2, 5), 300)
-        assert len(set(steps.tolist())) > 1
+        # the explicit examples above: one band's rows reach lattice prefixes
+        # of different lengths, so its one-row calls read shorter prefixes
+        # than the batch, and another spans several chunks of its node set
+        lengths = {len(gfpd._mixture_nodes(0.1, gfpd._cutoff(0.1, mu, 70))[0])
+                   for mu in np.linspace(0.8, 1.2, 5)}
+        assert len(lengths) > 1
         mus = 200.0 * np.linspace(0.8, 1.2, 41)
-        steps = gfpd._cutoff_step(0.1, mus, 400)
-        assert len(set(steps.tolist())) == 1
-        ys, _ = gfpd._mixture_node_sets(0.1, [steps[0]])[0]
+        ys, _ = gfpd._mixture_nodes(0.1, gfpd._cutoff(0.1, mus[0], 400))
         assert (mus[-1] - mus[0]) * ys.max() > 4 * gfpd._SPREAD_MAX
 
     def test_equal_mu_equal_rows(self):
@@ -678,13 +686,13 @@ class TestTableRouteBits:
         mus = mu0 * np.array(band)
         xs = np.arange(x_max + 1)
         assert np.array_equal(fpd_pmf_quadrature(alpha, mus, xs),
-                              oracle_mixture_pmf(alpha, mus, xs, 0, 4, 80))
+                              oracle_mixture_pmf(alpha, mus, xs, 0))
         log_pref = math.lgamma(1.0 + alpha) - math.lgamma(2.0)
         assert np.array_equal(aa1_pmf_quadrature(alpha, mus, xs),
-                              oracle_mixture_pmf(alpha, mus, xs, 1, 4, 80, log_pref=log_pref))
+                              oracle_mixture_pmf(alpha, mus, xs, 1, log_pref=log_pref))
         mu = float(mus[-1])
         assert np.array_equal(fpd_pmf_quadrature(alpha, mu, xs),
-                              oracle_mixture_pmf(alpha, mu, xs, 0, 4, 80))
+                              oracle_mixture_pmf(alpha, mu, xs, 0))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -704,7 +712,7 @@ class TestTableRouteBits:
         p = GfpdParams(alpha, beta, delta, mu)
         log_pref = math.lgamma(1.0 + alpha * delta) - math.lgamma(1.0 + delta)
         want = moments.adaptive_pmf_table(
-            lambda xs, x_end: oracle_mixture_pmf(alpha, mu, xs, delta, 4, 80, x_end, log_pref),
+            lambda xs, x_end: oracle_mixture_pmf(alpha, mu, xs, delta, x_end, log_pref),
             None, moments.TAIL_TOL,
         )
         # built outside the table cache
@@ -716,30 +724,31 @@ class TestMixtureNodes:
         # at alpha = 0.99 some rows' series run to tens of thousands of
         # terms; the cutoff is the largest fit_grid("fpd") reaches on the
         # renewal sampler's draw for criterion 12's first seed (its smallest
-        # grid mu)
+        # grid mu).  The lattice ends where the density underflows, short
+        # of that cutoff, and holds no node of density 0
         data = CountData.from_values(renewal_fpd(0.85, 3.6, 5000, RngStream(1000)).values)
         mu = min(m for a, m in _fpd_grid(data) if a == 0.99)
-        monkeypatch.setattr(gfpd, "_MIXTURE_CACHE", {})
+        monkeypatch.setattr(gfpd, "_NODE_CACHE", {})
         tracemalloc.start()
         try:
-            step = int(gfpd._cutoff_step(0.99, mu, data.max_value))
-            ys, _ = gfpd._mixture_node_sets(0.99, [step])[0]
+            ys, wm = gfpd._mixture_nodes(0.99, gfpd._cutoff(0.99, mu, data.max_value))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(ys) == 320
+        assert gfpd._NODE_CACHE[0.99][3]
+        assert np.all(wm > 0.0)
+        assert 160 < len(ys) < 320
+        assert ys[-1] < gfpd._cutoff(0.99, mu, data.max_value)
         assert peak < 4e6
 
     def test_cold_quadrature_tabulates_once(self, monkeypatch):
-        # the grid's mus at alpha = 0.99 on the renewal draw for criterion 12's
-        # first seed need several node sets; a cold quadrature call
-        # tabulates their distinct nodes (the first panel once) with one
-        # m_wright call, within the memory of one set, and caches each set as
-        # it would be built and tabulated alone
+        # the grid's mus at alpha = 0.99 on the renewal draw for criterion
+        # 12's first seed: a cold quadrature call tabulates the one node set
+        # of the smallest mu's cutoff with one m_wright call, within the
+        # memory of that set, and each mu alone reads a prefix of it
+        # without tabulating again
         data = CountData.from_values(renewal_fpd(0.85, 3.6, 5000, RngStream(1000)).values)
         mus = [m for a, m in _fpd_grid(data) if a == 0.99]
-        steps = gfpd._cutoff_step(0.99, np.array(mus), data.max_value)
-        assert len(set(steps.tolist())) >= 3
         calls = []
 
         def counted(alpha, ys):
@@ -747,47 +756,91 @@ class TestMixtureNodes:
             return m_wright(alpha, ys)
 
         monkeypatch.setattr(gfpd, "m_wright", counted)
-        monkeypatch.setattr(gfpd, "_MIXTURE_CACHE", {})
+        monkeypatch.setattr(gfpd, "_NODE_CACHE", {})
         tracemalloc.start()
         try:
             fpd_pmf_quadrature(0.99, mus, np.arange(data.max_value + 1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        distinct = sorted(set(steps.tolist()), reverse=True)
-        assert calls == [80 + 240 * len(distinct)]
+        assert len(calls) == 1
         assert peak < 4e6
-        batched = gfpd._MIXTURE_CACHE
-        assert [key[1] for key in batched] == [round(1.3**step, 6) for step in distinct]
-        for step in distinct:
-            monkeypatch.setattr(gfpd, "_MIXTURE_CACHE", {})
-            ys, wm = gfpd._mixture_node_sets(0.99, [step])[0]
-            (key,) = gfpd._MIXTURE_CACHE
-            assert np.array_equal(ys, batched[key][0])
-            assert np.array_equal(wm, batched[key][1])
-            ys, ws = gfpd._panel_nodes(1.3**step)
-            assert np.array_equal(ws * m_wright(0.99, ys), batched[key][1])
+        ys, wm, _, _ = gfpd._NODE_CACHE[0.99]
+        for mu in mus:
+            one_ys, one_wm = gfpd._mixture_nodes(0.99, gfpd._cutoff(0.99, mu, data.max_value))
+            assert np.array_equal(one_ys, ys[:len(one_ys)])
+            assert np.array_equal(one_wm, wm[:len(one_wm)])
+        assert len(calls) == 1
+
+    def test_extension_tabulates_only_new_panels(self, monkeypatch):
+        # a longer cutoff tabulates only the panels the cached set lacks, and
+        # the set is the one a fresh cache builds at once, node by node as
+        # the lattice's panels times m_wright alone
+        calls = []
+
+        def counted(alpha, ys):
+            calls.append(len(ys))
+            return m_wright(alpha, ys)
+
+        monkeypatch.setattr(gfpd, "m_wright", counted)
+        monkeypatch.setattr(gfpd, "_NODE_CACHE", {})
+        short = gfpd._mixture_nodes(0.3, 4.0)
+        grown = gfpd._mixture_nodes(0.3, 70.0)
+        assert calls == [240, 240]
+        assert np.array_equal(grown[0][:len(short[0])], short[0])
+        monkeypatch.setattr(gfpd, "_NODE_CACHE", {})
+        fresh = gfpd._mixture_nodes(0.3, 70.0)
+        assert calls[2:] == [480]
+        assert np.array_equal(fresh[0], grown[0])
+        assert np.array_equal(fresh[1], grown[1])
+        # panel 0 cube-graded on (0, 0.25], then Gauss-Legendre on
+        # [0.25 4^(k-1), 0.25 4^k]
+        gx, gw = gfpd._leggauss(80)
+        u = 0.5 * gx + 0.5
+        ys = [0.25 * u**3]
+        ws = [0.25 * 3.0 * u**2 * 0.5 * gw]
+        for k in range(1, 6):
+            lo, hi = 0.25 * 4.0 ** (k - 1), 0.25 * 4.0**k
+            ys.append(0.5 * (hi - lo) * gx + 0.5 * (hi + lo))
+            ws.append(0.5 * (hi - lo) * gw)
+        ys, ws = np.concatenate(ys), np.concatenate(ws)
+        wm = ws * np.array([m_wright(0.3, float(y)) for y in ys])
+        live = wm > 0.0
+        assert not live.all()
+        assert np.array_equal(fresh[0], ys[live])
+        assert np.array_equal(fresh[1], wm[live])
+
+    def test_wall_split(self):
+        # the panel [1, 4] is whole up to alpha = 0.9 and cut into more
+        # pieces as alpha -> 1; each piece is a Gauss-Legendre panel
+        assert [gfpd._wall_split(a) for a in (0.5, 0.9, 0.93, 0.97, 0.99, 0.999, 0.99999)] == [
+            1, 1, 2, 4, 10, 100, 128]
+        for alpha in (0.5, 0.97):
+            ys, _ = gfpd._mixture_nodes(alpha, 4.0)
+            inside = ys[(ys > 1.0) & (ys < 4.0)]
+            assert len(inside) <= 80 * gfpd._wall_split(alpha)
 
     def test_cache_evicts_oldest(self, monkeypatch):
-        monkeypatch.setattr(gfpd, "_MIXTURE_CACHE", {})
-        monkeypatch.setattr(gfpd, "_MIXTURE_CACHE_MAX", 2)
-        first = gfpd._mixture_node_sets(0.3, [12])[0]
-        gfpd._mixture_node_sets(0.5, [12])[0]
-        gfpd._mixture_node_sets(0.7, [12])[0]
-        assert [k[0] for k in gfpd._MIXTURE_CACHE] == [0.5, 0.7]
-        rebuilt = gfpd._mixture_node_sets(0.3, [12])[0]
-        assert rebuilt is not first
+        monkeypatch.setattr(gfpd, "_NODE_CACHE", {})
+        monkeypatch.setattr(gfpd, "_NODE_CACHE_MAX", 2)
+        first = gfpd._mixture_nodes(0.3, 50.0)
+        gfpd._mixture_nodes(0.5, 50.0)
+        gfpd._mixture_nodes(0.7, 50.0)
+        assert list(gfpd._NODE_CACHE) == [0.5, 0.7]
+        rebuilt = gfpd._mixture_nodes(0.3, 50.0)
+        assert rebuilt[0].base is not first[0].base
         assert np.array_equal(rebuilt[0], first[0])
         assert np.array_equal(rebuilt[1], first[1])
-        assert [k[0] for k in gfpd._MIXTURE_CACHE] == [0.7, 0.3]
+        assert list(gfpd._NODE_CACHE) == [0.7, 0.3]
         # a hit moves its set to the recent end: the next eviction passes it
-        kept = gfpd._MIXTURE_CACHE[(0.7, round(1.3**12, 6))]
-        assert gfpd._mixture_node_sets(0.7, [12])[0] is kept
-        assert [k[0] for k in gfpd._MIXTURE_CACHE] == [0.3, 0.7]
-        gfpd._mixture_node_sets(0.5, [12])[0]
-        assert [k[0] for k in gfpd._MIXTURE_CACHE] == [0.7, 0.5]
-        assert gfpd._mixture_node_sets(0.7, [12])[0] is kept
-        again = gfpd._mixture_node_sets(0.3, [12])[0]
+        kept = gfpd._NODE_CACHE[0.7]
+        gfpd._mixture_nodes(0.7, 50.0)
+        assert gfpd._NODE_CACHE[0.7] is kept
+        assert list(gfpd._NODE_CACHE) == [0.3, 0.7]
+        gfpd._mixture_nodes(0.5, 50.0)
+        assert list(gfpd._NODE_CACHE) == [0.7, 0.5]
+        assert gfpd._NODE_CACHE[0.7] is kept
+        again = gfpd._mixture_nodes(0.3, 50.0)
         assert np.array_equal(again[0], first[0])
         assert np.array_equal(again[1], first[1])
 

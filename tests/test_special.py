@@ -1,6 +1,9 @@
 """Special-function tests against closed forms and brute-force oracles."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from itertools import combinations
 
@@ -32,6 +35,7 @@ from countfam.special import (
     _KANTER_EDGE,
     _KANTER_NODES,
     _M_WRIGHT_ZERO_LOG,
+    _kanter_log_a,
     _kanter_log_a0,
     _kanter_z0,
     _leggauss,
@@ -50,7 +54,7 @@ def _fit_nodes(alpha):
     seed: its smallest grid mu."""
     data = CountData.from_values(renewal_fpd(0.85, 3.6, 5000, RngStream(1000)).values)
     mu = min(m for a, m in _fpd_grid(data) if a == alpha)
-    ys, _ = gfpd._mixture_node_sets(alpha, [int(gfpd._cutoff_step(alpha, mu, data.max_value))])[0]
+    ys, _ = gfpd._mixture_nodes(alpha, gfpd._cutoff(alpha, mu, data.max_value))
     return ys
 
 
@@ -190,11 +194,9 @@ def _kanter_rows_bisect(alpha, ys):
     def log_a(s):
         eps = np.exp(s)
         u = np.maximum(math.pi - eps, 1e-300)
-        return (
-            (alpha * c) * np.log(np.sin(alpha * u))
-            + np.log(np.sin((1.0 - alpha) * u))
-            - c * np.log(np.sin(np.minimum(u, eps)))
-        )
+        sin_u = np.sin(np.minimum(u, eps))
+        sin_au = np.sin(np.minimum(alpha * u, (1.0 - alpha) * math.pi + alpha * eps))
+        return (alpha * c) * np.log(sin_au / sin_u) + np.log(np.sin((1.0 - alpha) * u) / sin_u)
 
     def log_f(la):
         return la - np.exp(np.minimum(la + log_yc, OVERFLOW_LOG))
@@ -537,9 +539,10 @@ class TestMWright:
         # z0 = log(a0 Y) spans the Kanter domain: m_wright sends the integral
         # every row from z0 = -4, values fall below 1e-290 near z0 = 6.6,
         # and the bound certifies 0 from about 6.7.  Beyond 1e-11,
-        # both sides carry the rounding of log a, a difference of terms of
-        # size c = 1/(1-a): the integrand's factor e^(-a Y) turns an error d
-        # in log a into a relative error a Y d, with a Y ~ e^z0
+        # both sides carry the rounding of log a, within a few c eps
+        # (c = 1/(1-a), test_kanter_log_a_matches_mpmath): the integrand's
+        # factor e^(-a Y) turns an error d in log a into a relative error
+        # a Y d, with a Y ~ e^z0
         z0 = np.array(z0)
         ys = _kanter_ys(alpha, z0)
         ref = _kanter_rows_bisect(alpha, ys)
@@ -548,6 +551,24 @@ class TestMWright:
         keep = ref > 1e-290
         tol = 1e-11 + 4.0 * np.exp(np.maximum(z0, 0.0)) / (1.0 - alpha) * 2.0**-52
         assert np.all(np.abs(got - ref)[keep] <= (tol * ref)[keep])
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.986, 0.99, 0.999])
+    def test_kanter_log_a_matches_mpmath(self, alpha):
+        # log a in ratio form keeps the terms of size c log sin u, which
+        # cancel, out of its sum: within 8 c eps of 60-digit mpmath at the
+        # float s, where the difference form was 10 to 580 c eps off at
+        # alpha >= 0.9 (1.3e-10 at alpha = 0.999)
+        s = np.random.default_rng(43).uniform(-8.0, math.log(math.pi), 200)
+        c = 1.0 / (1.0 - alpha)
+        with mp.workdps(60):
+            a = mp.mpf(alpha)
+            want = []
+            for v in s.tolist():
+                u = mp.pi - mp.exp(mp.mpf(v))
+                want.append(float(a / (1 - a) * mp.log(mp.sin(a * u) / mp.sin(u))
+                                  + mp.log(mp.sin((1 - a) * u) / mp.sin(u))))
+        err = np.abs(_kanter_log_a(alpha, s) - np.array(want))
+        assert err.max() <= 8.0 * c * 2.0**-52, err.max()
 
     def test_integral_returns_no_subnormals(self):
         # past the underflow the nodes' rounding decides which subnormal
@@ -646,6 +667,48 @@ class TestMWright:
         with pytest.raises(DomainError):
             m_wright(0.5, -1.0)
 
+
+
+class TestLeggauss:
+    @pytest.mark.parametrize("n", [1, 2, 5, 32, 80])
+    def test_matches_mpmath_rule(self, n):
+        # each node refined from its float value to a root of P_n at 30
+        # digits, with the weight 2 / ((1 - x^2) P_n'(x)^2) there
+        x, w = _leggauss(n)
+        assert np.all(np.diff(x) > 0.0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert not (x.flags.writeable or w.flags.writeable)
+        with mp.workdps(30):
+            for xi, wi in zip(x.tolist(), w.tolist()):
+                r = mp.mpf(xi)
+                for _ in range(4):
+                    dp = n * (r * mp.legendre(n, r) - mp.legendre(n - 1, r)) / (r * r - 1)
+                    r -= mp.legendre(n, r) / dp
+                dp = n * (r * mp.legendre(n, r) - mp.legendre(n - 1, r)) / (r * r - 1)
+                assert abs(mp.legendre(n, r) / dp) < mp.mpf(10) ** -28
+                assert abs(xi - r) <= 2.0**-52
+                assert abs(wi / (2 / ((1 - r * r) * dp * dp)) - 1) <= 1e-13
+
+    def test_rules_leave_other_threads_idle(self):
+        # in a fresh process, once the threads that start with NumPy have
+        # settled: building the rules and one node set runs no eigenvalue
+        # solver, whose call would leave OpenBLAS's threads spinning for
+        # about 0.13 s of CPU
+        src = os.path.dirname(os.path.dirname(os.path.abspath(special.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import time\n"
+            "from countfam import gfpd, special\n"
+            "time.sleep(0.5)\n"
+            "p0, t0 = time.process_time(), time.thread_time()\n"
+            "special._leggauss(32), special._leggauss(80)\n"
+            "gfpd._mixture_nodes(0.7, 50.0)\n"
+            "time.sleep(0.2)\n"
+            "print((time.process_time() - p0) - (time.thread_time() - t0))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True)
+        assert float(out.stdout) < 0.02
 
 
 # The float64 series' error against mpmath is at most _SERIES_C eps times
