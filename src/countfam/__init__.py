@@ -15,6 +15,7 @@ from .baselines import (
     genpoisson_factorial_moments,
     genpoisson_pmf,
     genpoisson_pmf_table,
+    genpoisson_summary,
     negbinom_pmf,
     negbinom_pmf_table,
     negbinom_skewness,

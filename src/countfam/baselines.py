@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .moments import FactorialMomentSequence
+from .moments import FactorialMomentSequence, SummaryStats, summary_from_factorial
 from .special import CONSECUTIVE, REL_TOL
 
 
@@ -219,6 +219,24 @@ def genpoisson_factorial_moments(p: GenPoissonParams, K: int) -> FactorialMoment
                     raise DomainError("factorial moment series failed to converge")
             a.append(math.fsum(terms))
     return FactorialMomentSequence(tuple(a))
+
+
+def genpoisson_summary(p: GenPoissonParams) -> SummaryStats:
+    """Mean, variance, skewness and Fisher index.
+
+    For lambda2 >= 0 Consul's closed forms: mean lambda1 / (1 - lambda2),
+    variance lambda1 / (1 - lambda2)^3 and skewness
+    (1 + 2 lambda2) / sqrt(lambda1 (1 - lambda2)), which hold where the
+    factorial-moment series needs more terms than its budget allows.  For
+    lambda2 < 0 the support is truncated at M and the finite series serves.
+    """
+    if p.lambda2 < 0:
+        return summary_from_factorial(genpoisson_factorial_moments(p, 3))
+    q = 1.0 - p.lambda2
+    mean = p.lambda1 / q
+    variance = p.lambda1 / q**3
+    skewness = (1.0 + 2.0 * p.lambda2) / math.sqrt(p.lambda1 * q)
+    return SummaryStats(mean, variance, skewness, variance / mean)
 
 
 def _gp_term(p: GenPoissonParams, r: int, k: int) -> float:

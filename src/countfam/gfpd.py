@@ -14,7 +14,8 @@ Probabilities come from three routes that cross-check each other:
   high-precision gamma table per (alpha, beta);
 * a positive-integrand mixture quadrature over the inverse-stable density
   (the classical fractional slice and the plane beta = alpha delta), immune
-  to cancellation and cheap enough for grid fitting;
+  to cancellation and cheap enough for grid fitting, and off the plane, in
+  a box of (alpha, mu), a beta mixture of its plane rows;
 * Monte Carlo over one-sided stable variates: an unbiased average of the
   Poisson kernel over weighted draws of the mixing variable Y = V^alpha Z0,
   V beta-distributed and Z0 inverse-stable, with a true standard error for
@@ -152,10 +153,14 @@ def _rows_f64(p: GfpdParams, xs: np.ndarray, jcap: int):
 
 
 # A high-precision row is accumulated in Python-int fixed point with
-# _FIX_BITS fraction bits (~30 digits, the margin `_mp_plan` keeps below the
-# largest term) plus _GUARD_BITS against rounding along the way.
+# _FIX_BITS fraction bits (~30 digits) plus _GUARD_BITS against rounding
+# along the way.  `_mp_plan` ends a row where its terms, past the largest,
+# fall below that resolution, 2^-_FIX_BITS ~ 7.9e-31: the alternating tail
+# left out is smaller than its first term, so a row above 1e-20 keeps ten
+# digits.
 _FIX_BITS = 100
 _GUARD_BITS = 32
+_MP_CUT_LOG = -_FIX_BITS * math.log(2.0)
 
 # per-(alpha, beta) values 1/Gamma(alpha m + beta), m = 0, 1, ..., with the
 # bits each was computed to.  A value is recomputed only when a row needs
@@ -247,7 +252,7 @@ def _mp_plan(p: GfpdParams, xs, probe_cap=60_000):
         logmag = _row_logmag(p, xs, jcap)
         maxlog = logmag.max(axis=1)
         pk = logmag.argmax(axis=1)
-        done = (logmag[:, -1] < -45.0) & (pk < jcap - 1)
+        done = (logmag[:, -1] < _MP_CUT_LOG) & (pk < jcap - 1)
         if done.all() or jcap >= probe_cap:
             break
         jcap *= 2
@@ -259,7 +264,7 @@ def _mp_plan(p: GfpdParams, xs, probe_cap=60_000):
     jend = np.empty(len(xs), dtype=int)
     dps = np.empty(len(xs), dtype=int)
     for i in range(len(xs)):
-        below = np.nonzero(logmag[i, pk[i]:] < -45.0)[0]
+        below = np.nonzero(logmag[i, pk[i]:] < _MP_CUT_LOG)[0]
         jend[i] = int(pk[i]) + int(below[0])
         # digits that keep ~30 below the largest term; `_rows_mp` sizes
         # each term's bits itself, so this decides only feasibility
@@ -375,7 +380,7 @@ def gfpd_pmf_table(
 
 def _build_pmf_table(p, x_max, method, tail_tol) -> np.ndarray:
     # evaluate(xs, x_end) gives the rows xs of a chunk that spans up to x_end;
-    # only the quadrature reads x_end, to pick its node set
+    # only the quadratures read x_end, to pick their node sets
     quadrature = lambda xs, x_end: _quadrature_pmf(p.alpha, p.beta, p.delta, p.mu, xs, x_end)
     if p.geometric_limit or p.alpha == 1.0:
         evaluate = lambda xs, x_end: np.array([gfpd_pmf(p, int(x)) for x in xs])
@@ -384,6 +389,10 @@ def _build_pmf_table(p, x_max, method, tail_tol) -> np.ndarray:
         # when beta = alpha delta, giving a cancellation-free positive
         # quadrature for the whole table
         evaluate = quadrature
+    elif method == "auto" and not p.is_fpd and _in_beta_mixture_box(p):
+        evaluate = _whole_chunks(
+            lambda xs, x_end: _beta_mixture_pmf(p.alpha, p.beta, p.delta, p.mu, xs, x_end)
+        )
     else:
         evaluate = lambda xs, x_end: _pmf_rows(p, xs, method=method)
     try:
@@ -512,6 +521,111 @@ def _quadrature_pmf(alpha, beta, delta, mu, xs, x_max=None):
     return np.exp(log_pref + _mixture_logpmf(alpha, mu, xs, y_power, x_max))
 
 
+# The beta-mixture route serves the off-plane tables with alpha in
+# [_BETA_MIX_ALPHA_MIN, _BETA_MIX_ALPHA_MAX] and mu in
+# [e^-_BETA_DEPTH, _BETA_MIX_MU_MAX].  There every table is checked against
+# the high-precision series, whose cost grows like mu^(1/alpha) (3 s at
+# alpha = 0.3, mu = 5, refused at mu = 20), and the lattice's plane rows are
+# within 5e-11 of 60-digit sums down to 1e-20; alpha = 0.99 is where the
+# lattice's fitting grid ends, and below mu = e^-46 the rule's first node
+# would leave the float range.  Elsewhere the series serves, until the
+# lattice is certified at large mu.
+_BETA_MIX_ALPHA_MIN = 0.3
+_BETA_MIX_ALPHA_MAX = 0.99
+_BETA_MIX_MU_MAX = 5.0
+# The rule is Gauss-Legendre panels of _BETA_NODES nodes in s = log(v/(1-v)):
+# panels _BETA_STEP wide on [-_BETA_CORE, _BETA_CORE], then each twice as
+# wide as the last out to the ends, where e^s or e^-s is e^-_BETA_DEPTH.
+_BETA_NODES = 12
+_BETA_STEP = 2.0
+_BETA_CORE = 4.0
+_BETA_DEPTH = 46.0
+
+
+def _in_beta_mixture_box(p: GfpdParams) -> bool:
+    return (_BETA_MIX_ALPHA_MIN <= p.alpha <= _BETA_MIX_ALPHA_MAX
+            and math.exp(-_BETA_DEPTH) <= p.mu <= _BETA_MIX_MU_MAX)
+
+
+def _graded_edges(end):
+    """Panel edges from 0 out to ``end``: _BETA_STEP apart up to _BETA_CORE,
+    then each panel twice as wide as the last, the final one cut at ``end``."""
+    edges = np.arange(0.0, _BETA_CORE + 0.5 * _BETA_STEP, _BETA_STEP).tolist()
+    width = _BETA_STEP
+    while edges[-1] < end:
+        width *= 2.0
+        edges.append(min(edges[-1] + width, end))
+    return np.array(edges)
+
+
+def _beta_mixture_rule(alpha, beta, delta, mu):
+    """(log w, log weight) of a rule for E g(W), W = V^alpha and
+    V ~ Beta(a, b), a = alpha delta, b = beta - alpha delta.
+
+    The nodes lie in s = log(v / (1 - v)), where the Beta density times
+    dv/ds is v^a (1 - v)^b / B(a, b), smooth and without the endpoint powers
+    that make 1 - w^(1/alpha) rough at w = 0 and the mass pile up at either
+    end when a or b is small.  The panels grow geometrically in v towards 0
+    and in 1 - v towards 1.  They stop where mu w or 1 - v is e^-46; the
+    first and last node sit on those cuts and carry the mass beyond them,
+    v^a / a and (1 - v)^b / b over B(a, b) to a factor 1 + O(e^-46), so the
+    weights sum to 1.  Lumping the mass below the first node moves a row
+    by at most about e^-46 times the plane law's mean, absolute, and the
+    mass above the last by about (x + mu) e^-46, relative.
+    """
+    a, b = alpha * delta, beta - alpha * delta
+    s_lo = min(-(_BETA_DEPTH + math.log(mu)) / alpha, -_BETA_DEPTH)
+    edges = np.concatenate([-_graded_edges(-s_lo)[::-1], _graded_edges(_BETA_DEPTH)[1:]])
+    gx, gw = _leggauss(_BETA_NODES)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    s = np.concatenate([edges[:1], (half * gx + mid).ravel(), edges[-1:]])
+    log_v = -np.logaddexp(0.0, -s)
+    log_u = -np.logaddexp(0.0, s)
+    log_wt = a * log_v + b * log_u - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    log_wt[1:-1] += np.log((half * gw).ravel())
+    log_wt[0] -= math.log(a)
+    log_wt[-1] -= math.log(b)
+    return alpha * log_v, log_wt
+
+
+def _beta_mixture_pmf(alpha, beta, delta, mu, xs, x_end=None):
+    """pmf rows of the law off the plane as a beta mixture of plane laws.
+
+    With Y = V^alpha Z (see `_mixing_draws`) and W = V^alpha,
+    P(x) = E Q(x; mu W), Q the plane law at (alpha, alpha delta, delta).  The
+    plane rows at every node mu w_i come from one ``_mixture_logpmf`` call,
+    and the rows are their weighted sum over `_beta_mixture_rule`'s nodes: a
+    sum of positive terms, so nothing cancels.
+    """
+    log_w, log_wt = _beta_mixture_rule(alpha, beta, delta, mu)
+    _, log_pref = _mixing_weight(alpha, alpha * delta, delta)
+    rows = _mixture_logpmf(alpha, mu * np.exp(log_w), xs, delta, x_end, one_thread=True)
+    rows += (log_wt + log_pref)[:, None]
+    return np.exp(rows, out=rows).sum(axis=0)
+
+
+def _whole_chunks(rows):
+    """evaluate(xs, x_end) that computes a chunk's rows once, from the first
+    row asked for up to x_end, and serves later pieces of the chunk from them.
+
+    A batched product rounds an element differently as its number of
+    columns changes, so this keeps each row's bits whatever pieces
+    ``adaptive_pmf_table`` takes the chunk in.
+    """
+    done = {}
+
+    def evaluate(xs, x_end):
+        x0, vals = done.get(x_end, (None, None))
+        if x0 is None or xs[0] < x0:
+            x0 = int(xs[0])
+            vals = rows(np.arange(x0, x_end + 1), x_end)
+            done[x_end] = (x0, vals)
+        return vals[np.asarray(xs) - x0]
+
+    return evaluate
+
+
 def fpd_pmf_quadrature(alpha: float, mu, xs) -> np.ndarray:
     """Classical fractional pmf on an array of x values by mixture quadrature.
 
@@ -544,7 +658,7 @@ def aa1_pmf_quadrature(alpha: float, mu, xs) -> np.ndarray:
 _SPREAD_MAX = 300.0
 
 
-def _mixture_logpmf(alpha, mu, xs, y_power, x_max=None):
+def _mixture_logpmf(alpha, mu, xs, y_power, x_max=None, one_thread=False):
     """log sum_j w_j y_j^y_power Poisson(x; mu y_j) over the mixing nodes, at
     the counts ``xs``; one row per mu.
 
@@ -554,7 +668,8 @@ def _mixture_logpmf(alpha, mu, xs, y_power, x_max=None):
     support 0..x_max, by default the largest of ``xs``.  A single mu reads
     the prefix of its own cutoff, and a batch the longest of its rows'
     prefixes; its further nodes lie past the other rows' own cutoffs, so
-    batched rows agree with one-row calls to about 1e-12.
+    batched rows agree with one-row calls to about 1e-12.  ``one_thread``
+    takes each chunk's product in `_matmul_one_thread`'s blocks.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError("mixture quadrature requires alpha in (0, 1)")
@@ -596,12 +711,31 @@ def _mixture_logpmf(alpha, mu, xs, y_power, x_max=None):
         np.maximum(log_b, -700.0, out=log_b)
         b = np.exp(log_b, out=log_b)
         a = np.exp(np.multiply.outer(mu0 - mus[start:stop], ys))
-        log_rows = np.log(a @ b.T, out=out[start:stop])
+        product = _matmul_one_thread(a, b.T) if one_thread else a @ b.T
+        log_rows = np.log(product, out=out[start:stop])
         log_rows += shift + c_x
         log_rows += np.multiply.outer(np.log(mus[start:stop] / mu0), xf)
         start = stop
     rows = out[inverse]
     return rows[0] if mu.ndim == 0 else rows
+
+
+# OpenBLAS splits a product of m n k multiply-adds over threads from
+# _ONE_THREAD_MNK on.  On a 2-core machine whose other core was busy the
+# threaded product of a (258 x 203) and a (203 x 64) matrix took 8 ms,
+# against 0.12 ms on one thread; on a quiet one the beta-mixture tables
+# took the same wall time threaded at twice the CPU time.
+_ONE_THREAD_MNK = 2**19
+
+
+def _matmul_one_thread(a, b):
+    """a @ b, in blocks of rows of ``a`` small enough that OpenBLAS takes
+    each on the calling thread."""
+    m, k = a.shape
+    rows = max(1, (_ONE_THREAD_MNK - 1) // (k * b.shape[1]))
+    if rows >= m:
+        return a @ b
+    return np.concatenate([a[i:i + rows] @ b for i in range(0, m, rows)])
 
 
 def _cutoff(alpha, mu, x_max):

@@ -33,9 +33,9 @@ from . import gfpd
 from .baselines import (  # noqa: F401
     GenPoissonParams,
     NegBinomParams,
-    genpoisson_factorial_moments,
     genpoisson_logpmf_rows,
     genpoisson_pmf,
+    genpoisson_summary,
     negbinom_logpmf,
     negbinom_logpmf_rows,
     negbinom_score,
@@ -43,7 +43,7 @@ from .baselines import (  # noqa: F401
 )
 from .errors import DomainError, EvaluationError
 from .gfpd import GfpdParams, fpd_pmf_quadrature, gfpd_summary  # noqa: F401
-from .moments import SummaryStats, log_rows_table, summary_from_factorial
+from .moments import SummaryStats, log_rows_table
 from .sampling import _inverse_cdf, sample_fpd
 from .wpd import (  # noqa: F401
     SLICE_PARAMS,
@@ -398,8 +398,7 @@ LAWS = {s.name: s for s in (
     ),
     ModelSpec(
         "genpoisson", ("lambda1", "lambda2"),
-        summary=lambda theta: summary_from_factorial(
-            genpoisson_factorial_moments(GenPoissonParams(*theta), 3)),
+        summary=lambda theta: genpoisson_summary(GenPoissonParams(*theta)),
         log_rows=_genpoisson_log_rows, bounds=(_POS, (-1.0 + 1e-9, 1.0 - 1e-9)),
         init=_init_genpoisson,
     ),

@@ -14,6 +14,7 @@ from countfam import (
     genpoisson_factorial_moments,
     genpoisson_pmf,
     genpoisson_pmf_table,
+    genpoisson_summary,
     negbinom_pmf,
     negbinom_pmf_table,
     negbinom_skewness,
@@ -119,6 +120,29 @@ class TestGenPoissonSummary:
         got = summary_from_factorial(genpoisson_factorial_moments(law, 3))
         for name in ("mean", "variance", "skewness", "fisher_index"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-8), name
+
+
+    @pytest.mark.parametrize("l1, l2", [(1e-6, 0.5), (2.0, 0.3), (0.6334, 0.543), (50.0, 0.8),
+                                        (2.0, 0.0), (1.0, 0.9), (1e-3, 0.95)])
+    def test_closed_forms_match_series(self, l1, l2):
+        p = GenPoissonParams(l1, l2)
+        got = genpoisson_summary(p)
+        want = summary_from_factorial(genpoisson_factorial_moments(p, 3))
+        for name in ("mean", "variance", "skewness", "fisher_index"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-10), name
+
+    def test_closed_forms_past_the_series_budget(self):
+        # the series needs about 700,000 terms here (test_factorial_moments_budget)
+        s = genpoisson_summary(GenPoissonParams(1e-6, 0.99))
+        assert s.mean == pytest.approx(1e-4, rel=1e-12)
+        assert s.variance == pytest.approx(1.0, rel=1e-12)
+        assert s.skewness == pytest.approx(2.98 / 1e-4, rel=1e-12)
+        assert s.fisher_index == pytest.approx(1e4, rel=1e-12)
+
+    @pytest.mark.parametrize("l1, l2", [(5.0, -0.2), (4.0, -0.5)])
+    def test_truncated_support_keeps_series(self, l1, l2):
+        p = GenPoissonParams(l1, l2)
+        assert genpoisson_summary(p) == summary_from_factorial(genpoisson_factorial_moments(p, 3))
 
 
 class TestGenPoisson:

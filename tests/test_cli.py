@@ -14,16 +14,15 @@ from countfam import (
     NegBinomParams,
     RngStream,
     SummaryStats,
-    genpoisson_factorial_moments,
     genpoisson_pmf,
     genpoisson_pmf_table,
+    genpoisson_summary,
     gfpd_pmf_table,
     gfpd_summary,
     make_special_case,
     negbinom_pmf,
     negbinom_pmf_table,
     negbinom_skewness,
-    summary_from_factorial,
     sample_fpd,
     sample_wpd,
     wpd_pmf,
@@ -244,6 +243,16 @@ class TestMomentsCommand:
             assert row["mean"] == pytest.approx(2.0 / 0.7, rel=1e-10)
         assert row["variance"] > 0.0
 
+    def test_genpoisson_moments_past_the_series_budget(self, capsys):
+        # the factorial-moment series would need about 700,000 terms
+        code, out, err = run_cli(
+            ["moments", "--model", "genpoisson", "--lambda1", "1e-6", "--lambda2", "0.99",
+             "--output-format", "json"], capsys)
+        assert code == 0, err
+        row = json.loads(out)[0]
+        assert row["mean"] == pytest.approx(1e-4, rel=1e-12)
+        assert row["variance"] == pytest.approx(1.0, rel=1e-12)
+
 
 class TestExitCodes:
     def test_parse_error(self, tmp_path, capsys):
@@ -412,8 +421,7 @@ def _library_summary(model):
         p = NegBinomParams(f["r"], f["p"])
         return SummaryStats(p.mean, p.variance, negbinom_skewness(p), 1.0 / p.p)
     if model == "genpoisson":
-        p = GenPoissonParams(f["lambda1"], f["lambda2"])
-        return summary_from_factorial(genpoisson_factorial_moments(p, 3))
+        return genpoisson_summary(GenPoissonParams(f["lambda1"], f["lambda2"]))
     return wpd_summary(make_special_case(model, **f))
 
 

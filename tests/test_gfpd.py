@@ -1,5 +1,6 @@
 """Generalized fractional Poisson family: reductions, moments, representations."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -153,16 +154,36 @@ def _rows_f64_oracle(p, xs, jcap):
     return pmf, maxlog, decayed
 
 
-# criterion 04's grid without its three alpha = 0.3, mu = 5 off-plane points,
-# whose high-precision tables take seconds each
-TABLE_GRID = [
+# criterion 04's grid
+CRITERION_04_GRID = [
     GfpdParams(alpha, beta, frac * beta / alpha, mu)
     for alpha in (0.3, 0.6, 0.9)
     for beta in (0.3, 0.6, 0.9)
     for frac in (0.5, 1.0)
     for mu in (0.5, 2.0, 5.0)
-    if not (alpha == 0.3 and frac == 0.5 and mu == 5.0)
 ]
+# its 27 off-plane points (frac = 0.5)
+OFFPLANE_GRID = [p for p in CRITERION_04_GRID if abs(p.beta - p.alpha * p.delta) >= 1e-12]
+# the grid without its three alpha = 0.3, mu = 5 off-plane points, whose
+# high-precision series tables take seconds each
+TABLE_GRID = [p for p in CRITERION_04_GRID
+              if not (p.alpha == 0.3 and p.mu == 5.0 and p in OFFPLANE_GRID)]
+
+
+def series_table(p, tail_tol=1e-14):
+    """The adaptive table of the series route (`gfpd._pmf_rows`), which
+    `gfpd_pmf` takes, and tables outside the beta-mixture box."""
+    return moments.adaptive_pmf_table(lambda xs, x_end: gfpd._pmf_rows(p, xs), None, tail_tol)
+
+
+def hp_series_rows(p, xs):
+    """Every row by the high-precision series, with its term cut at the
+    fixed-point resolution: the oracle of the beta-mixture tables.  The
+    float64 rows of `gfpd._pmf_rows` are kept 1e8 above their noise floor
+    only, which leaves them up to ~5e-8 off."""
+    xs = np.asarray(xs)
+    jend, _ = _mp_plan(p, xs)
+    return _rows_mp(p, xs, jend)
 
 
 class TestParams:
@@ -209,7 +230,7 @@ class TestReductions:
 class TestSeriesEngine:
     def test_normalization_small_grid(self):
         for p in small_grid():
-            table = gfpd_pmf_table(p)
+            table = series_table(p)
             assert float(table.sum()) == pytest.approx(1.0, abs=1e-8), p
 
     def test_table_matches_scalar(self):
@@ -224,13 +245,29 @@ class TestSeriesEngine:
 
     def test_auto_survives_hostile(self):
         p = GfpdParams(0.3, 0.9, 1.5, 5.0)
-        table = gfpd_pmf_table(p)
+        table = series_table(p)
         assert float(table.sum()) == pytest.approx(1.0, abs=1e-8)
         assert (table >= 0).all()
 
     def test_huge_mu_refused_toward_mc(self):
         with pytest.raises(EvaluationError):
             gfpd_pmf(GfpdParams.fpd(0.85, 3607.0), 3600)
+
+    # rows near or below e^-45 that the high-precision series lost while it
+    # cut each row at that absolute size; the values are mpmath sums with 40
+    # and 100 guard digits past the largest term, which agree to 1e-52
+    @pytest.mark.parametrize("params, x, want", [
+        ((0.9, 0.6, 1 / 3, 5.0), 44, 2.1839765811322358e-21),
+        ((0.3, 0.6, 1.0, 0.5), 35, 2.7625300816574883e-21),
+        ((0.9, 0.3, 1 / 6, 5.0), 44, 3.3044240751518757e-21),
+        ((0.3, 0.3, 0.5, 2.0), 56, 2.8840204887306941e-14),
+    ])
+    def test_tail_rows_match_mpmath(self, params, x, want):
+        p = GfpdParams(*params)
+        assert gfpd_pmf(p, x) == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert hp_series_rows(p, [x])[0] == pytest.approx(want, rel=1e-9, abs=0.0)
+        # the beta-mixture table
+        assert gfpd_pmf_table(p)[x] == pytest.approx(want, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("beta", [0.3, 0.6, 0.9])
     def test_integer_resummation_matches_mpmath(self, beta):
@@ -271,14 +308,13 @@ class TestSeriesEngine:
         assert np.array_equal(pmf, want_pmf, equal_nan=True)
 
     def test_tables_match_dense_oracle(self, monkeypatch):
-        monkeypatch.setattr(gfpd, "_TABLE_CACHE", {})
-        fast = [gfpd_pmf_table(p) for p in TABLE_GRID]
-        monkeypatch.setattr(gfpd, "_TABLE_CACHE", {})
+        grid = [p for p in TABLE_GRID if p in OFFPLANE_GRID]
+        fast = [series_table(p) for p in grid]
         monkeypatch.setattr(gfpd, "_row_logmag", _row_logmag_oracle)
         monkeypatch.setattr(gfpd, "_rows_f64", _rows_f64_oracle)
-        dense = [gfpd_pmf_table(p) for p in TABLE_GRID]
-        assert len(fast) == 51
-        for p, got, want in zip(TABLE_GRID, fast, dense):
+        dense = [series_table(p) for p in grid]
+        assert len(fast) == 24
+        for p, got, want in zip(grid, fast, dense):
             assert np.array_equal(got, want), p
 
     def test_table_refuses_negative_x_max(self):
@@ -290,11 +326,9 @@ class TestSeriesEngine:
         # the warm build serves its first chunk from higher-precision entries
         p = GfpdParams(0.3, 0.3, 0.5, 5.0)
         monkeypatch.setattr(gfpd, "_MP_GAMMA_CACHE", {})
-        monkeypatch.setattr(gfpd, "_TABLE_CACHE", {})
-        cold = gfpd_pmf_table(p)
-        gfpd._TABLE_CACHE.clear()
-        warm = gfpd_pmf_table(p)
-        assert warm is not cold
+        cold = series_table(p)
+        assert (0.3, 0.3) in gfpd._MP_GAMMA_CACHE
+        warm = series_table(p)
         assert np.array_equal(cold, warm)
 
     def test_table_cache_evicts_oldest(self, monkeypatch):
@@ -405,20 +439,40 @@ def _doubling_end(x):
 
 
 class TestAdaptiveCut:
+    @staticmethod
+    def _check_offplane_table(p, tail_tol):
+        # the beta-mixture table ends where the series' would and matches
+        # it to rtol 1e-9 wherever the value exceeds 1e-20
+        assert gfpd._in_beta_mixture_box(p) and not p.is_fpd
+        got = gfpd_pmf_table(p, tail_tol=tail_tol)
+        want = _run_adaptive_oracle(lambda xs, x_end: hp_series_rows(p, xs), None, tail_tol, 10)
+        assert len(got) == _rule_end(want, tail_tol, 10) + 1
+        want = want[: len(got)]
+        big = want > 1e-20
+        np.testing.assert_allclose(got[big], want[big], rtol=1e-9, atol=0.0)
+        assert np.all(got[~big] < 2e-20)
+        assert abs(math.fsum(got) - 1.0) <= 1e-10
+
     @settings(max_examples=16, deadline=None, derandomize=True)
     @given(
-        alpha=st.floats(0.3, 0.95),
-        beta=st.floats(0.3, 1.0),
-        frac=st.floats(0.1, 0.9),
-        mu=st.floats(0.1, 3.0),
+        alpha=st.floats(gfpd._BETA_MIX_ALPHA_MIN, gfpd._BETA_MIX_ALPHA_MAX),
+        beta=st.floats(0.01, 1.0),
+        # beta - alpha delta from beta 1e-10 up, log-uniform, and delta >= 1e-3
+        log_gap=st.floats(-10.0, 0.0),
+        mu=st.floats(0.01, gfpd._BETA_MIX_MU_MAX),
         tail_tol=st.sampled_from([1e-14, 1e-16]),
     )
-    def test_offplane_table_is_oracle_prefix(self, alpha, beta, frac, mu, tail_tol):
-        p = GfpdParams(alpha, beta, frac * beta / alpha, mu)
-        got = gfpd_pmf_table(p, tail_tol=tail_tol)
-        want = _run_adaptive_oracle(lambda xs, x_end: gfpd._pmf_rows(p, xs), None, tail_tol, 10)
-        assert len(got) == _rule_end(want, tail_tol, 10) + 1
-        assert np.array_equal(got, want[: len(got)])
+    @example(alpha=0.3, beta=1.0, log_gap=0.0, mu=5.0, tail_tol=1e-16)
+    @example(alpha=0.99, beta=0.01, log_gap=-8.0, mu=5.0, tail_tol=1e-14)
+    @example(alpha=0.3, beta=0.6, log_gap=-10.0, mu=0.01, tail_tol=1e-16)
+    def test_offplane_table_is_oracle_prefix(self, alpha, beta, log_gap, mu, tail_tol):
+        gap = min(beta * 10.0**log_gap, beta - alpha * 1e-3)
+        p = GfpdParams(alpha, beta, (beta - gap) / alpha, mu)
+        self._check_offplane_table(p, tail_tol)
+
+    @pytest.mark.parametrize("p", OFFPLANE_GRID, ids=str)
+    def test_grid_offplane_table_is_oracle_prefix(self, p):
+        self._check_offplane_table(p, 1e-14)
 
     def test_grid_evaluates_nothing_past_a_finished_run(self, monkeypatch):
         monkeypatch.setattr(gfpd, "_TABLE_CACHE", {})
@@ -566,6 +620,57 @@ class TestAdaptiveCut:
             gfpd_pmf_table(p)
         # a fixed support may hold less than the whole mass and is not checked
         assert len(gfpd_pmf_table(p, x_max=40)) == 41
+
+
+class TestBetaMixtureRoute:
+    def test_grid_tables_take_no_high_precision_rows(self, monkeypatch):
+        # criterion 04's and 06's tables
+        monkeypatch.setattr(gfpd, "_TABLE_CACHE", {})
+        calls = []
+        real = gfpd._rows_mp
+        monkeypatch.setattr(gfpd, "_rows_mp", lambda *args: calls.append(args) or real(*args))
+        for tail_tol in (1e-14, 1e-16):
+            for p in CRITERION_04_GRID:
+                assert abs(math.fsum(gfpd_pmf_table(p, tail_tol=tail_tol)) - 1.0) < 1e-10
+        assert len(CRITERION_04_GRID) == 54
+        assert calls == []
+
+    def test_no_nan_rows_at_sweep_points(self):
+        # the CLI sweep's gfpd points, and the box's alpha ends at its beta,
+        # delta and mu ends and at a mu below it, with beta - alpha delta
+        # also just above the plane's 1e-12; a fixed support has no mass
+        # check
+        from test_cli import SWEEP_VALUES
+
+        points = list(itertools.product(
+            (*SWEEP_VALUES["alpha"], gfpd._BETA_MIX_ALPHA_MIN, gfpd._BETA_MIX_ALPHA_MAX),
+            SWEEP_VALUES["beta"], SWEEP_VALUES["delta"],
+            (*SWEEP_VALUES["mu"], gfpd._BETA_MIX_MU_MAX, 1e-300),
+        ))
+        for alpha in (gfpd._BETA_MIX_ALPHA_MIN, gfpd._BETA_MIX_ALPHA_MAX):
+            for beta in (1e-3, 1.0):
+                points.append((alpha, beta, (beta - 2e-12) / alpha, 1.0))
+        served = 0
+        for alpha, beta, delta, mu in points:
+            if alpha >= 0.99 and mu == 1e3:
+                continue  # the series near alpha = 1 at large mu takes seconds
+            try:
+                p = GfpdParams(alpha, beta, delta, mu)
+                table = gfpd_pmf_table(p, x_max=30)
+            except (DomainError, EvaluationError):
+                continue
+            assert not np.isnan(table).any(), p
+            served += gfpd._in_beta_mixture_box(p) and not p.is_fpd
+        assert served >= 10
+
+    @pytest.mark.parametrize("alpha, beta, delta, mu", [
+        (0.3, 1.0, 1e-3, 5.0), (0.99, 1e-3, (1e-3 - 2e-12) / 0.99, 1e-6), (0.6, 0.9, 0.5, 2.0),
+    ])
+    def test_rule_weights_sum_to_one(self, alpha, beta, delta, mu):
+        log_w, log_wt = gfpd._beta_mixture_rule(alpha, beta, delta, mu)
+        assert np.all(np.diff(log_w) > 0.0) and -1e-19 < log_w[-1] < 0.0
+        assert mu * math.exp(log_w[0]) <= math.exp(-gfpd._BETA_DEPTH) * 1.0001
+        assert math.fsum(np.exp(log_wt)) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestQuadratureRoutes:
